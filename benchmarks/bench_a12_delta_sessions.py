@@ -15,7 +15,8 @@ session's solve history, so every arm walks its stream from cold):
 * **wire** — the protocol's reason to exist: an editor-style drift
   stream over the paper's feature-model transformation (one selection
   toggled per round, every request one edit from its predecessor).
-  Acceptance: answers bit-identical between arms, and the delta arm's
+  Acceptance: no ``error`` replies, answers bit-identical between arms,
+  and the delta arm's
   **wire bytes per request** come in at **<= 1/10** of the full-tuple
   arm's (the full arm re-ships transformation text + metamodels +
   models with every question; the delta arm ships them once).
@@ -27,6 +28,7 @@ in seconds (see ``scripts/ci.sh``).
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +64,8 @@ SMOKE_ROUNDS = 5
 FULL_ROUNDS = 8
 
 #: Wire-arm drift stream: k features, one selection toggle per round.
+#: The stream stays consistent (only ``core`` is mandatory), so each
+#: answer is a cheap consistency check and the smoke run stays fast.
 SMOKE_DRIFT = (16, 24)
 FULL_DRIFT = (24, 48)
 
@@ -79,9 +83,10 @@ def fidelity_requests(seeds, rounds):
 def drift_requests(k: int, rounds: int):
     """An editor-style stream: every request one selection toggle away.
 
-    One fixed shape (the paper's k-feature transformation), a frozen
-    feature model, and a configuration drifting one feature per round —
-    the access pattern the delta protocol exists for.
+    One fixed shape (the paper's transformation over ``fm``, ``cf1``,
+    ``cf2``), a frozen k-feature model, and a configuration drifting one
+    feature per round — the access pattern the delta protocol exists
+    for.
     """
     names = ["core"] + [f"f{i}" for i in range(1, k)]
     fm = feature_model({name: (name == "core") for name in names})
@@ -95,7 +100,7 @@ def drift_requests(k: int, rounds: int):
         }
         requests.append(
             EnforceRequest.build(
-                paper_transformation(k),
+                paper_transformation(2),
                 models,
                 targets=["cf1", "cf2"],
                 semantics="extended",
@@ -227,6 +232,12 @@ def bench_wire(k: int, rounds: int, sockdir, rows: list) -> dict:
         )
         if g != w
     )
+    errors = sum(
+        1
+        for stats in (full, delta)
+        for response in stats["responses"]
+        if response.outcome == "error"
+    )
     n = len(requests)
     full_per = full["bytes_sent"] / n
     delta_per = delta["bytes_sent"] / n
@@ -245,7 +256,7 @@ def bench_wire(k: int, rounds: int, sockdir, rows: list) -> dict:
         [
             "wire: TOTAL",
             f"x{ratio:.1f} fewer bytes/request",
-            f"{mismatched} mismatches",
+            f"{mismatched} mismatches, {errors} errors",
             f"delta opened {delta['sessions'].get('opened')} "
             f"session(s), {delta['sessions'].get('edits')} edits",
             "",
@@ -255,6 +266,8 @@ def bench_wire(k: int, rounds: int, sockdir, rows: list) -> dict:
         "requests": n,
         "features": k,
         "mismatches": mismatched,
+        "errors": errors,
+        "outcomes": dict(Counter(r.outcome for r in full["responses"])),
         "full_wire_bytes_per_request": round(full_per, 1),
         "delta_wire_bytes_per_request": round(delta_per, 1),
         "wire_ratio": round(ratio, 2),
@@ -288,6 +301,9 @@ def run(smoke: bool = False) -> dict:
     assert not fidelity["mismatches"], fidelity["mismatches"][:5]
     assert fidelity["outcomes"].get("repaired", 0) > 0, (
         f"the sweep must contain repair questions: {fidelity['outcomes']}"
+    )
+    assert wire["errors"] == 0, (
+        f"the wire arm must measure answers, not {wire['errors']} error replies"
     )
     assert wire["mismatches"] == 0, (
         f"wire arms disagreed on {wire['mismatches']} requests"

@@ -1,12 +1,12 @@
 """A6 (ablation) — solver hot loop + persistent enforcement sessions.
 
-Three arms over the A1/A3/A5-style workloads plus decision-bound
-synthetic instances:
+Three arms over the A1/A3-style workloads plus decision-bound synthetic
+instances:
 
-* **decide** — VSIDS binary heap vs the historical O(num_vars) linear
-  scan. Both arms are deterministic and tie-break identically, so they
-  make the *same* decisions; the heap must simply make them faster
-  (decisions/sec) on decision-heavy instances.
+* **backends** — the flat production core vs the object-based
+  reference core (:class:`~repro.solver.legacy.LegacySolver`) on the
+  same decide workload. The two are trace-identical, so they do the
+  same work; the flat core must never be slower.
 * **gc** — learnt-clause database reduction on vs off over an
   enforcement sweep and a repair-enumeration stream; outcomes must be
   identical, GC bounds the database for long-lived sessions.
@@ -24,12 +24,15 @@ synthetic instances:
   shrank while both arms got faster in absolute terms.)
 
 ``--smoke`` runs reduced sizes for CI (see ``scripts/ci.sh``) and
-doubles as the perf regression guard for all three claims.
+doubles as the perf regression guard for all three claims. (A
+historical fourth arm, VSIDS heap vs linear-scan decisions, was retired
+once the heap won 3.4x; its numbers are in CHANGES.md.)
 """
 
 import random
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -45,10 +48,12 @@ from repro.featuremodels import (
     paper_transformation,
     scenario_new_mandatory_feature,
 )
+from repro.solver import maxsat
 from repro.solver.bounded import Grounder, Scope
 from repro.solver.cnf import CNF
+from repro.solver.legacy import LegacySolver
 from repro.solver.maxsat import MaxSatSession
-from repro.solver.sat import FLAT, HEAP, LEGACY, SCAN, IncrementalSolver
+from repro.solver.sat import IncrementalSolver
 from repro.util.text import render_table
 
 from benchmarks._common import bench_cli, record
@@ -82,80 +87,28 @@ def _synthetic(num_vars: int, seed: int) -> CNF:
 
 
 # ----------------------------------------------------------------------
-# Arm 1: decision heuristic
+# Arm 1: flat vs legacy CDCL core on the same decide workload
 # ----------------------------------------------------------------------
-def bench_decide(smoke: bool, rows: list) -> dict:
-    sizes = (600, 800) if smoke else (1500, 2000)
-    instances = [("synthetic n=%d" % n, _synthetic(n, seed=n)) for n in sizes]
-    k = 2 if smoke else 3
-    scenario = scenario_new_mandatory_feature(k)
-    a1 = _ground(
-        scenario.transformation,
-        scenario.after_update,
-        {f"cf{i}" for i in range(1, k + 1)},
-        extra_objects=2,
-    )
-    totals = {}
-    for arm in (SCAN, HEAP):
-        elapsed = 0.0
-        decisions = 0
-        propagations = 0
-        for name, cnf in instances:
-            # Best-of-3: the work is deterministic, so min() strips
-            # scheduler noise from the wall-clock CI gate.
-            step = float("inf")
-            for _ in range(3):
-                solver = IncrementalSolver(cnf, decision=arm)
-                start = time.perf_counter()
-                solver.solve(model=False)
-                step = min(step, time.perf_counter() - start)
-            elapsed += step
-            decisions += solver.stats.decisions
-            propagations += solver.stats.propagations
-            rows.append(
-                ["decide: " + name, arm, solver.stats.decisions, "",
-                 f"{step * 1e3:.1f} ms"]
-            )
-        # Paper-scale: the A1 enforcement sweep on the chosen heuristic.
-        session = MaxSatSession(
-            a1.cnf, list(a1.soft), solver_kwargs={"decision": arm}
-        )
-        start = time.perf_counter()
-        optimum = session.solve_optimal()
-        step = time.perf_counter() - start
-        assert optimum.satisfiable
-        elapsed += step
-        decisions += session.solver.stats.decisions
-        propagations += session.solver.stats.propagations
-        rows.append(
-            [f"decide: A1 sweep (k={k})", arm, session.solver.stats.decisions,
-             f"cost={optimum.cost}", f"{step * 1e3:.1f} ms"]
-        )
-        totals[arm] = {
-            "time_s": elapsed,
-            "decisions": decisions,
-            "propagations": propagations,
-            "decisions_per_sec": decisions / elapsed if elapsed else 0.0,
-        }
-    rows.append(
-        ["decide: TOTAL",
-         f"{totals[SCAN]['time_s'] / totals[HEAP]['time_s']:.2f}x faster heap",
-         f"{totals[HEAP]['decisions']}",
-         f"{totals[HEAP]['decisions_per_sec']:,.0f}/s heap vs "
-         f"{totals[SCAN]['decisions_per_sec']:,.0f}/s scan",
-         ""]
-    )
-    return totals
+LEGACY, FLAT = "legacy", "flat"
+CORES = {LEGACY: LegacySolver, FLAT: IncrementalSolver}
 
 
-# ----------------------------------------------------------------------
-# Arm 1b: flat vs legacy CDCL backend on the same decide workload
-# ----------------------------------------------------------------------
+@contextmanager
+def _maxsat_core(core):
+    """Build every MaxSAT session's solver from ``core`` in the block."""
+    saved = maxsat.IncrementalSolver
+    maxsat.IncrementalSolver = core
+    try:
+        yield
+    finally:
+        maxsat.IncrementalSolver = saved
+
+
 def bench_backends(smoke: bool, rows: list) -> dict:
-    """Both registered CDCL cores over the heap-decide workload.
+    """Both CDCL cores over a decision-heavy workload.
 
     The flat array core is trace-identical to the legacy object core
-    (same decisions, conflicts and answers — the cross-backend battery
+    (same decisions, conflicts and answers — the cross-core battery
     in tests/test_solver_backends.py enforces it), so the two arms do
     the *same* work and the only degree of freedom is wall-clock. The
     CI contract is that the flat core never regresses below the legacy
@@ -177,9 +130,11 @@ def bench_backends(smoke: bool, rows: list) -> dict:
         decisions = 0
         propagations = 0
         for name, cnf in instances:
+            # Best-of-3: the work is deterministic, so min() strips
+            # scheduler noise from the wall-clock CI gate.
             step = float("inf")
             for _ in range(3):
-                solver = IncrementalSolver(cnf, decision=HEAP, backend=backend)
+                solver = CORES[backend](cnf)
                 start = time.perf_counter()
                 solver.solve(model=False)
                 step = min(step, time.perf_counter() - start)
@@ -190,10 +145,8 @@ def bench_backends(smoke: bool, rows: list) -> dict:
                 ["backend: " + name, backend, solver.stats.decisions, "",
                  f"{step * 1e3:.1f} ms"]
             )
-        session = MaxSatSession(
-            a1.cnf, list(a1.soft),
-            solver_kwargs={"decision": HEAP, "backend": backend},
-        )
+        with _maxsat_core(CORES[backend]):
+            session = MaxSatSession(a1.cnf, list(a1.soft))
         start = time.perf_counter()
         optimum = session.solve_optimal()
         step = time.perf_counter() - start
@@ -245,9 +198,8 @@ def bench_gc(smoke: bool, rows: list) -> dict:
     a3 = _ground(t, models, {"cf1", "cf2"}, extra_objects=3)
     totals = {}
     for arm, gc in (("gc-off", False), ("gc-on", True)):
-        session = MaxSatSession(
-            a3.cnf, list(a3.soft), solver_kwargs={"gc": gc}
-        )
+        session = MaxSatSession(a3.cnf, list(a3.soft))
+        session.solver.gc = gc
         if gc:
             # Long-lived-session pressure: restart after every conflict
             # and keep the budget tiny, so the paper-scale sweep really
@@ -312,7 +264,7 @@ def bench_session(smoke: bool, rows: list) -> dict:
     totals = {}
 
     # Best-of-3 per arm: the work is deterministic, so min() strips
-    # scheduler noise from the wall-clock CI gate (as in bench_decide).
+    # scheduler noise from the wall-clock CI gate (as in bench_backends).
     reground_time = float("inf")
     for _ in range(3):
         before = Grounder.translations
@@ -365,7 +317,6 @@ def bench_session(smoke: bool, rows: list) -> dict:
 def run(smoke: bool = False) -> dict:
     rows: list = []
     metrics = {
-        "decide": bench_decide(smoke, rows),
         "backends": bench_backends(smoke, rows),
         "gc": bench_gc(smoke, rows),
         "session": bench_session(smoke, rows),
@@ -373,15 +324,11 @@ def run(smoke: bool = False) -> dict:
     table = render_table(
         ["workload", "arm", "work", "detail", "time"],
         rows,
-        title="A6: solver hot loop (heap/GC) + persistent enforcement sessions"
+        title="A6: solver hot loop (flat core/GC) + persistent enforcement sessions"
         + (" [smoke]" if smoke else ""),
     )
     record("a6_solver_hotloop" + ("_smoke" if smoke else ""), table, metrics=metrics)
     # Perf guards (the CI smoke contract):
-    decide = metrics["decide"]
-    assert decide[HEAP]["time_s"] < decide[SCAN]["time_s"], (
-        f"heap decide must beat the linear scan: {decide}"
-    )
     backends = metrics["backends"]
     assert (
         backends[FLAT]["decisions_per_sec"]

@@ -1,6 +1,6 @@
 """A9 (service) — sharded batch enforcement vs sequential per-call SAT.
 
-Three arms over batches built from A8's generated scenarios (each
+Two arms over batches built from A8's generated scenarios (each
 scenario contributes a same-shape request stream via
 :func:`repro.gen.scenario_requests`, so shards carry several requests):
 
@@ -16,9 +16,10 @@ scenario contributes a same-shape request stream via
 * **determinism** — the same batch at workers 1/2/4 must merge to
   bit-for-bit identical response lists (canonical model serialisations
   included), whatever the worker interleaving.
-* **portfolio** — racing ``luby`` vs ``geometric`` restart schedules
-  per shard must stay verdict/cost-identical to the default arm (the
-  chosen optimum may differ; the distances may not).
+
+(A historical third arm raced ``luby`` vs ``geometric`` restart
+schedules per shard; it was retired with the portfolio mode after luby
+won 19 of 23 shards — see CHANGES.md.)
 
 The full run sweeps the A8 seed list; ``--smoke`` runs the fixed CI
 seeds in a few seconds (see ``scripts/ci.sh``).
@@ -186,34 +187,6 @@ def bench_determinism(requests, rows: list) -> dict:
     return {"responses": len(requests), "stable": stable}
 
 
-def bench_portfolio(requests, reference, rows: list) -> dict:
-    start = time.perf_counter()
-    raced = serve_batch(requests, workers=4, portfolio=True)
-    elapsed = time.perf_counter() - start
-    disagreements = [
-        f"request {index}: portfolio {got.outcome}/{got.distance}, "
-        f"default {want.outcome}/{want.distance}"
-        for index, (got, want) in enumerate(
-            zip(raced.responses, reference.responses)
-        )
-        if (got.outcome, got.distance if got.ok else None)
-        != (want.outcome, want.distance if want.ok else None)
-    ]
-    winners = {}
-    for stats in raced.shards:
-        winners[stats.restart] = winners.get(stats.restart, 0) + 1
-    rows.append(
-        [
-            "portfolio",
-            "luby vs geometric",
-            " ".join(f"{arm}={count}" for arm, count in sorted(winners.items())),
-            f"{len(disagreements)} disagreements",
-            f"{elapsed * 1e3:.0f} ms",
-        ]
-    )
-    return {"winners": winners, "disagreements": disagreements}
-
-
 def run(smoke: bool = False) -> dict:
     seeds = SMOKE_SEEDS if smoke else FULL_SEEDS
     requests = build_requests(seeds)
@@ -221,9 +194,6 @@ def run(smoke: bool = False) -> dict:
     metrics = {"equivalence": bench_equivalence(requests, rows)}
     sample = requests[: max(8, len(requests) // 5)]
     metrics["determinism"] = bench_determinism(sample, rows)
-    metrics["portfolio"] = bench_portfolio(
-        sample, serve_batch(sample, workers=4), rows
-    )
     table = render_table(
         ["workload", "arm", "work", "detail", "time"],
         rows,
@@ -246,7 +216,6 @@ def run(smoke: bool = False) -> dict:
         f"the batch must contain repair questions: {equivalence['outcomes']}"
     )
     assert metrics["determinism"]["stable"], "batch results drifted with workers"
-    assert not metrics["portfolio"]["disagreements"], metrics["portfolio"]
     if not smoke:
         assert equivalence["speedup_batch4"] >= 2.0, (
             "the 4-worker batch arm must clear 2x sequential throughput, got "

@@ -1,14 +1,10 @@
 #!/usr/bin/env bash
 # Minimal CI: the tier-1 test suite plus the perf regression guards —
-# a5 asserts the persistent solver stays >= 2x cheaper than one-shot
-# solving, a6 asserts the VSIDS heap beats the linear-scan `_decide`,
-# runs the decide workload on both registered CDCL backends and fails
-# if the flat array core's smoke decide throughput regresses below the
-# legacy object core's (both arms land in
-# BENCH_a6_solver_hotloop_smoke.json under "backends"),
-# and that Echo enforcement sessions reuse one grounding (>= 20 %
-# faster than re-grounding per edit — the bar moved from 30 % when
-# a7's pruning made the re-grounding baseline ~3x cheaper), a7
+# a6 runs the decide workload on the flat production core and on the
+# legacy reference core and fails if the flat core's smoke decide
+# throughput regresses below the legacy core's, checks that learnt-
+# clause GC changes no optimum, and that Echo enforcement sessions
+# reuse one grounding (>= 20 % faster than re-grounding per edit), a7
 # asserts the grounding fast
 # path (pruning never enumerates more bindings than the naive arm and
 # never changes a verdict; re-grounds reuse cached translations; the
@@ -29,7 +25,10 @@
 # request gets exactly one typed reply, successes stay bit-identical
 # to the fault-free run with zero extra groundings, and the daemon
 # ends healthy (under a hard timeout so a wedged daemon can never
-# hang the pipeline). Docs can't rot silently:
+# hang the pipeline). The end-to-end perfbench correctness stage
+# replays the frozen generated corpus and exits 1 on any answer that
+# differs from its frozen (outcome, distance) reference. Docs can't
+# rot silently:
 # every example
 # runs as a smoke stage, the code blocks in README.md and docs/ are
 # import-checked, and the audited public modules' doctests execute.
@@ -42,13 +41,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== a5 incremental-SAT ablation (full workloads, via pytest) =="
-python -m pytest benchmarks/bench_a5_incremental_sat.py -q
-
-echo "== a5 incremental-SAT smoke benchmark (script mode) =="
-python benchmarks/bench_a5_incremental_sat.py --smoke
-
-echo "== a6 solver hot-loop + backend + enforcement-session smoke guard =="
+echo "== a6 solver hot-loop + reference-core + enforcement-session smoke guard =="
 python benchmarks/bench_a6_solver_hotloop.py --smoke
 
 echo "== a7 grounding fast-path smoke guard =="
@@ -85,6 +78,12 @@ timeout 300 python benchmarks/bench_a11_chaos.py --smoke
 # daemon fails the stage instead of hanging CI.
 echo "== a12 delta-sessions smoke benchmark (hard 300 s timeout) =="
 timeout 300 python benchmarks/bench_a12_delta_sessions.py --smoke
+
+# The end-to-end benchmark doubles as a correctness check: every
+# answer on the frozen generated corpus must match its recorded
+# (outcome, distance) reference, or the run exits 1.
+echo "== perfbench gen-cold answers vs frozen references (hard 300 s timeout) =="
+timeout 300 python3 perfbench/run.py --workload gen-cold --seconds 2
 
 echo "== examples smoke =="
 for example in examples/*.py; do

@@ -185,11 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size; 0 answers inline in this process "
         f"(default: {DEFAULT_WORKERS})",
     )
-    batch.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="race luby vs geometric restart schedules per shard",
-    )
     from repro.serve import DEFAULT_SHARD_DEADLINE
 
     batch.add_argument(
@@ -376,7 +371,6 @@ def _batch(workspace: Workspace, args: argparse.Namespace) -> int:
     result = workspace.serve(
         entries,
         workers=args.workers,
-        portfolio=args.portfolio,
         deadline=args.deadline or None,
     )
     ok = True
@@ -409,9 +403,7 @@ def _batch(workspace: Workspace, args: argparse.Namespace) -> int:
     )
     print(
         f"{len(result.responses)} requests in {len(result.shards)} shards "
-        f"({outcomes}) — workers={result.workers}"
-        + (" portfolio" if result.portfolio else "")
-        + f", {result.elapsed:.2f}s"
+        f"({outcomes}) — workers={result.workers}, {result.elapsed:.2f}s"
     )
     if result.interrupted:
         print(

@@ -93,7 +93,6 @@ class Workspace:
         self,
         entries: list,
         workers: int | None = None,
-        portfolio: bool = False,
         deadline: object = _DEFAULT_DEADLINE,
     ) -> "BatchResult":
         """Answer a batch of enforcement requests over workspace artefacts.
@@ -119,9 +118,7 @@ class Workspace:
         if deadline is _DEFAULT_DEADLINE:
             deadline = DEFAULT_SHARD_DEADLINE
         requests = self.resolve_requests(entries)
-        return serve_batch(
-            requests, workers=workers, portfolio=portfolio, deadline=deadline
-        )
+        return serve_batch(requests, workers=workers, deadline=deadline)
 
     def resolve_requests(self, entries: list) -> list:
         """Resolve batch-file entries to :class:`~repro.serve.EnforceRequest`\\ s.

@@ -24,9 +24,8 @@ injected per call as assumptions
 (:meth:`~repro.solver.bounded.GroundingResult.origin_assumptions`),
 symmetry breaking is an opt-in assumption, and enumeration blocking
 clauses are guarded by a per-enumeration selector so they never outlive
-their run. ``share=False`` (or ``incremental=False``) restores the
-historical one-grounding-per-call behaviour — the baseline arms of
-ablations A5 and A7.
+their run. ``share=False`` restores the historical
+one-grounding-per-call behaviour — the baseline arm of ablation A7.
 
 :class:`ConsistencyOracle` exports the machinery to the other engines:
 candidate repair states become assumption sets over the atom variables,
@@ -121,7 +120,6 @@ def enforce_sat(
     scope: Scope = Scope(),
     mode: str = INCREASING,
     max_distance: int | None = None,
-    incremental: bool = True,
     share: bool = True,
 ) -> tuple[dict[str, Model], int]:
     """Find a distance-minimal consistent tuple with the SAT engine.
@@ -134,10 +132,9 @@ def enforce_sat(
     encoded at most once per shape, the concrete tuple is injected as
     origin assumptions, and the distance sweep explores bounds as
     assumptions on one persistent solver. ``share=False`` grounds
-    per call (the A7 baseline); ``incremental=False`` additionally
-    restores the historical one-shot solve per bound (the A5 baseline).
+    per call (the A7 baseline).
     """
-    if incremental and share:
+    if share:
         from repro.enforce.session import shared_session
 
         session = shared_session(
@@ -151,7 +148,7 @@ def enforce_sat(
         return session.solve_tuple(models, max_distance=max_distance, mode=mode)
     grounder = _ground(checker, models, targets, metric, scope)
     grounding = grounder.ground()
-    session = grounding.session(incremental=incremental)
+    session = grounding.session()
     result = session.solve_optimal(mode=mode, max_cost=max_distance)
     if not result.satisfiable:
         raise NoRepairFound(
@@ -172,7 +169,6 @@ def enumerate_repairs(
     metric: TupleMetric = TupleMetric(),
     scope: Scope = Scope(),
     limit: int = 64,
-    incremental: bool = True,
     share: bool = True,
 ) -> tuple[int, list[dict[str, Model]]]:
     """All distance-minimal repairs (up to ``limit``), canonically ordered.
@@ -188,7 +184,7 @@ def enumerate_repairs(
     per-enumeration selector so later repairs on the same grounding are
     unaffected.
     """
-    if incremental and share:
+    if share:
         from repro.enforce.session import shared_session
 
         session = shared_session(
@@ -212,7 +208,6 @@ def enumerate_repairs(
         list(grounding.soft),
         project,
         limit=limit,
-        incremental=incremental,
     )
     decoded: dict[str, dict[str, Model]] = {}
     for assignment in assignments:

@@ -139,10 +139,7 @@ class EnforcementSession:
     ``prune``/``cache`` toggle the grounding fast path (binding-space
     pruning, cross-grounding translation caching); both default on and
     exist as the naive arms of ablation A7 and the equivalence property
-    tests. ``solver_kwargs`` forwards hot-loop knobs (``decision``,
-    ``restart``, ``gc`` — see :class:`~repro.solver.sat.IncrementalSolver`)
-    to every solver this session builds; the batch service's portfolio
-    mode (:mod:`repro.serve`) uses it to race restart schedules.
+    tests.
 
     Counters: ``calls`` (enforce calls), ``groundings`` (full grounding
     builds), ``reuses`` (queries served by patching the cached
@@ -175,7 +172,6 @@ class EnforcementSession:
         mode: str = INCREASING,
         prune: bool = True,
         cache: bool = True,
-        solver_kwargs: Mapping | None = None,
     ) -> None:
         self.transformation = transformation
         self.targets = (
@@ -192,7 +188,6 @@ class EnforcementSession:
         self.scope = scope
         self.mode = mode
         self.prune = prune
-        self.solver_kwargs = dict(solver_kwargs) if solver_kwargs else None
         self._context = GroundingContext() if cache else None
         self._params = transformation.param_names()
         # Retained grounding generations, least-recently-used first. A
@@ -245,11 +240,11 @@ class EnforcementSession:
     def close(self) -> None:
         """Release every retained grounding, solver and translation table.
 
-        The disposal hook of the :func:`shared_session` LRU (and the
-        worker-side portfolio cache): eviction must actually *free* the
-        evicted shape's memory — generations, MaxSAT sessions, solvers,
-        oracles and the shared :class:`~repro.solver.bounded.GroundingContext`
-        all become garbage here, not when the last external reference
+        The disposal hook of the :func:`shared_session` LRU: eviction
+        must actually *free* the evicted shape's memory — generations,
+        MaxSAT sessions, solvers, oracles and the shared
+        :class:`~repro.solver.bounded.GroundingContext` all become
+        garbage here, not when the last external reference
         happens to die. The session itself stays **usable**: a caller
         that retained it (the Echo tool does) transparently re-grounds
         on its next call, onto a fresh context — the documented cost of
@@ -412,9 +407,7 @@ class EnforcementSession:
             # inert but still cost watch-list traffic; rebuild the
             # MaxSAT session (the grounding itself is untouched) so a
             # long-lived shared session stays bounded.
-            self._active.maxsat = self._grounding.session(
-                solver_kwargs=self.solver_kwargs
-            )
+            self._active.maxsat = self._grounding.session()
             oracle = ConsistencyOracle(
                 self._grounding,
                 frozenset(self.targets.params),
@@ -706,7 +699,7 @@ class EnforcementSession:
         except SatFragmentError as error:
             self._fragment_error = error
             raise
-        maxsat = grounding.session(solver_kwargs=self.solver_kwargs)
+        maxsat = grounding.session()
         oracle = ConsistencyOracle(
             grounding, frozenset(self.targets.params), maxsat.solver
         )
@@ -755,12 +748,11 @@ def shared_session(
     metric: TupleMetric = TupleMetric(),
     scope: Scope | None = None,
     mode: str = INCREASING,
-    solver_kwargs: Mapping | None = None,
 ) -> EnforcementSession:
     """The cached :class:`EnforcementSession` for this question shape.
 
     Keyed by (transformation identity, targets, semantics, metric
-    weights, scope, mode, solver knobs): every SAT-fragment entry point —
+    weights, scope, mode): every SAT-fragment entry point —
     :func:`~repro.enforce.satengine.enforce_sat`,
     :func:`~repro.enforce.satengine.enumerate_repairs`,
     :meth:`~repro.enforce.satengine.ConsistencyOracle.try_build`, the
@@ -781,7 +773,6 @@ def shared_session(
         tuple(sorted(metric.weights.items())),
         scope,
         mode,
-        tuple(sorted(solver_kwargs.items())) if solver_kwargs else None,
     )
     entry = _shared_sessions.get(key)
     if entry is not None and entry[0] is transformation:
@@ -794,7 +785,6 @@ def shared_session(
         metric=metric,
         scope=scope,
         mode=mode,
-        solver_kwargs=solver_kwargs,
     )
     _shared_sessions[key] = (transformation, session)
     _shared_sessions.move_to_end(key)

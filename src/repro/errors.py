@@ -130,8 +130,8 @@ class GenerationError(ReproError):
 
 class ServeError(ReproError):
     """Raised by the batch service (:mod:`repro.serve`) for scheduler
-    misuse — invalid worker counts, portfolio without a pool, or a shard
-    that produced no response. Per-request failures never raise; they
+    misuse — invalid worker counts, invalid deadlines, or a shard that
+    produced no response. Per-request failures never raise; they
     come back as ``error`` responses so one bad request cannot kill its
     batch."""
 

@@ -14,7 +14,7 @@ same incremental solver.
 
 Results merge in submission order and are bit-for-bit reproducible
 regardless of worker count (see :mod:`repro.serve.service` for the
-exact contract and the portfolio-mode exception).
+exact contract).
 
 When to use what: one question → call
 :func:`~repro.enforce.api.enforce`; an interactive edit/enforce loop →
@@ -94,7 +94,6 @@ from repro.serve.protocol import (
 from repro.serve.service import (
     DEFAULT_SHARD_DEADLINE,
     DEFAULT_WORKERS,
-    PORTFOLIO_ARMS,
     BatchResult,
     ShardStats,
     serve_batch,
@@ -120,7 +119,6 @@ __all__ = [
     "NO_REPAIR",
     "OVERLOADED",
     "POISONED",
-    "PORTFOLIO_ARMS",
     "REPAIRED",
     "SESSION_LOST",
     "SESSION_VERBS",

@@ -125,10 +125,6 @@ class DaemonConfig:
     ``faults`` is a :mod:`repro.serve.faults` spec string enabling
     seeded fault injection (``None`` falls back to the ``REPRO_FAULTS``
     environment variable; empty disables).
-
-    ``solver_backend`` pins the CDCL core every worker process uses
-    (``"flat"``/``"legacy"``, see :data:`repro.solver.SOLVER_BACKENDS`);
-    ``None`` keeps the package default. A typo fails at config time.
     """
 
     socket_path: str | None = None
@@ -142,7 +138,6 @@ class DaemonConfig:
     poison_budget: int = 2
     reply_cache: int = 1024
     faults: str | None = None
-    solver_backend: str | None = None
 
     def validate(self) -> None:
         if (self.socket_path is None) == (self.host is None):
@@ -171,20 +166,9 @@ class DaemonConfig:
                 f"reply_cache must be >= 1, got {self.reply_cache}"
             )
         FaultPlan.parse(self.faults)  # typo'd specs fail at config time
-        if self.solver_backend is not None:
-            from repro.solver import SOLVER_BACKENDS
-
-            if self.solver_backend not in SOLVER_BACKENDS:
-                raise ServeError(
-                    "unknown solver_backend %r (known: %s)"
-                    % (
-                        self.solver_backend,
-                        ", ".join(sorted(SOLVER_BACKENDS)),
-                    )
-                )
 
 
-def _daemon_worker_main(conn, solver_backend: str | None = None) -> None:
+def _daemon_worker_main(conn) -> None:
     """One worker process: serve wire requests off a pipe, forever.
 
     Starts from a clean slate (fork inherits the parent's warm caches;
@@ -197,16 +181,10 @@ def _daemon_worker_main(conn, solver_backend: str | None = None) -> None:
     :mod:`repro.serve.faults`).
     """
     from repro.enforce.session import clear_shared_sessions
-    from repro.serve.worker import (
-        reset_worker_state,
-        serve_session,
-        serve_wire,
-        set_solver_backend,
-    )
+    from repro.serve.worker import reset_worker_state, serve_session, serve_wire
 
     clear_shared_sessions()
     reset_worker_state()
-    set_solver_backend(solver_backend)
     while True:
         try:
             message = conn.recv()
@@ -248,9 +226,8 @@ class _WorkerCrash(Exception):
 class _WorkerSlot:
     """One long-lived worker process and its parent-side pipe end."""
 
-    def __init__(self, index: int, solver_backend: str | None = None) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
-        self.solver_backend = solver_backend
         self.restarts = 0
         self._spawn()
 
@@ -259,7 +236,7 @@ class _WorkerSlot:
         self.conn = parent
         self.process = multiprocessing.Process(
             target=_daemon_worker_main,
-            args=(child, self.solver_backend),
+            args=(child,),
             daemon=True,
         )
         self.process.start()
@@ -444,7 +421,7 @@ class EnforcementDaemon:
         self._started_at = time.monotonic()
         self._loop = asyncio.get_running_loop()
         self._slots = [
-            _WorkerSlot(index, self.config.solver_backend)
+            _WorkerSlot(index)
             for index in range(self.config.workers)
         ]
         self._slot_tokens = [asyncio.Queue() for _ in self._slots]

@@ -45,7 +45,7 @@ from repro.metamodel.serialize import (
 from repro.qvtr.ast import Transformation
 from repro.qvtr.pretty import pretty_transformation
 from repro.solver.bounded import Scope
-from repro.solver.maxsat import INCREASING
+from repro.solver.maxsat import DECREASING, INCREASING
 
 #: Batch verdicts. The first three mirror the differential oracle's
 #: outcome vocabulary (:mod:`repro.gen.oracle`); ``ERROR`` is the
@@ -283,16 +283,51 @@ def request_from_dict(data: Mapping[str, Any]) -> EnforceRequest:
     transformation = data.get("transformation")
     if not isinstance(transformation, str) or not transformation.strip():
         raise SerializationError("request needs QVT-R transformation text")
+    weights = data.get("weights", {})
+    if not isinstance(weights, Mapping) or not all(
+        isinstance(param, str) and _is_count(weight)
+        for param, weight in weights.items()
+    ):
+        raise SerializationError(
+            "field 'weights' must map parameter names to integers >= 0, "
+            f"got {weights!r}"
+        )
+    mode = data.get("mode", INCREASING)
+    if mode not in (INCREASING, DECREASING):
+        raise SerializationError(
+            f"field 'mode' must be {INCREASING!r} or {DECREASING!r}, "
+            f"got {mode!r}"
+        )
     return EnforceRequest(
         transformation=transformation,
         metamodels=metamodels,
         models=models,
         targets=frozenset(targets),
         semantics=data.get("semantics", EXTENDED),
-        weights=dict(data.get("weights", {})),
+        weights=dict(weights),
         scope=scope_from_dict(data.get("scope")),
-        mode=data.get("mode", INCREASING),
-        max_distance=data.get("max_distance"),
+        mode=mode,
+        max_distance=check_max_distance(data.get("max_distance")),
+    )
+
+
+def _is_count(value: Any) -> bool:
+    """Whether ``value`` is a JSON integer >= 0 (``bool`` excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def check_max_distance(value: Any) -> int | None:
+    """``value`` as a distance cap: an integer >= 0 or None.
+
+    Raises :class:`~repro.errors.SerializationError` naming the field for
+    anything else — a string, a float, a bool or a negative number would
+    otherwise surface as a raw ``TypeError`` mid-solve or silently answer
+    ``no-repair``.
+    """
+    if value is None or _is_count(value):
+        return value
+    raise SerializationError(
+        f"field 'max_distance' must be an integer >= 0 or null, got {value!r}"
     )
 
 

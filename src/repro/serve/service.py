@@ -22,12 +22,7 @@ worker in that order; and every pool worker starts from a *clean* slate
 (an initializer drops any session state inherited from the parent on
 fork) — so a pooled batch's full response list (verdicts, costs, *and*
 chosen repairs) is bit-for-bit reproducible and independent of
-``workers`` and of whatever the parent process solved before. The one
-exception is ``portfolio=True``: each shard is raced on two restart
-schedules and the first finisher's responses win — verdicts and
-distances still agree between arms (both are exact engines), but the
-chosen member of the minimum-distance set may differ run to run.
-Batches that must be byte-stable leave portfolio off.
+``workers`` and of whatever the parent process solved before.
 
 Worker counts: ``workers >= 1`` uses a process pool of that size;
 ``workers = 0`` answers every shard inline in the calling process (no
@@ -76,9 +71,6 @@ def _fresh_worker() -> None:
     clear_shared_sessions()
     reset_worker_state()
 
-#: The portfolio's restart schedules, raced per shard (first wins).
-PORTFOLIO_ARMS: tuple[str, ...] = ("luby", "geometric")
-
 #: Default worker-pool size; also the A9 benchmark's batch arm.
 DEFAULT_WORKERS = 4
 
@@ -110,7 +102,6 @@ class ShardStats:
     requests: int
     worker: int
     groundings: int
-    restart: str | None
     elapsed: float
 
 
@@ -121,7 +112,6 @@ class BatchResult:
     responses: tuple[EnforceResponse, ...]
     shards: tuple[ShardStats, ...] = ()
     workers: int = 0
-    portfolio: bool = False
     elapsed: float = 0.0
     #: True when the batch was cut short (Ctrl-C, worker pool breakage):
     #: completed shards carry real responses, the rest carry typed
@@ -157,7 +147,6 @@ def shard_requests(
 def serve_batch(
     requests: Sequence[EnforceRequest],
     workers: int = DEFAULT_WORKERS,
-    portfolio: bool = False,
     max_inflight: int | None = None,
     deadline: float | None = DEFAULT_SHARD_DEADLINE,
 ) -> BatchResult:
@@ -177,30 +166,25 @@ def serve_batch(
     """
     if workers < 0:
         raise ServeError(f"workers must be >= 0, got {workers}")
-    if portfolio and workers == 0:
-        raise ServeError("portfolio mode needs a process pool (workers >= 1)")
     if deadline is not None and deadline <= 0:
         raise ServeError(f"deadline must be > 0 (or None), got {deadline}")
     started = time.perf_counter()
     shards = shard_requests(requests)
-    arms = PORTFOLIO_ARMS if portfolio else (None,)
 
-    def payloads(shard_index: int) -> list[dict]:
+    def payload(shard_index: int) -> dict:
         # Built lazily, per shard, at submission time: the wire form
         # duplicates every model, and materialising a whole million-
         # request batch up front would defeat the in-flight bound.
         digest, indices = shards[shard_index]
         wire = [[index, request_to_dict(requests[index])] for index in indices]
-        return [
-            {"shard": digest, "restart": arm, "requests": wire} for arm in arms
-        ]
+        return {"shard": digest, "requests": wire}
 
     interrupted = False
     if workers == 0:
         outcomes: list = []
         try:
             for i in range(len(shards)):
-                outcomes.append(_timed(process_shard, payloads(i)[0]))
+                outcomes.append(_timed(process_shard, payload(i)))
         except KeyboardInterrupt:
             interrupted = True
             outcomes.extend(
@@ -209,7 +193,7 @@ def serve_batch(
             )
     else:
         outcomes, interrupted = _run_pool(
-            payloads, len(shards), workers, max_inflight or 2 * workers,
+            payload, len(shards), workers, max_inflight or 2 * workers,
             deadline,
         )
 
@@ -224,7 +208,6 @@ def serve_batch(
                     requests=len(indices),
                     worker=-1,
                     groundings=0,
-                    restart=None,
                     elapsed=outcome.elapsed,
                 )
             )
@@ -240,7 +223,6 @@ def serve_batch(
                 requests=len(indices),
                 worker=result["worker"],
                 groundings=result["groundings"],
-                restart=result["restart"],
                 elapsed=elapsed,
             )
         )
@@ -256,7 +238,6 @@ def serve_batch(
         responses=tuple(responses),
         shards=tuple(stats),
         workers=workers,
-        portfolio=portfolio,
         elapsed=time.perf_counter() - started,
         interrupted=interrupted,
         _by_request=tuple(by_request),
@@ -270,24 +251,23 @@ def _timed(fn, payload):
 
 
 def _run_pool(
-    payloads, shard_count: int, workers: int, max_inflight: int,
+    payload, shard_count: int, workers: int, max_inflight: int,
     deadline: float | None,
 ) -> tuple[list, bool]:
-    """Run shard tasks on a bounded process pool, first arm wins.
+    """Run shard tasks on a bounded process pool.
 
-    ``payloads(i)`` builds the alternative payloads (portfolio arms) for
-    shard ``i`` — called lazily at submission time. The first completed
-    arm's result is kept; at most ``max_inflight`` shards are on the
-    pool at any time.
+    ``payload(i)`` builds shard ``i``'s task payload — called lazily at
+    submission time. At most ``max_inflight`` shards are on the pool at
+    any time; each answered shard frees its slot for the next one.
 
     Every in-flight shard is watched against ``deadline`` (measured
-    from submission, queue wait included). An overdue shard's futures
-    are abandoned and its slot in the result list becomes an
+    from submission, queue wait included). An overdue shard's future
+    is abandoned and its slot in the result list becomes an
     :class:`_Unanswered` marker — the wait below *never* blocks without
     a timeout while a deadline is set, so one wedged worker cannot hang
-    the whole batch. A ``KeyboardInterrupt`` or a broken worker pool
-    likewise stops dispatch and marks every unanswered shard rather
-    than surfacing a raw traceback.
+    the whole batch. A crashed task fails only its own shard. A
+    ``KeyboardInterrupt`` or a broken worker pool stops dispatch and
+    marks every unanswered shard rather than surfacing a raw traceback.
 
     Returns ``(outcomes, interrupted)`` where ``outcomes[i]`` is either
     ``(shard result dict, elapsed)`` or an :class:`_Unanswered` marker.
@@ -301,15 +281,16 @@ def _run_pool(
 
     def submit_next() -> None:
         nonlocal next_shard
-        for payload in payloads(next_shard):
-            future = pool.submit(process_shard, payload)
-            futures[future] = (next_shard, time.perf_counter())
+        future = pool.submit(process_shard, payload(next_shard))
+        futures[future] = (next_shard, time.perf_counter())
         next_shard += 1
 
+    def finish(shard_index: int, outcome) -> None:
+        results[shard_index] = outcome
+        if next_shard < shard_count:
+            submit_next()
+
     def expire_overdue() -> None:
-        # Abandon every future past its deadline; once the last arm of
-        # a shard is abandoned, the shard is marked unanswered and the
-        # freed submission slot is reused.
         nonlocal abandon
         now = time.perf_counter()
         for future, (shard_index, submitted) in list(futures.items()):
@@ -322,15 +303,12 @@ def _run_pool(
                 # shards are answered.
                 abandon = True
             del futures[future]
-            if results[shard_index] is None and not any(
-                index == shard_index for index, _when in futures.values()
-            ):
-                results[shard_index] = _Unanswered(
-                    f"exceeded its deadline of {deadline:g}s",
-                    elapsed=deadline,
-                )
-                if next_shard < shard_count:
-                    submit_next()
+            finish(
+                shard_index,
+                _Unanswered(
+                    f"exceeded its deadline of {deadline:g}s", elapsed=deadline
+                ),
+            )
 
     try:
         while next_shard < shard_count and next_shard < max_inflight:
@@ -354,42 +332,18 @@ def _run_pool(
                 continue
             for future in done:
                 shard_index, submitted = futures.pop(future)
-                if future.cancelled() or results[shard_index] is not None:
-                    # A reclaimed or outraced losing arm; its outcome —
-                    # even a crash — is irrelevant, the shard is
-                    # answered.
-                    continue
+                elapsed = time.perf_counter() - submitted
                 try:
-                    outcome = future.result()
+                    outcome = (future.result(), elapsed)
                 except BrokenProcessPool:
                     raise  # the pool is gone; handled below for all shards
                 except Exception as exc:
                     # A crashed task fails *its shard*, not the batch:
-                    # a surviving portfolio arm may still answer it, and
                     # every other shard keeps flowing regardless.
-                    if results[shard_index] is None and not any(
-                        index == shard_index
-                        for index, _when in futures.values()
-                    ):
-                        results[shard_index] = _Unanswered(
-                            f"shard task crashed: {exc!r}",
-                            elapsed=time.perf_counter() - submitted,
-                        )
-                        if next_shard < shard_count:
-                            submit_next()
-                    continue
-                results[shard_index] = (
-                    outcome,
-                    time.perf_counter() - submitted,
-                )
-                # Reclaim the losing portfolio arm: a still-queued
-                # sibling never starts (a running one finishes and is
-                # discarded above).
-                for sibling, (index, _when) in list(futures.items()):
-                    if index == shard_index:
-                        sibling.cancel()
-                if next_shard < shard_count:
-                    submit_next()
+                    outcome = _Unanswered(
+                        f"shard task crashed: {exc!r}", elapsed=elapsed
+                    )
+                finish(shard_index, outcome)
     except KeyboardInterrupt:
         interrupted = True
         abandon = True

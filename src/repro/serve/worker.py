@@ -15,10 +15,6 @@ keeps two warm layers:
   solver that amortise across every request of the shard exactly like a
   long-lived interactive session does across edits.
 
-Portfolio arms bypass ``shared_session`` (two arms of one shape must
-not share a solver) and hold their sessions in a worker-local cache
-keyed by (shape, restart schedule) instead.
-
 Everything crossing the process boundary is the plain-JSON wire format
 of :mod:`repro.serve.requests` — workers never receive live objects, so
 fork/spawn differences and unpicklable state cannot bite.
@@ -51,18 +47,15 @@ from repro.serve.requests import (
     REPAIRED,
     EnforceRequest,
     EnforceResponse,
+    check_max_distance,
     request_from_dict,
     response_to_dict,
-    shape_key,
 )
 
 #: Canonical text -> parsed transformation, least-recently-used last.
 #: Sized like the shared-session LRU: a transformation evicted here
 #: would re-parse to a *new* identity and miss the session cache.
 _PARSE_CACHE: "OrderedDict[str, Transformation]" = OrderedDict()
-
-#: Portfolio-arm sessions, keyed by (shape key, restart schedule).
-_PORTFOLIO_SESSIONS: "OrderedDict[tuple, EnforcementSession]" = OrderedDict()
 
 #: How many model-tuple versions one delta session retains. Asking an
 #: evicted version is a typed error naming the bound; the *DAG* (parent
@@ -96,40 +89,6 @@ class _DeltaStore:
 #: session name -> its store, least-recently-used last.
 _DELTA_SESSIONS: "OrderedDict[str, _DeltaStore]" = OrderedDict()
 
-#: Process-wide solver-backend override (``None`` = package default).
-#: Set once at worker startup from ``DaemonConfig.solver_backend``;
-#: every session this process builds — shared or portfolio — inherits
-#: it, so one daemon runs one CDCL core consistently.
-_SOLVER_BACKEND: str | None = None
-
-
-def set_solver_backend(backend: str | None) -> None:
-    """Pin the CDCL core (``"flat"``/``"legacy"``) for this process.
-
-    Validates eagerly against the backend registry so a typo in
-    ``DaemonConfig.solver_backend`` fails at startup, not on the first
-    enforce. ``None`` restores the package default.
-    """
-    global _SOLVER_BACKEND
-    if backend is not None:
-        from repro.solver import SOLVER_BACKENDS
-
-        if backend not in SOLVER_BACKENDS:
-            raise ValueError(
-                "unknown solver backend %r (known: %s)"
-                % (backend, ", ".join(sorted(SOLVER_BACKENDS)))
-            )
-    _SOLVER_BACKEND = backend
-
-
-def _solver_kwargs(extra: "Mapping | None" = None) -> dict | None:
-    """This process's solver knobs: the backend pin plus ``extra``."""
-    kwargs = {} if _SOLVER_BACKEND is None else {"backend": _SOLVER_BACKEND}
-    if extra:
-        kwargs.update(extra)
-    return kwargs or None
-
-
 def _transformation_for(text: str) -> Transformation:
     cached = _PARSE_CACHE.get(text)
     if cached is not None:
@@ -142,47 +101,19 @@ def _transformation_for(text: str) -> Transformation:
     return transformation
 
 
-def _session_for(
-    request: EnforceRequest, restart: str | None
-) -> EnforcementSession:
+def _session_for(request: EnforceRequest) -> EnforcementSession:
     """The warm session answering this request's shape in this process."""
-    transformation = _transformation_for(request.transformation)
-    selection = TargetSelection(request.targets)
-    if restart is None:
-        return shared_session(
-            transformation,
-            selection,
-            semantics=request.semantics,
-            metric=request.metric(),
-            scope=request.scope,
-            mode=request.mode,
-            solver_kwargs=_solver_kwargs(),
-        )
-    key = shape_key(request) + (restart,)
-    session = _PORTFOLIO_SESSIONS.get(key)
-    if session is None:
-        session = EnforcementSession(
-            transformation,
-            selection,
-            semantics=request.semantics,
-            metric=request.metric(),
-            scope=request.scope,
-            mode=request.mode,
-            solver_kwargs=_solver_kwargs({"restart": restart}),
-        )
-        _PORTFOLIO_SESSIONS[key] = session
-        while len(_PORTFOLIO_SESSIONS) > SHARED_SESSION_LIMIT:
-            # Same disposal rule as the shared-session LRU: eviction
-            # releases the arm's groundings and solver, not just the ref.
-            _PORTFOLIO_SESSIONS.popitem(last=False)[1].close()
-    else:
-        _PORTFOLIO_SESSIONS.move_to_end(key)
-    return session
+    return shared_session(
+        _transformation_for(request.transformation),
+        TargetSelection(request.targets),
+        semantics=request.semantics,
+        metric=request.metric(),
+        scope=request.scope,
+        mode=request.mode,
+    )
 
 
-def serve_request(
-    request: EnforceRequest, restart: str | None = None
-) -> EnforceResponse:
+def serve_request(request: EnforceRequest) -> EnforceResponse:
     """Answer one request on its shape's warm session.
 
     Never raises for per-request problems: an unanswerable request
@@ -191,7 +122,7 @@ def serve_request(
     keeps flowing.
     """
     try:
-        session = _session_for(request, restart)
+        session = _session_for(request)
         repair = session.enforce(
             request.models, max_distance=request.max_distance
         )
@@ -212,7 +143,7 @@ def serve_request(
 def process_shard(payload: dict[str, Any]) -> dict[str, Any]:
     """Answer one shard (the pool task body; also the inline-mode path).
 
-    ``payload``: ``{"shard": digest, "restart": schedule-or-None,
+    ``payload``: ``{"shard": digest,
     "requests": [[submission index, request wire dict], ...]}``.
     Requests are answered strictly in payload (= submission) order, so
     the session state any request sees is a pure function of the shard's
@@ -221,7 +152,6 @@ def process_shard(payload: dict[str, Any]) -> dict[str, Any]:
     Returns the responses (wire form, paired with their indices) plus
     shard-level stats: worker pid, grounding delta, session counters.
     """
-    restart = payload.get("restart")
     responses: list[list[Any]] = []
     session: EnforcementSession | None = None
     groundings_before = 0
@@ -236,7 +166,7 @@ def process_shard(payload: dict[str, Any]) -> dict[str, Any]:
             continue
         if session is None:
             try:
-                session = _session_for(request, restart)
+                session = _session_for(request)
                 groundings_before = session.groundings
                 reuses_before = session.reuses
             except ReproError as exc:
@@ -248,11 +178,10 @@ def process_shard(payload: dict[str, Any]) -> dict[str, Any]:
                 )
                 continue
         responses.append(
-            [index, response_to_dict(serve_request(request, restart))]
+            [index, response_to_dict(serve_request(request))]
         )
     return {
         "shard": payload.get("shard"),
-        "restart": restart,
         "worker": os.getpid(),
         "groundings": (
             session.groundings - groundings_before if session is not None else 0
@@ -279,9 +208,7 @@ def worker_counters() -> dict:
     from repro.solver.bounded import Grounder
     from repro.solver.sat import global_stats
 
-    sessions = shared_session_counters() + [
-        session.counters() for session in _PORTFOLIO_SESSIONS.values()
-    ]
+    sessions = shared_session_counters()
     return {
         "sessions": len(sessions),
         "groundings": sum(s["groundings"] for s in sessions),
@@ -335,7 +262,7 @@ def serve_wire(
 
     try:
         request = request_from_dict(data)
-        session = _session_for(request, None)
+        session = _session_for(request)
     except ReproError as exc:
         if fault == "crash-after":
             os._exit(86)
@@ -486,10 +413,13 @@ def serve_session(message: Mapping[str, Any]) -> dict[str, Any]:
                 ),
             )
         request = replace(store.request, models=tuple_)
-        if "max_distance" in message:
-            request = replace(request, max_distance=message["max_distance"])
         try:
-            session = _session_for(request, None)
+            if "max_distance" in message:
+                request = replace(
+                    request,
+                    max_distance=check_max_distance(message["max_distance"]),
+                )
+            session = _session_for(request)
         except ReproError as exc:
             return {
                 "response": response_to_dict(
@@ -513,8 +443,5 @@ def serve_session(message: Mapping[str, Any]) -> dict[str, Any]:
 
 def reset_worker_state() -> None:
     """Drop the worker-local caches (test isolation hook)."""
-    global _SOLVER_BACKEND
     _PARSE_CACHE.clear()
-    _PORTFOLIO_SESSIONS.clear()
     _DELTA_SESSIONS.clear()
-    _SOLVER_BACKEND = None

@@ -5,11 +5,12 @@ consistent models at increasing distance from the originals (later via a
 PMax-SAT solver). This package supplies the same machinery from scratch:
 
 * :mod:`repro.solver.cnf` — literals, clauses, DIMACS;
-* :mod:`repro.solver.sat` — a CDCL SAT solver (watched literals, VSIDS,
-  first-UIP learning, restarts) with a persistent incremental interface
-  (assumption solving, between-call clause addition, failed cores);
-* :mod:`repro.solver.flat` — the flat-array CDCL core (literal codes,
-  one int clause arena), the default solver backend;
+* :mod:`repro.solver.sat` — the CDCL SAT solver (flat-array core:
+  watched literals, VSIDS heap, first-UIP learning, Luby restarts) with
+  a persistent incremental interface (assumption solving, between-call
+  clause addition, failed cores);
+* :mod:`repro.solver.legacy` — the object-based reference core the
+  differential tests compare the solver against;
 * :mod:`repro.solver.brute` — a truth-table reference solver (test oracle);
 * :mod:`repro.solver.tseitin` — propositional formulas to CNF;
 * :mod:`repro.solver.card` — totalizer cardinality encoding;
@@ -19,20 +20,8 @@ PMax-SAT solver). This package supplies the same machinery from scratch:
   bounded universe into propositional constraints.
 """
 
-from typing import Protocol, runtime_checkable
-
 from repro.solver.cnf import CNF, Lit, VarPool
-from repro.solver.sat import (
-    DEFAULT_BACKEND,
-    FLAT,
-    LEGACY,
-    IncrementalSolver,
-    LegacySolver,
-    SatResult,
-    SolverStats,
-    solve,
-)
-from repro.solver.flat import FlatSolver
+from repro.solver.sat import IncrementalSolver, SatResult, SolverStats, solve
 from repro.solver.tseitin import (
     PFALSE,
     PTRUE,
@@ -45,64 +34,12 @@ from repro.solver.tseitin import (
     to_cnf,
 )
 
-@runtime_checkable
-class SolverBackend(Protocol):
-    """The surface a CDCL core must offer to plug into this codebase.
-
-    Everything above the solver — MaxSAT sessions, groundings,
-    enforcement engines, the daemon — talks to the core exclusively
-    through this protocol: signed DIMACS-style literals in,
-    :class:`~repro.solver.sat.SatResult` out, per-call work deltas in
-    ``result.stats`` and lifetime counters in ``stats``. Backends
-    register in :data:`SOLVER_BACKENDS` and are selected by the
-    ``backend=`` flag of :class:`~repro.solver.sat.IncrementalSolver`
-    (which forwards from ``MaxSatSession``,
-    ``EnforcementSession(solver_kwargs=...)`` and ``DaemonConfig``).
-
-    A new backend is gated by the cross-backend differential battery
-    (``tests/test_solver_backends.py``): identical verdicts, optimal
-    costs, failed-assumption cores and decoded models against the
-    reference core across the generated scenario corpus and the random
-    CNF workloads, plus the backend-parameterised metamorphic laws.
-    """
-
-    num_vars: int
-    stats: SolverStats
-
-    def new_var(self) -> int: ...
-
-    def ensure_vars(self, n: int) -> None: ...
-
-    def add_clause(self, literals: "list[Lit]") -> None: ...
-
-    def solve(self, assumptions: "tuple[Lit, ...]" = (), model: bool = True) -> SatResult: ...
-
-    def failed_assumptions(self) -> "tuple[Lit, ...] | None": ...
-
-    def force_restart(self) -> None: ...
-
-    def force_gc(self) -> None: ...
-
-
-#: Registered CDCL cores, keyed by the ``backend=`` constructor flag.
-SOLVER_BACKENDS: dict[str, type[IncrementalSolver]] = {
-    FLAT: FlatSolver,
-    LEGACY: LegacySolver,
-}
-
 __all__ = [
     "CNF",
     "Lit",
     "VarPool",
     "solve",
     "IncrementalSolver",
-    "FlatSolver",
-    "LegacySolver",
-    "SolverBackend",
-    "SOLVER_BACKENDS",
-    "DEFAULT_BACKEND",
-    "FLAT",
-    "LEGACY",
     "SatResult",
     "SolverStats",
     "PVar",

@@ -509,9 +509,7 @@ class GroundingResult:
     symmetry: Lit | None = None
     _tables: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def session(
-        self, incremental: bool = True, solver_kwargs: dict | None = None
-    ) -> MaxSatSession:
+    def session(self) -> MaxSatSession:
         """A persistent MaxSAT session over this grounding.
 
         The relaxation/totalizer encoding is translated exactly once and
@@ -520,12 +518,7 @@ class GroundingResult:
         historical full re-translation per SAT call. On context-backed
         groundings every query must include :meth:`base_assumptions`.
         """
-        return MaxSatSession(
-            self.cnf,
-            list(self.soft),
-            incremental=incremental,
-            solver_kwargs=solver_kwargs,
-        )
+        return MaxSatSession(self.cnf, list(self.soft))
 
     def base_assumptions(self, symmetry: bool = False) -> list[Lit]:
         """Assumptions activating this generation's guarded constraints."""

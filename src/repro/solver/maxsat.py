@@ -19,9 +19,7 @@ enumeration — go through a single :class:`MaxSatSession`: the soft-clause
 relaxation and the totalizer are encoded exactly once, and one
 :class:`~repro.solver.sat.IncrementalSolver` persists across every bound
 probe and blocking clause, carrying its learnt clauses and heuristic
-state from call to call. ``incremental=False`` reverts to a fresh
-one-shot solver per SAT call (the seed behaviour) and exists as the
-baseline arm of ablation benchmark A5.
+state from call to call.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from collections.abc import Iterable, Sequence
 from repro.errors import SolverError
 from repro.solver.card import Totalizer
 from repro.solver.cnf import CNF, Lit
-from repro.solver.sat import IncrementalSolver, SatResult, solve
+from repro.solver.sat import IncrementalSolver, SatResult
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -70,18 +68,7 @@ class MaxSatSession:
     the same incremental solver. The input ``hard`` CNF is never mutated.
     """
 
-    def __init__(
-        self,
-        hard: CNF,
-        soft: Sequence[SoftClause],
-        incremental: bool = True,
-        solver_kwargs: dict | None = None,
-    ) -> None:
-        """``solver_kwargs`` forwards hot-loop knobs (``decision``,
-        ``restart``, ``gc``) to the underlying
-        :class:`~repro.solver.sat.IncrementalSolver` — the A6 ablation
-        compares arms on identical encodings this way."""
-        self.incremental = incremental
+    def __init__(self, hard: CNF, soft: Sequence[SoftClause]) -> None:
         self._working = hard.copy()
         originals = self._working.num_vars
         relax_weighted: list[Lit] = []
@@ -98,15 +85,11 @@ class MaxSatSession:
         self._totalizer = (
             Totalizer(self._working, relax_weighted) if relax_weighted else None
         )
-        self._solver = (
-            IncrementalSolver(self._working, **(solver_kwargs or {}))
-            if incremental
-            else None
-        )
+        self._solver = IncrementalSolver(self._working)
 
     @property
-    def solver(self) -> IncrementalSolver | None:
-        """The persistent solver (None in the one-shot ablation arm).
+    def solver(self) -> IncrementalSolver:
+        """The persistent solver.
 
         Exposed so callers holding a session can run extra
         assumption-based queries — e.g. the consistency oracle of an
@@ -119,16 +102,13 @@ class MaxSatSession:
     # ------------------------------------------------------------------
     def solve(self, assumptions: Sequence[Lit] = ()) -> SatResult:
         """One SAT call over the session database under ``assumptions``."""
-        if self._solver is not None:
-            return self._solver.solve(assumptions)
-        return solve(self._working, assumptions)
+        return self._solver.solve(assumptions)
 
     def add_clause(self, literals: Iterable[Lit]) -> None:
         """Permanently add a clause (e.g. an enumeration blocking clause)."""
         clause = list(literals)
         self._working.add_clause(clause)
-        if self._solver is not None:
-            self._solver.add_clause(clause)
+        self._solver.add_clause(clause)
 
     def new_var(self) -> int:
         """Allocate a fresh session variable (e.g. a retraction selector).
@@ -140,8 +120,7 @@ class MaxSatSession:
         assume it only while the constraint should bind.
         """
         var = self._working.new_var()
-        if self._solver is not None:
-            self._solver.ensure_vars(var)
+        self._solver.ensure_vars(var)
         return var
 
     def at_most(self, bound: int) -> list[Lit]:
@@ -221,16 +200,14 @@ def solve_maxsat(
     soft: Sequence[SoftClause],
     mode: str = INCREASING,
     max_cost: int | None = None,
-    incremental: bool = True,
 ) -> MaxSatResult:
     """Minimise the violated soft weight subject to the hard clauses.
 
     Convenience wrapper building a throwaway :class:`MaxSatSession`;
     callers issuing follow-up queries should hold on to a session
-    instead. ``incremental=False`` re-solves each bound from scratch
-    (the A5 ablation baseline).
+    instead.
     """
-    return MaxSatSession(hard, soft, incremental=incremental).solve_optimal(
+    return MaxSatSession(hard, soft).solve_optimal(
         mode=mode, max_cost=max_cost
     )
 
@@ -250,7 +227,6 @@ def enumerate_optimal(
     project: Sequence[int],
     mode: str = INCREASING,
     limit: int = 64,
-    incremental: bool = True,
 ) -> tuple[int, list[dict[int, bool]]]:
     """All optimum-cost assignments, distinct on the ``project`` variables.
 
@@ -269,7 +245,7 @@ def enumerate_optimal(
     single reusable assumption — nothing is re-encoded or re-solved from
     scratch between solutions.
     """
-    session = MaxSatSession(hard, soft, incremental=incremental)
+    session = MaxSatSession(hard, soft)
     first = session.solve_optimal(mode=mode)
     if not first.satisfiable:
         raise SolverError("enumerate_optimal needs satisfiable hard clauses")

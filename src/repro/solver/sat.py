@@ -8,8 +8,7 @@ Conflict-driven clause learning with the standard modern ingredients:
 * VSIDS variable activities kept in a binary max-heap with lazy stale
   entries (decisions are O(log n) pops, not O(n) scans), decayed via the
   activity-increment trick — no rescale loop in the hot path;
-* phase saving with Luby-sequence restarts (geometric restarts remain
-  available as an ablation arm);
+* phase saving with Luby-sequence restarts;
 * learnt-clause database reduction: each learnt clause carries its LBD
   (literal block distance) and an activity; when the database outgrows
   its budget the weakest half is dropped — never glue clauses (LBD <= 2)
@@ -20,11 +19,57 @@ Conflict-driven clause learning with the standard modern ingredients:
   facts), instead of waiting for the next restart boundary — which
   matters for the long assumption-laden solves of MaxSAT bound sweeps.
 
-The implementation favours clarity over raw speed — it is the engine
-behind bounded model finding for *model transformation* instances, whose
-CNFs are thousands, not millions, of clauses. Correctness is
-property-tested against the truth-table oracle in
-:mod:`repro.solver.brute`.
+It is the engine behind bounded model finding for *model
+transformation* instances, whose CNFs are thousands, not millions, of
+clauses. Correctness is property-tested against the truth-table oracle
+in :mod:`repro.solver.brute` and, decision for decision, against the
+object-based reference core :class:`~repro.solver.legacy.LegacySolver`.
+
+Flat layout
+-----------
+
+The hot path touches no dicts, no per-clause Python lists and no method
+calls:
+
+* **Literal codes** — a signed literal ``l`` becomes the int
+  ``l << 1`` (positive) or ``(-l) << 1 | 1`` (negative), so negation is
+  ``code ^ 1`` and the variable is ``code >> 1``. Truth values live in
+  two code-indexed bit columns — ``vt[code]`` (literal is true) and
+  ``vf[code]`` (literal is false), both polarities updated per
+  assignment — so a truth lookup is a bare truthiness test.
+* **One int arena for the whole clause database** — problem and learnt
+  clauses alike are slices of a single int list. A clause ref ``cref``
+  points at its first literal; ``arena[cref - 2]`` holds the LBD (0 for
+  problem clauses) and ``arena[cref - 1]`` the size. Reason "pointers"
+  are plain ints with ``0`` as the null sentinel (the first cref is 2).
+* **Watch lists indexed by literal code** — a list of lists.
+  Propagation runs two-phase: it walks a watch list with no index
+  bookkeeping at all until the first clause actually moves away (the
+  common case is none does), and only then switches to in-place
+  compaction behind a write index. Ternary clauses — the bulk of every
+  workload here — take a branchless one-probe path instead of the
+  generic scan.
+* **Parallel trail arrays** — the trail holds literal codes; levels,
+  reasons and activities are parallel per-variable lists, and the saved
+  phase is stored directly as the preferred decision *code*
+  (``phase_code``), so a decision is a single subscript.
+* **A non-redundant VSIDS heap** — ``heap_act[var]`` tracks the
+  priority of the var's freshest heap entry; unassignment re-pushes
+  only when the activity has changed since. The heap's *output* is
+  canonical — the unassigned variable of maximal activity, ties to the
+  lowest index — so dropping redundant entries cannot change which
+  variable any pop returns, only how much stale traffic the heap
+  carries.
+
+The core is **trace-identical** to the reference core: same decisions
+in the same order, same learnt clauses, same models, same
+failed-assumption cores, same :class:`SolverStats` — all speed comes
+from data layout, none from search changes. (The classic "blocker
+literal" trick, for instance, is deliberately absent: skipping a
+satisfied clause without normalising its watch positions changes
+literal order inside clauses and hence downstream learnt clauses.) The
+cross-core differential battery in ``tests/test_solver_backends.py``
+holds the two to this standard.
 
 Incremental solving
 -------------------
@@ -41,13 +86,8 @@ previous ones. UNSAT answers under assumptions carry a *failed core*
 (``SatResult.core``): a subset of the assumptions that is already
 unsatisfiable together with the clause database.
 
-The hot-loop knobs are constructor arguments so ablations can compare
-arms on identical databases: ``decision`` selects the VSIDS heap
-(default) or the historical linear scan — both break equal-activity
-ties towards the lowest variable index, so runs are reproducible across
-implementations; ``restart`` selects Luby (default) or geometric
-restart scheduling; ``gc=False`` disables learnt-clause reduction (the
-long-lived-session safeguard).
+``gc=False`` disables learnt-clause reduction; the GC stress tests use
+that plain arm as their reference.
 
 Statistics
 ----------
@@ -66,7 +106,7 @@ as ``SatResult.stats``. Fields:
   binary self-subsuming resolution (a learnt clause ``p | q1 | ... | qn``
   resolved against a database binary clause ``p | ~qi`` drops ``qi``);
 * ``solves`` / ``solver_builds`` — API-level call and construction
-  counts (the incrementality ablations read these).
+  counts.
 
 The one-shot :func:`solve` helper remains for callers with a single
 throwaway query; it simply builds a fresh instance per call. Prefer the
@@ -81,56 +121,10 @@ import gc
 
 from dataclasses import dataclass, field, fields, replace
 from heapq import heapify, heappop, heappush
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from repro.errors import SolverError
 from repro.solver.cnf import CNF, Lit
-
-#: Decision heuristics (constructor ``decision=``).
-HEAP = "heap"
-SCAN = "scan"
-
-#: Restart schedules (constructor ``restart=``).
-LUBY = "luby"
-GEOMETRIC = "geometric"
-
-#: Solver backends (constructor ``backend=``). ``flat`` is the
-#: array-based core of :mod:`repro.solver.flat` (one int arena, literal
-#: codes, parallel trail/reason/level arrays); ``legacy`` is the
-#: historical object-based core kept as the reference implementation.
-#: Both are registered in :data:`repro.solver.SOLVER_BACKENDS` and are
-#: trace-identical by construction — the cross-backend differential
-#: battery (``tests/test_solver_backends.py``) enforces it.
-FLAT = "flat"
-LEGACY = "legacy"
-DEFAULT_BACKEND = FLAT
-
-
-def resolve_backend(name: str | None) -> type:
-    """The backend class registered under ``name`` (None = default).
-
-    The registry itself lives in :mod:`repro.solver`
-    (``SOLVER_BACKENDS``) so new cores register next to the
-    :class:`~repro.solver.SolverBackend` protocol they must satisfy;
-    resolution is lazy to keep this module importable on its own.
-    """
-    if name is None:
-        name = DEFAULT_BACKEND
-    try:
-        from repro import solver as _package
-
-        registry = _package.SOLVER_BACKENDS
-    except (ImportError, AttributeError):  # package mid-initialisation
-        from repro.solver.flat import FlatSolver
-
-        registry = {LEGACY: LegacySolver, FLAT: FlatSolver}
-    try:
-        return registry[name]
-    except KeyError:
-        raise SolverError(
-            f"unknown solver backend {name!r}; registered backends: "
-            f"{sorted(registry)}"
-        ) from None
 
 
 def luby(i: int) -> int:
@@ -177,7 +171,7 @@ class SolverStats:
 
 
 #: Aggregate counters across every solver instance in the process; the
-#: A5/A6 benchmarks and the translation-count tests read deltas of this.
+#: benchmarks and the translation-count tests read deltas of this.
 GLOBAL_STATS = SolverStats()
 
 
@@ -235,6 +229,16 @@ def solve(cnf: CNF, assumptions: Iterable[Lit] = ()) -> SatResult:
     return IncrementalSolver(cnf).solve(assumptions)
 
 
+def _code(lit: Lit) -> int:
+    """The literal code of a signed literal (sign bit in bit 0)."""
+    return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
+
+
+def _signed(code: int) -> Lit:
+    """The signed literal of a literal code."""
+    return -(code >> 1) if code & 1 else code >> 1
+
+
 class IncrementalSolver:
     """A persistent CDCL solver over a growable clause database.
 
@@ -247,17 +251,9 @@ class IncrementalSolver:
     the internal learnt-clause GC deletes, and it only deletes learnt
     clauses that are neither locked (a current reason) nor glue.
 
-    ``IncrementalSolver`` is also the backend factory: constructing it
-    directly dispatches on ``backend=`` to one of the registered
-    :class:`~repro.solver.SolverBackend` implementations —
-    :class:`~repro.solver.flat.FlatSolver` (``"flat"``, the default:
-    flat-array hot loop) or :class:`LegacySolver` (``"legacy"``, the
-    object-based reference core). Both are subclasses, so
-    ``isinstance(s, IncrementalSolver)`` holds for every backend and the
-    class-level knob constants below tune both at once. The backends are
-    trace-identical: same decisions, same learnt clauses, same models,
-    same per-call stats — enforced by the cross-backend differential
-    battery in ``tests/test_solver_backends.py``.
+    The public surface is signed DIMACS-style literals in,
+    :class:`SatResult` out; literal codes (module docstring) are an
+    internal representation only.
 
     >>> solver = IncrementalSolver(CNF(num_vars=2, clauses=[(1, 2)]))
     >>> solver.solve([-1]).value(2)
@@ -270,12 +266,8 @@ class IncrementalSolver:
     (-1, 3)
     >>> solver.solve([-1]).satisfiable       # retracted: selector unassumed
     True
-    >>> type(IncrementalSolver(backend="legacy")).__name__
-    'LegacySolver'
     """
 
-    RESTART_FIRST = 100
-    RESTART_FACTOR = 1.5
     LUBY_UNIT = 64
     ACTIVITY_DECAY = 0.95
     CLAUSE_DECAY = 0.999
@@ -285,59 +277,53 @@ class IncrementalSolver:
     BIN_MIN_CLAUSE = 30
     BIN_MIN_WATCHES = 256
 
-    #: The registry name of a concrete backend (None on the factory base).
-    BACKEND: str | None = None
-
-    def __new__(
-        cls,
-        cnf: CNF | None = None,
-        decision: str = HEAP,
-        restart: str = LUBY,
-        gc: bool = True,
-        backend: str | None = None,
-    ) -> "IncrementalSolver":
-        if cls is IncrementalSolver:
-            backend_cls = resolve_backend(backend)
-            if not issubclass(backend_cls, cls):
-                # This file was executed under a second module identity
-                # (e.g. ``python -m doctest src/repro/solver/sat.py``
-                # loads it as top-level ``sat``): the registered classes
-                # extend ``repro.solver.sat``'s base, so returning one
-                # would skip ``__init__``. The local legacy core is
-                # trace-identical, so behaviour is unchanged.
-                backend_cls = LegacySolver
-            return object.__new__(backend_cls)
-        return object.__new__(cls)
-
-    def __init__(
-        self,
-        cnf: CNF | None = None,
-        decision: str = HEAP,
-        restart: str = LUBY,
-        gc: bool = True,
-        backend: str | None = None,
-    ) -> None:
-        if backend is not None and backend != self.BACKEND:
-            raise SolverError(
-                f"backend {backend!r} does not match "
-                f"{type(self).__name__} (registered as {self.BACKEND!r})"
-            )
-        if decision not in (HEAP, SCAN):
-            raise SolverError(f"unknown decision heuristic {decision!r}")
-        if restart not in (LUBY, GEOMETRIC):
-            raise SolverError(f"unknown restart schedule {restart!r}")
-        self.decision = decision
-        self.restart = restart
+    def __init__(self, cnf: CNF | None = None, gc: bool = True) -> None:
         self.gc = gc
-        self._use_heap = decision == HEAP
         self._forced_restart = False
         self._last_core: tuple[Lit, ...] | None = None
         self._model = True
         self.stats = SolverStats(solver_builds=1)
         GLOBAL_STATS.solver_builds += 1
+        self.num_vars = 0
+        # Clause arena: [lbd, size, lit, lit, ...] per clause; crefs in
+        # insertion order (strictly increasing) in ``cref_list``.
+        self.arena: list[int] = []
+        self.cref_list: list[int] = []
+        # Learnt-clause activities, keyed by cref (problem clauses carry
+        # no activity — an absent key reads as 0.0).
+        self.clause_act: dict[int, float] = {}
+        self.num_learnts = 0
+        self.max_learnts = float(self.GC_FIRST)
+        # Per-code columns (indices 0/1 are the unused variable 0):
+        self.vt: list[int] = [0, 0]  # 1 iff the coded literal is true
+        self.vf: list[int] = [0, 0]  # 1 iff the coded literal is false
+        self.watches: list[list[int]] = [[], []]
+        # Per-variable columns:
+        self.levels: list[int] = [0]
+        self.reasons: list[int] = [0]
+        self.activity: list[float] = [0.0]
+        self.phase_code: list[int] = [1]  # preferred decision code
+        self.trail: list[int] = []  # literal codes
+        self.trail_lim: list[int] = []
+        self.propagated = 0
+        self.activity_inc = 1.0
+        self.clause_inc = 1.0
+        # VSIDS max-heap of (-activity, var). ``heap_act[var]`` is the
+        # activity of the var's freshest unpopped entry (None once that
+        # entry is popped): pushes are skipped when it already matches.
+        self._heap: list[tuple[float, int]] = []
+        self.heap_act: list[float | None] = [None]
+        self.empty_clause = False
+        self.units: list[int] = []  # pending unit codes
+        self._units_applied = 0
+        self._assumption_codes: tuple[int, ...] = ()
+        if cnf is not None:
+            self.ensure_vars(cnf.num_vars)
+            for clause in cnf.clauses:
+                self._add_codes([_code(lit) for lit in clause])
 
     # ------------------------------------------------------------------
-    # Shared backend surface (the SolverBackend protocol)
+    # Public surface
     # ------------------------------------------------------------------
     def new_var(self) -> int:
         """Allocate a fresh variable."""
@@ -400,13 +386,12 @@ class IncrementalSolver:
         """Test/ops hook: make the next restart fire after one conflict.
 
         One-shot — the request is consumed at the next restart boundary
-        and the configured schedule resumes, so forcing restarts cannot
+        and the Luby schedule resumes, so forcing restarts cannot
         livelock the search (a standing one-conflict budget plus
         :meth:`force_gc` would revisit the same conflicts forever on
-        hard instances). Part of the
-        :class:`~repro.solver.SolverBackend` protocol so stress suites
-        can drive any backend to its restart edge cases without
-        reaching into scheduler internals.
+        hard instances). Stress suites drive either core to its restart
+        edge cases through this hook without reaching into scheduler
+        internals.
         """
         self._forced_restart = True
 
@@ -415,7 +400,7 @@ class IncrementalSolver:
 
         Enables GC (even on a ``gc=False`` instance) and pins its budget
         to zero, so every conflict and restart boundary triggers a
-        reduction sweep. Protocol counterpart of :meth:`force_restart`.
+        reduction sweep. Counterpart of :meth:`force_restart`.
         """
         self.gc = True
         self.max_learnts = 0.0
@@ -425,70 +410,7 @@ class IncrementalSolver:
         if self._forced_restart:
             self._forced_restart = False
             return 1
-        if self.restart == LUBY:
-            return self.LUBY_UNIT * luby(restarts + 1)
-        return int(self.RESTART_FIRST * self.RESTART_FACTOR**restarts)
-
-
-class LegacySolver(IncrementalSolver):
-    """The historical object-based CDCL core (``backend="legacy"``).
-
-    Clauses are Python lists in a list-of-lists database, watches a
-    dict keyed by signed literal. Kept fully behaviour-identical to the
-    flat core as the readable reference implementation and as the
-    differential battery's second arm; new work should target
-    :class:`~repro.solver.flat.FlatSolver`.
-    """
-
-    BACKEND = LEGACY
-
-    def __init__(
-        self,
-        cnf: CNF | None = None,
-        decision: str = HEAP,
-        restart: str = LUBY,
-        gc: bool = True,
-        backend: str | None = None,
-    ) -> None:
-        super().__init__(
-            decision=decision, restart=restart, gc=gc, backend=backend
-        )
-        self.num_vars = 0
-        self.clauses: list[list[Lit]] = []
-        # Learnt-clause metadata, parallel to ``clauses``: ``lbd`` is 0
-        # for problem clauses (never GC candidates), ``act`` their bump
-        # activity.
-        self.clause_lbd: list[int] = []
-        self.clause_act: list[float] = []
-        self.num_learnts = 0
-        self.max_learnts = float(self.GC_FIRST)
-        # values[v]: 0 unassigned, 1 true, -1 false (indexed by variable).
-        self.values: list[int] = [0]
-        self.levels: list[int] = [0]
-        self.reasons: list[int | None] = [None]
-        self.activity: list[float] = [0.0]
-        self.phase: list[bool] = [False]
-        self.watches: dict[Lit, list[int]] = {}
-        self.trail: list[Lit] = []
-        self.trail_lim: list[int] = []
-        self.propagated = 0
-        self.activity_inc = 1.0
-        self.clause_inc = 1.0
-        # VSIDS order: a max-heap of (-activity, var) with lazy stale
-        # entries. Invariant: every unassigned variable has at least one
-        # entry carrying its current activity (pushed on creation, on
-        # every bump, and on unassignment), so popping the first entry
-        # whose variable is unassigned yields the lowest-index variable
-        # of maximal activity.
-        self._heap: list[tuple[float, int]] = []
-        self.empty_clause = False
-        self.units: list[Lit] = []
-        self._units_applied = 0
-        self._assumptions: tuple[Lit, ...] = ()
-        if cnf is not None:
-            self.ensure_vars(cnf.num_vars)
-            for clause in cnf.clauses:
-                self._add_clause(list(clause))
+        return self.LUBY_UNIT * luby(restarts + 1)
 
     # ------------------------------------------------------------------
     # Variables
@@ -498,14 +420,19 @@ class LegacySolver(IncrementalSolver):
         if n <= self.num_vars:
             return
         grow = n - self.num_vars
-        self.values.extend([0] * grow)
+        self.vt.extend([0] * (2 * grow))
+        self.vf.extend([0] * (2 * grow))
+        self.watches.extend([] for _ in range(2 * grow))
         self.levels.extend([0] * grow)
-        self.reasons.extend([None] * grow)
+        self.reasons.extend([0] * grow)
         self.activity.extend([0.0] * grow)
-        self.phase.extend([False] * grow)
-        if self._use_heap:
-            for var in range(self.num_vars + 1, n + 1):
-                heappush(self._heap, (0.0, var))
+        self.phase_code.extend(
+            (var << 1) | 1 for var in range(self.num_vars + 1, n + 1)
+        )
+        self.heap_act.extend([0.0] * grow)
+        heap = self._heap
+        for var in range(self.num_vars + 1, n + 1):
+            heappush(heap, (0.0, var))
         self.num_vars = n
 
     # ------------------------------------------------------------------
@@ -526,48 +453,57 @@ class LegacySolver(IncrementalSolver):
                     f"literal {lit} references variable beyond num_vars={self.num_vars}"
                 )
         self._backtrack(0)
-        self._add_clause(clause)
+        self._add_codes(
+            [(l << 1) if l > 0 else ((-l) << 1) | 1 for l in clause]
+        )
 
-    def _add_clause(self, literals: list[Lit], lbd: int = 0) -> int | None:
-        """Attach a clause, deduplicated; returns its index or None.
+    def _add_codes(self, codes: list[int], lbd: int = 0) -> int | None:
+        """Attach a clause of literal codes; returns its cref or None.
 
         Tautologies and clauses satisfied at level 0 are dropped;
         literals false at level 0 are pruned (level-0 assignments are
         permanent); empty clauses mark the instance UNSAT; unit clauses
         are queued for level-0 assignment at the next solve. ``lbd > 0``
         marks a learnt clause (a GC candidate unless glue or locked).
+        The attached clause is a fresh arena slice watched on its first
+        two codes.
         """
-        seen: set[Lit] = set()
-        unique: list[Lit] = []
-        for lit in literals:
-            if -lit in seen:
+        vt = self.vt
+        vf = self.vf
+        levels = self.levels
+        seen: set[int] = set()
+        pruned: list[int] = []
+        # Single pass: dedup, tautology check and root-level pruning
+        # (no state is touched before an early return).
+        for code in codes:
+            if code ^ 1 in seen:
                 return None  # tautology
-            if lit not in seen:
-                seen.add(lit)
-                unique.append(lit)
-        pruned: list[Lit] = []
-        for lit in unique:
-            var = abs(lit)
-            if self.values[var] != 0 and self.levels[var] == 0:
-                if self._lit_value(lit) == 1:
+            if code in seen:
+                continue
+            seen.add(code)
+            if (vt[code] or vf[code]) and levels[code >> 1] == 0:
+                if vt[code]:
                     return None  # permanently satisfied
                 continue  # permanently false: drop the literal
-            pruned.append(lit)
+            pruned.append(code)
         if not pruned:
             self.empty_clause = True
             return None
         if len(pruned) == 1:
             self.units.append(pruned[0])
             return None
-        index = len(self.clauses)
-        self.clauses.append(pruned)
-        self.clause_lbd.append(lbd)
-        self.clause_act.append(0.0)
+        arena = self.arena
+        arena.append(lbd)
+        arena.append(len(pruned))
+        cref = len(arena)
+        arena.extend(pruned)
+        self.cref_list.append(cref)
         if lbd > 0:
             self.num_learnts += 1
-        self.watches.setdefault(pruned[0], []).append(index)
-        self.watches.setdefault(pruned[1], []).append(index)
-        return index
+            self.clause_act[cref] = 0.0
+        self.watches[pruned[0]].append(cref)
+        self.watches[pruned[1]].append(cref)
+        return cref
 
     # ------------------------------------------------------------------
     # Learnt-clause database reduction
@@ -581,54 +517,65 @@ class LegacySolver(IncrementalSolver):
         assumption-implied assignments at their levels exactly like
         root-level facts (assumption awareness). Locked clauses, glue
         clauses (LBD <= ``GLUE_LBD``) and problem clauses are never
-        deleted. Watched-literal positions are preserved (survivors keep
-        watching positions 0 and 1), so the propagation invariants hold
-        without backtracking; surviving indices are compacted and every
-        index-bearing structure (watches, reasons) is remapped.
+        deleted. Victims are ranked by activity, then LBD, then recency
+        (cref order). The arena is rebuilt compacted with watched-literal
+        positions preserved, and crefs in watches and reasons remapped,
+        so the propagation invariants hold without backtracking.
         """
+        arena = self.arena
+        reasons = self.reasons
         locked = {
-            self.reasons[abs(lit)]
-            for lit in self.trail
-            if self.reasons[abs(lit)] is not None
+            reasons[code >> 1]
+            for code in self.trail
+            if reasons[code >> 1] != 0
         }
+        clause_act = self.clause_act
         removable = [
-            index
-            for index in range(len(self.clauses))
-            if self.clause_lbd[index] > self.GLUE_LBD and index not in locked
+            cref
+            for cref in self.cref_list
+            if arena[cref - 2] > self.GLUE_LBD and cref not in locked
         ]
         removable.sort(
-            key=lambda i: (self.clause_act[i], -self.clause_lbd[i], -i)
+            key=lambda c: (clause_act.get(c, 0.0), -arena[c - 2], -c)
         )
         drop = set(removable[: len(removable) // 2])
         if not drop:
             self.max_learnts *= self.GC_GROWTH
             return
         remap: dict[int, int] = {}
-        clauses: list[list[Lit]] = []
-        lbds: list[int] = []
-        acts: list[float] = []
-        for index, clause in enumerate(self.clauses):
-            if index in drop:
+        new_arena: list[int] = []
+        new_crefs: list[int] = []
+        new_act: dict[int, float] = {}
+        for cref in self.cref_list:
+            if cref in drop:
                 continue
-            remap[index] = len(clauses)
-            clauses.append(clause)
-            lbds.append(self.clause_lbd[index])
-            acts.append(self.clause_act[index])
-        self.clauses = clauses
-        self.clause_lbd = lbds
-        self.clause_act = acts
-        self.watches = {}
-        for index, clause in enumerate(self.clauses):
-            self.watches.setdefault(clause[0], []).append(index)
-            self.watches.setdefault(clause[1], []).append(index)
-        for lit in self.trail:
-            var = abs(lit)
-            reason = self.reasons[var]
-            if reason is not None:
-                self.reasons[var] = remap[reason]
+            size = arena[cref - 1]
+            new_arena.append(arena[cref - 2])
+            new_arena.append(size)
+            new_cref = len(new_arena)
+            new_arena.extend(arena[cref : cref + size])
+            remap[cref] = new_cref
+            new_crefs.append(new_cref)
+            act = clause_act.get(cref)
+            if act is not None:
+                new_act[new_cref] = act
+        self.arena = new_arena
+        self.cref_list = new_crefs
+        self.clause_act = new_act
+        for watch_list in self.watches:
+            del watch_list[:]
+        watches = self.watches
+        for cref in new_crefs:
+            watches[new_arena[cref]].append(cref)
+            watches[new_arena[cref + 1]].append(cref)
+        for code in self.trail:
+            var = code >> 1
+            reason = reasons[var]
+            if reason != 0:
+                reasons[var] = remap[reason]
         self.num_learnts -= len(drop)
         self.stats.reductions += 1
-        if self._decision_level() > 0:
+        if self.trail_lim:
             self.stats.midsearch_reductions += 1
         self.stats.learnts_dropped += len(drop)
         self.stats.learnts_kept += self.num_learnts
@@ -637,153 +584,298 @@ class LegacySolver(IncrementalSolver):
     # ------------------------------------------------------------------
     # Assignment plumbing
     # ------------------------------------------------------------------
-    def _lit_value(self, lit: Lit) -> int:
-        value = self.values[abs(lit)]
-        return value if lit > 0 else -value
-
-    def _assign(self, lit: Lit, reason: int | None) -> None:
-        var = abs(lit)
-        self.values[var] = 1 if lit > 0 else -1
-        self.levels[var] = self._decision_level()
+    def _assign_code(self, code: int, reason: int) -> None:
+        var = code >> 1
+        self.vt[code] = 1
+        self.vf[code ^ 1] = 1
+        self.levels[var] = len(self.trail_lim)
         self.reasons[var] = reason
-        self.phase[var] = lit > 0
-        self.trail.append(lit)
+        self.phase_code[var] = code
+        self.trail.append(code)
 
     def _decision_level(self) -> int:
         return len(self.trail_lim)
 
     def _backtrack(self, level: int) -> None:
-        if self._decision_level() <= level:
+        if len(self.trail_lim) <= level:
             return
         cut = self.trail_lim[level]
-        for lit in self.trail[cut:]:
-            var = abs(lit)
-            self.values[var] = 0
-            self.reasons[var] = None
-            if self._use_heap:
-                heappush(self._heap, (-self.activity[var], var))
-        del self.trail[cut:]
+        vt = self.vt
+        vf = self.vf
+        reasons = self.reasons
+        activity = self.activity
+        heap = self._heap
+        heap_act = self.heap_act
+        trail = self.trail
+        for code in trail[cut:]:
+            vt[code] = 0
+            vf[code ^ 1] = 0
+            var = code >> 1
+            reasons[var] = 0
+            # Re-push only if the activity moved since the freshest
+            # entry — the heap's pop order is canonical either way.
+            a = activity[var]
+            if heap_act[var] != a:
+                heappush(heap, (-a, var))
+                heap_act[var] = a
+        del trail[cut:]
         del self.trail_lim[level:]
-        self.propagated = min(self.propagated, len(self.trail))
+        if self.propagated > len(trail):
+            self.propagated = len(trail)
 
     # ------------------------------------------------------------------
     # Unit propagation (two watched literals)
     # ------------------------------------------------------------------
     def _propagate(self) -> int | None:
-        """Propagate queued assignments; return conflicting clause index."""
-        while self.propagated < len(self.trail):
-            lit = self.trail[self.propagated]
-            self.propagated += 1
-            self.stats.propagations += 1
-            false_lit = -lit
-            watch_list = self.watches.get(false_lit, [])
-            kept: list[int] = []
-            i = 0
-            while i < len(watch_list):
-                index = watch_list[i]
-                i += 1
-                clause = self.clauses[index]
-                # Normalise: watched literals live at positions 0 and 1.
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                other = clause[0]
-                if self._lit_value(other) == 1:
-                    kept.append(index)
+        """Propagate queued assignments; return the conflicting cref.
+
+        The flat hot loop: every name is a local, truth lookups are bare
+        truthiness tests by literal code, and the implied assignment is
+        inlined. Each watch list is walked with zero bookkeeping until
+        the first clause moves away (phase one — the common case is
+        that none does and the list needs no mutation at all); from that
+        point the remainder is compacted in place behind a write index
+        (phase two).
+        """
+        vt = self.vt
+        vf = self.vf
+        watches = self.watches
+        arena = self.arena
+        trail = self.trail
+        trail_append = trail.append
+        levels = self.levels
+        reasons = self.reasons
+        phase_code = self.phase_code
+        level = len(self.trail_lim)
+        start = self.propagated
+        propagated = start
+        # ``pending`` mirrors len(trail) so the dequeue loop costs one
+        # compare, not a len() call, per drained code.
+        pending = len(trail)
+        while propagated < pending:
+            code = trail[propagated]
+            propagated += 1
+            false_code = code ^ 1
+            wl = watches[false_code]
+            moved = -1
+            for cref in wl:
+                # Normalise: watched literals live at offsets 0 and 1.
+                first = arena[cref]
+                if first == false_code:
+                    other = arena[cref + 1]
+                    arena[cref] = other
+                    arena[cref + 1] = false_code
+                else:
+                    other = first
+                if vt[other]:
                     continue
-                moved = False
-                for j in range(2, len(clause)):
-                    if self._lit_value(clause[j]) != -1:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self.watches.setdefault(clause[1], []).append(index)
-                        moved = True
+                size = arena[cref - 1]
+                if size == 3:
+                    q = arena[cref + 2]
+                    if not vf[q]:
+                        arena[cref + 1] = q
+                        arena[cref + 2] = false_code
+                        watches[q].append(cref)
+                        moved = cref
                         break
-                if moved:
+                else:
+                    j = cref + 2
+                    end = cref + size
+                    while j < end:
+                        q = arena[j]
+                        if not vf[q]:
+                            arena[cref + 1] = q
+                            arena[j] = false_code
+                            watches[q].append(cref)
+                            moved = cref
+                            break
+                        j += 1
+                    if moved >= 0:
+                        break
+                if vf[other]:
+                    # Conflict with the list untouched: nothing to fix.
+                    self.propagated = propagated
+                    self.stats.propagations += propagated - start
+                    return cref
+                var = other >> 1
+                vt[other] = 1
+                vf[other ^ 1] = 1
+                levels[var] = level
+                reasons[var] = cref
+                phase_code[var] = other
+                trail_append(other)
+                pending += 1
+            else:
+                continue  # no clause left the list: next trail code
+            # Phase two: a clause moved away at ``moved`` — compact the
+            # remainder in place (crefs are unique within a list).
+            w = wl.index(moved)
+            i = w + 1
+            n = len(wl)
+            while i < n:
+                cref = wl[i]
+                i += 1
+                first = arena[cref]
+                if first == false_code:
+                    other = arena[cref + 1]
+                    arena[cref] = other
+                    arena[cref + 1] = false_code
+                else:
+                    other = first
+                if vt[other]:
+                    wl[w] = cref
+                    w += 1
                     continue
-                kept.append(index)
-                if self._lit_value(other) == -1:
-                    kept.extend(watch_list[i:])
-                    self.watches[false_lit] = kept
-                    return index
-                self._assign(other, index)
-            self.watches[false_lit] = kept
+                size = arena[cref - 1]
+                if size == 3:
+                    q = arena[cref + 2]
+                    if not vf[q]:
+                        arena[cref + 1] = q
+                        arena[cref + 2] = false_code
+                        watches[q].append(cref)
+                        continue
+                else:
+                    j = cref + 2
+                    end = cref + size
+                    moved_here = False
+                    while j < end:
+                        q = arena[j]
+                        if not vf[q]:
+                            arena[cref + 1] = q
+                            arena[j] = false_code
+                            watches[q].append(cref)
+                            moved_here = True
+                            break
+                        j += 1
+                    if moved_here:
+                        continue
+                wl[w] = cref
+                w += 1
+                if vf[other]:
+                    # Conflict: keep the unprocessed tail, then bail.
+                    wl[w:] = wl[i:n]
+                    self.propagated = propagated
+                    self.stats.propagations += propagated - start
+                    return cref
+                var = other >> 1
+                vt[other] = 1
+                vf[other ^ 1] = 1
+                levels[var] = level
+                reasons[var] = cref
+                phase_code[var] = other
+                trail_append(other)
+                pending += 1
+            del wl[w:]
+        self.propagated = propagated
+        self.stats.propagations += propagated - start
         return None
 
     # ------------------------------------------------------------------
     # Conflict analysis (first UIP)
     # ------------------------------------------------------------------
-    def _analyze(self, conflict: int) -> tuple[list[Lit], int]:
-        """Derive a first-UIP learnt clause and its backjump level."""
-        learnt: list[Lit] = []
-        seen = [False] * (self.num_vars + 1)
+    def _analyze(self, conflict: int) -> tuple[list[int], int]:
+        """Derive a first-UIP learnt clause (as codes) and its backjump.
+
+        The VSIDS bump is inlined (activity bookkeeping plus a heap
+        push when the variable is unassigned); the overflow rescale is
+        the cold :meth:`_rescale_activity`.
+        """
+        arena = self.arena
+        levels = self.levels
+        reasons = self.reasons
+        trail = self.trail
+        activity = self.activity
+        heap = self._heap
+        heap_act = self.heap_act
+        vt = self.vt
+        vf = self.vf
+        inc = self.activity_inc
+        learnt: list[int] = []
+        seen = bytearray(self.num_vars + 1)
         counter = 0
-        lit: Lit | None = None
-        self._bump_clause(conflict)
-        reason_clause: list[Lit] = list(self.clauses[conflict])
-        index = len(self.trail)
-        current_level = self._decision_level()
+        code = -1  # sentinel: never equals a literal code
+        if arena[conflict - 2]:  # learnt (lbd > 0): bump its activity
+            self._bump_clause(conflict)
+        reason_lits = arena[conflict : conflict + arena[conflict - 1]]
+        index = len(trail)
+        current_level = len(self.trail_lim)
         while True:
-            for q in reason_clause:
-                var = abs(q)
-                if seen[var] or self.levels[var] == 0:
+            for q in reason_lits:
+                var = q >> 1
+                if seen[var] or levels[var] == 0:
                     continue
-                if q == lit:
+                if q == code:
                     continue
-                seen[var] = True
-                self._bump(var)
-                if self.levels[var] == current_level:
+                seen[var] = 1
+                a = activity[var] + inc
+                activity[var] = a
+                if a > 1e100:
+                    self._rescale_activity()
+                    inc = self.activity_inc
+                    heap = self._heap
+                else:
+                    c = var << 1
+                    if not vt[c] and not vf[c]:
+                        heappush(heap, (-a, var))
+                        heap_act[var] = a
+                if levels[var] == current_level:
                     counter += 1
                 else:
                     learnt.append(q)
             # Walk back the trail to the next marked literal.
             while True:
                 index -= 1
-                lit = self.trail[index]
-                if seen[abs(lit)]:
+                code = trail[index]
+                if seen[code >> 1]:
                     break
             counter -= 1
-            seen[abs(lit)] = False
+            seen[code >> 1] = 0
             if counter == 0:
                 break
-            reason_index = self.reasons[abs(lit)]
-            assert reason_index is not None
-            self._bump_clause(reason_index)
-            reason_clause = [q for q in self.clauses[reason_index] if q != lit]
-        learnt = [-lit] + self._minimise(learnt, seen)
+            reason_cref = reasons[code >> 1]
+            if arena[reason_cref - 2]:  # learnt: bump its activity
+                self._bump_clause(reason_cref)
+            reason_lits = arena[reason_cref : reason_cref + arena[reason_cref - 1]]
+        learnt = [code ^ 1] + self._minimise(learnt, seen)
         learnt = self._minimise_binary(learnt)
         if len(learnt) == 1:
             return learnt, 0
         # Backjump to the second-highest level in the clause.
-        levels = sorted((self.levels[abs(q)] for q in learnt[1:]), reverse=True)
-        backjump = levels[0]
+        by_level = sorted((levels[q >> 1] for q in learnt[1:]), reverse=True)
+        backjump = by_level[0]
         # Put a literal of the backjump level in watch position 1.
         for j in range(1, len(learnt)):
-            if self.levels[abs(learnt[j])] == backjump:
+            if levels[learnt[j] >> 1] == backjump:
                 learnt[1], learnt[j] = learnt[j], learnt[1]
                 break
         return learnt, backjump
 
-    def _minimise(self, literals: list[Lit], seen: list[bool]) -> list[Lit]:
+    def _minimise(self, literals: list[int], seen: bytearray) -> list[int]:
         """Drop literals implied by the rest (self-subsuming resolution)."""
+        arena = self.arena
+        reasons = self.reasons
+        levels = self.levels
         kept = []
-        marked = {abs(l) for l in literals}
-        for lit in literals:
-            reason_index = self.reasons[abs(lit)]
-            if reason_index is None:
-                kept.append(lit)
+        marked = {q >> 1 for q in literals}
+        for code in literals:
+            reason_cref = reasons[code >> 1]
+            if reason_cref == 0:
+                kept.append(code)
                 continue
             redundant = True
-            for q in self.clauses[reason_index]:
-                var = abs(q)
-                if q == -lit or self.levels[var] == 0:
+            negated = code ^ 1
+            for q in arena[reason_cref : reason_cref + arena[reason_cref - 1]]:
+                var = q >> 1
+                if q == negated or levels[var] == 0:
                     continue
                 if var not in marked:
                     redundant = False
                     break
             if not redundant:
-                kept.append(lit)
+                kept.append(code)
         return kept
 
-    def _minimise_binary(self, learnt: list[Lit]) -> list[Lit]:
+    def _minimise_binary(self, learnt: list[int]) -> list[int]:
         """Shrink the learnt clause by binary self-subsuming resolution.
 
         For the asserting literal ``p = learnt[0]``, every binary
@@ -802,124 +894,120 @@ class LegacySolver(IncrementalSolver):
         if len(learnt) < 2 or len(learnt) > self.BIN_MIN_CLAUSE:
             return learnt
         asserting = learnt[0]
-        watch_list = self.watches.get(asserting, ())
+        watch_list = self.watches[asserting]
         if len(watch_list) > self.BIN_MIN_WATCHES:
             return learnt
+        arena = self.arena
         marked = set(learnt[1:])
-        removable: set[Lit] = set()
-        for index in watch_list:
-            clause = self.clauses[index]
-            if len(clause) != 2:
+        removable: set[int] = set()
+        for cref in watch_list:
+            if arena[cref - 1] != 2:
                 continue
-            other = clause[1] if clause[0] == asserting else clause[0]
-            if -other in marked:
-                removable.add(-other)
+            first = arena[cref]
+            other = arena[cref + 1] if first == asserting else first
+            if (other ^ 1) in marked:
+                removable.add(other ^ 1)
         if not removable:
             return learnt
         self.stats.minimised_literals += len(removable)
         return [asserting] + [q for q in learnt[1:] if q not in removable]
 
-    def _analyze_final(self, failed: Lit) -> tuple[Lit, ...]:
-        """The failed-assumption core behind an implied ``-failed``.
+    def _analyze_final(self, failed: int) -> tuple[Lit, ...]:
+        """The failed-assumption core behind an implied ``failed ^ 1``.
 
         Walks reasons back from the falsified assumption; decisions met
         on the way are (by construction of the search loop) earlier
         assumptions, and together with ``failed`` they form a subset of
         the assumptions already unsatisfiable with the clause database.
+        The result is decoded back to signed literals, sorted by
+        variable.
         """
         core = {failed}
-        if self._decision_level() > 0:
-            seen = [False] * (self.num_vars + 1)
-            seen[abs(failed)] = True
-            for lit in reversed(self.trail[self.trail_lim[0] :]):
-                var = abs(lit)
+        if self.trail_lim:
+            arena = self.arena
+            reasons = self.reasons
+            levels = self.levels
+            seen = bytearray(self.num_vars + 1)
+            seen[failed >> 1] = 1
+            for code in reversed(self.trail[self.trail_lim[0] :]):
+                var = code >> 1
                 if not seen[var]:
                     continue
-                seen[var] = False
-                reason_index = self.reasons[var]
-                if reason_index is None:
-                    core.add(lit)
+                seen[var] = 0
+                reason_cref = reasons[var]
+                if reason_cref == 0:
+                    core.add(code)
                     continue
-                for q in self.clauses[reason_index]:
-                    if abs(q) != var and self.levels[abs(q)] > 0:
-                        seen[abs(q)] = True
-        return tuple(sorted(core, key=lambda l: (abs(l), l)))
+                for q in arena[reason_cref : reason_cref + arena[reason_cref - 1]]:
+                    if (q >> 1) != var and levels[q >> 1] > 0:
+                        seen[q >> 1] = 1
+        return tuple(
+            sorted((_signed(code) for code in core), key=lambda l: (abs(l), l))
+        )
 
-    def _bump(self, var: int) -> None:
-        activity = self.activity[var] + self.activity_inc
-        self.activity[var] = activity
-        if activity > 1e100:
-            for v in range(1, self.num_vars + 1):
-                self.activity[v] *= 1e-100
-            self.activity_inc *= 1e-100
-            if self._use_heap:
-                self._rebuild_heap()
-        elif self._use_heap and self.values[var] == 0:
-            # Assigned variables get a fresh entry at unassignment; only
-            # unassigned ones need their entry refreshed here (in the
-            # conflict-analysis hot path, bumped variables are on the
-            # trail, so this push almost never fires).
-            heappush(self._heap, (-activity, var))
+    def _rescale_activity(self) -> None:
+        """Scale all activities down on overflow (cold path)."""
+        activity = self.activity
+        for var in range(1, self.num_vars + 1):
+            activity[var] *= 1e-100
+        self.activity_inc *= 1e-100
+        self._rebuild_heap()
 
-    def _bump_clause(self, index: int) -> None:
-        if self.clause_lbd[index] == 0:
+    def _bump_clause(self, cref: int) -> None:
+        if self.arena[cref - 2] == 0:
             return  # problem clause: never a GC candidate, no activity
-        activity = self.clause_act[index] + self.clause_inc
-        self.clause_act[index] = activity
+        clause_act = self.clause_act
+        activity = clause_act.get(cref, 0.0) + self.clause_inc
+        clause_act[cref] = activity
         if activity > 1e20:
-            for i in range(len(self.clause_act)):
-                self.clause_act[i] *= 1e-20
+            for c in clause_act:
+                clause_act[c] *= 1e-20
             self.clause_inc *= 1e-20
 
     def _rebuild_heap(self) -> None:
-        self._heap = [
-            (-self.activity[var], var)
-            for var in range(1, self.num_vars + 1)
-            if self.values[var] == 0
-        ]
-        heapify(self._heap)
+        vt = self.vt
+        vf = self.vf
+        activity = self.activity
+        heap_act = self.heap_act
+        heap: list[tuple[float, int]] = []
+        for var in range(1, self.num_vars + 1):
+            c = var << 1
+            if not vt[c] and not vf[c]:
+                a = activity[var]
+                heap.append((-a, var))
+                heap_act[var] = a
+            else:
+                heap_act[var] = None
+        heapify(heap)
+        self._heap = heap
 
     # ------------------------------------------------------------------
     # Decisions
     # ------------------------------------------------------------------
-    def _decide(self) -> Lit | None:
-        if self._use_heap:
-            return self._decide_heap()
-        return self._decide_scan()
-
-    def _decide_heap(self) -> Lit | None:
+    def _decide(self) -> int | None:
         """Pop the unassigned variable of maximal activity (lazy heap).
 
         Stale entries (superseded activity, or assigned variables) are
         discarded on the way; ties break towards the lowest variable
-        index because entries compare as ``(-activity, var)``.
+        index because entries compare as ``(-activity, var)``. Returns
+        the decision as a literal code.
         """
         heap = self._heap
         if len(heap) > 4 * self.num_vars + 64:
             self._rebuild_heap()
             heap = self._heap
-        values = self.values
+        vt = self.vt
+        vf = self.vf
+        heap_act = self.heap_act
         while heap:
-            _, var = heappop(heap)
-            if values[var] == 0:
-                return var if self.phase[var] else -var
+            negact, var = heappop(heap)
+            if heap_act[var] == -negact:
+                heap_act[var] = None
+            c = var << 1
+            if vt[c] or vf[c]:
+                continue
+            return self.phase_code[var]
         return None
-
-    def _decide_scan(self) -> Lit | None:
-        """The historical O(num_vars) scan (ablation arm of A6).
-
-        Ties break towards the lowest variable index (strict ``>``), the
-        same deterministic order the heap produces.
-        """
-        best_var = 0
-        best_activity = -1.0
-        for var in range(1, self.num_vars + 1):
-            if self.values[var] == 0 and self.activity[var] > best_activity:
-                best_var = var
-                best_activity = self.activity[var]
-        if best_var == 0:
-            return None
-        return best_var if self.phase[best_var] else -best_var
 
     # ------------------------------------------------------------------
     # Main loop
@@ -928,7 +1016,7 @@ class LegacySolver(IncrementalSolver):
         self._backtrack(0)
         if not self._settle_root_level():
             return SatResult(False, core=())
-        self._assumptions = assumptions
+        self._assumption_codes = tuple(_code(lit) for lit in assumptions)
         restarts = 0
         while True:
             result = self._search(self._restart_budget(restarts))
@@ -944,47 +1032,199 @@ class LegacySolver(IncrementalSolver):
         """Apply pending unit clauses and propagate at level 0."""
         if self.empty_clause:
             return False
+        vt = self.vt
+        vf = self.vf
         while self._units_applied < len(self.units):
-            lit = self.units[self._units_applied]
+            code = self.units[self._units_applied]
             self._units_applied += 1
-            value = self._lit_value(lit)
-            if value == -1:
+            if vf[code]:
                 self.empty_clause = True
                 return False
-            if value == 0:
-                self._assign(lit, None)
+            if not vt[code]:
+                self._assign_code(code, 0)
         if self._propagate() is not None:
             self.empty_clause = True
             return False
         return True
 
     def _search(self, conflict_budget: int) -> SatResult | None:
-        """Search until SAT, UNSAT, or budget exhaustion (restart)."""
+        """Search until SAT, UNSAT, or budget exhaustion (restart).
+
+        This is the consolidated hot loop: unit propagation, the heap
+        decision and the decision assignment are inlined bodily (the
+        standalone :meth:`_propagate` / :meth:`_decide` remain the
+        cold-path/reference copies) so every hot name is bound to a
+        local exactly once per :meth:`_solve` round instead of once per
+        propagation pass — at ~20 passes per decision the rebinding
+        preambles and call frames are a measurable slice of a solve.
+        Locals are re-fetched at the two points the underlying objects
+        are replaced rather than mutated: the arena after a
+        learnt-database reduction, the heap after an activity-rescale
+        rebuild.
+        """
+        vt = self.vt
+        vf = self.vf
+        watches = self.watches
+        arena = self.arena
+        trail = self.trail
+        trail_append = trail.append
+        trail_lim = self.trail_lim
+        levels = self.levels
+        reasons = self.reasons
+        phase_code = self.phase_code
+        heap = self._heap
+        heap_act = self.heap_act
+        stats = self.stats
+        assumption_codes = self._assumption_codes
+        n_assumptions = len(assumption_codes)
         conflicts = 0
         while True:
-            conflict = self._propagate()
-            if conflict is not None:
-                self.stats.conflicts += 1
+            # ---- unit propagation (inlined _propagate) ----
+            conflict = -1
+            level = len(trail_lim)
+            start = self.propagated
+            propagated = start
+            pending = len(trail)
+            while propagated < pending:
+                code = trail[propagated]
+                propagated += 1
+                false_code = code ^ 1
+                wl = watches[false_code]
+                moved = -1
+                for cref in wl:
+                    first = arena[cref]
+                    if first == false_code:
+                        other = arena[cref + 1]
+                        arena[cref] = other
+                        arena[cref + 1] = false_code
+                    else:
+                        other = first
+                    if vt[other]:
+                        continue
+                    size = arena[cref - 1]
+                    if size == 3:
+                        q = arena[cref + 2]
+                        if not vf[q]:
+                            arena[cref + 1] = q
+                            arena[cref + 2] = false_code
+                            watches[q].append(cref)
+                            moved = cref
+                            break
+                    else:
+                        j = cref + 2
+                        end = cref + size
+                        while j < end:
+                            q = arena[j]
+                            if not vf[q]:
+                                arena[cref + 1] = q
+                                arena[j] = false_code
+                                watches[q].append(cref)
+                                moved = cref
+                                break
+                            j += 1
+                        if moved >= 0:
+                            break
+                    if vf[other]:
+                        # Conflict with the list untouched.
+                        conflict = cref
+                        break
+                    var = other >> 1
+                    vt[other] = 1
+                    vf[other ^ 1] = 1
+                    levels[var] = level
+                    reasons[var] = cref
+                    phase_code[var] = other
+                    trail_append(other)
+                    pending += 1
+                if conflict >= 0:
+                    break
+                if moved < 0:
+                    continue
+                # Phase two: compact the list behind a write index.
+                w = wl.index(moved)
+                i = w + 1
+                n = len(wl)
+                while i < n:
+                    cref = wl[i]
+                    i += 1
+                    first = arena[cref]
+                    if first == false_code:
+                        other = arena[cref + 1]
+                        arena[cref] = other
+                        arena[cref + 1] = false_code
+                    else:
+                        other = first
+                    if vt[other]:
+                        wl[w] = cref
+                        w += 1
+                        continue
+                    size = arena[cref - 1]
+                    if size == 3:
+                        q = arena[cref + 2]
+                        if not vf[q]:
+                            arena[cref + 1] = q
+                            arena[cref + 2] = false_code
+                            watches[q].append(cref)
+                            continue
+                    else:
+                        j = cref + 2
+                        end = cref + size
+                        moved_here = False
+                        while j < end:
+                            q = arena[j]
+                            if not vf[q]:
+                                arena[cref + 1] = q
+                                arena[j] = false_code
+                                watches[q].append(cref)
+                                moved_here = True
+                                break
+                            j += 1
+                        if moved_here:
+                            continue
+                    wl[w] = cref
+                    w += 1
+                    if vf[other]:
+                        # Conflict: keep the unprocessed tail.
+                        wl[w:] = wl[i:n]
+                        conflict = cref
+                        break
+                    var = other >> 1
+                    vt[other] = 1
+                    vf[other ^ 1] = 1
+                    levels[var] = level
+                    reasons[var] = cref
+                    phase_code[var] = other
+                    trail_append(other)
+                    pending += 1
+                if conflict >= 0:
+                    break
+                del wl[w:]
+            self.propagated = propagated
+            stats.propagations += propagated - start
+            # ---- conflict handling ----
+            if conflict >= 0:
+                stats.conflicts += 1
                 conflicts += 1
-                if self._decision_level() == 0:
+                if not trail_lim:
                     self.empty_clause = True
                     return SatResult(False, core=())
                 learnt, backjump = self._analyze(conflict)
+                heap = self._heap  # an activity rescale rebuilds it
                 # LBD before backtracking, while levels are still live.
-                lbd = len({self.levels[abs(q)] for q in learnt})
+                lbd = len({levels[q >> 1] for q in learnt})
                 self._backtrack(backjump)
                 if len(learnt) == 1:
                     # A root-level fact: persists across solves.
-                    value = self._lit_value(learnt[0])
-                    if value == -1:
+                    fact = learnt[0]
+                    if vf[fact]:
                         self.empty_clause = True
                         return SatResult(False, core=())
-                    if value == 0:
-                        self._assign(learnt[0], None)
+                    if not vt[fact]:
+                        self._assign_code(fact, 0)
                 else:
-                    index = self._add_clause(learnt, lbd=max(1, lbd))
-                    if index is not None:
-                        self._assign(learnt[0], index)
+                    cref = self._add_codes(learnt, lbd=max(1, lbd))
+                    if cref is not None:
+                        self._assign_code(learnt[0], cref)
                 self.activity_inc /= self.ACTIVITY_DECAY
                 self.clause_inc /= self.CLAUSE_DECAY
                 if self.gc and self.num_learnts >= self.max_learnts:
@@ -994,30 +1234,50 @@ class LegacySolver(IncrementalSolver):
                     # next restart boundary (current reasons — including
                     # assumption-implied ones — stay locked).
                     self._reduce_learnts()
+                    arena = self.arena  # the reduction rebuilds it
                 if conflicts >= conflict_budget:
                     return None  # restart
                 continue
             # Re-establish assumptions, one decision level per assumption;
             # backjumps may undo them, so this runs at decision time.
-            level = self._decision_level()
-            if level < len(self._assumptions):
-                lit = self._assumptions[level]
-                value = self._lit_value(lit)
-                if value == -1:
-                    return SatResult(False, core=self._analyze_final(lit))
-                self.trail_lim.append(len(self.trail))
-                if value == 0:
-                    self._assign(lit, None)
+            level = len(trail_lim)
+            if level < n_assumptions:
+                code = assumption_codes[level]
+                if vf[code]:
+                    return SatResult(False, core=self._analyze_final(code))
+                trail_lim.append(len(trail))
+                if not vt[code]:
+                    self._assign_code(code, 0)
                 continue
-            decision = self._decide()
-            if decision is None:
+            # ---- decision (inlined _decide) ----
+            decision = -1
+            if len(heap) > 4 * self.num_vars + 64:
+                self._rebuild_heap()
+                heap = self._heap
+            while heap:
+                negact, var = heappop(heap)
+                if heap_act[var] == -negact:
+                    heap_act[var] = None
+                c = var << 1
+                if vt[c] or vf[c]:
+                    continue
+                decision = phase_code[var]
+                break
+            if decision < 0:
                 if not self._model:
                     return SatResult(True)
                 assignment = {
-                    var: self.values[var] == 1
+                    var: vt[var << 1] == 1
                     for var in range(1, self.num_vars + 1)
                 }
                 return SatResult(True, assignment)
-            self.stats.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._assign(decision, None)
+            stats.decisions += 1
+            trail_lim.append(len(trail))
+            # Inlined _assign_code; phase_code[var] already holds the
+            # decision literal itself, so no phase write is needed.
+            var = decision >> 1
+            vt[decision] = 1
+            vf[decision ^ 1] = 1
+            levels[var] = len(trail_lim)
+            reasons[var] = 0
+            trail_append(decision)

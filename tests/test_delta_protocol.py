@@ -411,6 +411,16 @@ class TestDaemonSessions:
             session.close()
             assert SessionClient(client, "dup").open(request) == 0
 
+    def test_ask_with_malformed_max_distance_is_typed(self, daemon):
+        with DaemonClient.connect(path=daemon.address) as client:
+            session = SessionClient(client, "strict")
+            session.open(paper_request())
+            answer = session.ask(max_distance="3")
+            assert answer.outcome == "error"
+            assert "max_distance" in answer.error
+            assert "TypeError" not in answer.error
+            assert session.ask(max_distance=3).ok
+
     def test_verbs_on_unopened_session_raise_session_lost(self, daemon):
         with DaemonClient.connect(path=daemon.address) as client:
             session = SessionClient(client, "nobody")

@@ -10,9 +10,10 @@ change *what* is computed:
 * search/guided with the oracle on and off must return **identical
   repairs** (models, distances, exploration counters) — the oracle is a
   pure goal-test accelerator;
-* the SAT engine with ``incremental=False`` (the seed's one-shot solve
-  per bound) must find the same optima and the same enumerated repair
-  sets as the incremental path;
+* the SAT engine must find the same optima and the same enumerated
+  repair sets as a one-shot reference built here from the public
+  :func:`~repro.solver.sat.solve` helper (a fresh solver per bound
+  probe, the seed behaviour);
 * reported distances must equal what :mod:`repro.enforce.metrics`
   measures on the returned tuples;
 * one enforcement question must translate the encoding exactly once
@@ -39,10 +40,11 @@ from repro.featuremodels import (
     scenario_new_mandatory_feature,
     scenario_rename,
 )
+from repro.metamodel.serialize import canonical_text
 from repro.solver.bounded import Grounder, Scope
 from repro.solver.card import Totalizer
-from repro.solver.maxsat import enumerate_optimal, solve_maxsat
-from repro.solver.sat import GLOBAL_STATS
+from repro.solver.maxsat import enumerate_optimal, solve_maxsat, verify_soft_cost
+from repro.solver.sat import GLOBAL_STATS, solve
 
 
 def paper_env(fm, cf1, cf2):
@@ -191,6 +193,69 @@ class TestGuidedOracleEquivalence:
         assert with_oracle[1] == without[1]
 
 
+def grounder_for(transformation, models, targets, scope=Scope()):
+    checker = Checker(transformation)
+    directions = [
+        (relation, dependency)
+        for relation in transformation.top_relations()
+        for dependency in checker.directions_of(relation)
+    ]
+    return Grounder(
+        transformation, models, frozenset(targets), directions, scope=scope
+    )
+
+
+class OneShotReference:
+    """Increasing-bound MaxSAT with a fresh solver per SAT call.
+
+    The relaxation and totalizer encoding is rebuilt here from public
+    pieces and every bound probe (and every enumeration step) goes
+    through the one-shot :func:`solve`, so no learnt state carries from
+    one call to the next.
+    """
+
+    def __init__(self, grounding):
+        self.grounding = grounding
+        self.cnf = grounding.cnf.copy()
+        relax = []
+        for clause in grounding.soft:
+            if clause.weight:
+                var = self.cnf.new_var()
+                self.cnf.add_clause(list(clause.literals) + [var])
+                relax.extend([var] * clause.weight)
+        self.totalizer = Totalizer(self.cnf, relax) if relax else None
+        self.top = len(relax)
+
+    def at_most(self, bound):
+        if self.totalizer is None:
+            return []
+        return self.totalizer.at_most_assumption(bound)
+
+    def optimum(self):
+        """``(cost, assignment)`` of the first satisfiable bound."""
+        for bound in range(self.top + 1):
+            result = solve(self.cnf, self.at_most(bound))
+            if result.satisfiable:
+                cost = verify_soft_cost(self.grounding.soft, result.assignment)
+                return cost, result.assignment
+        raise NoRepairFound("reference found no repair")
+
+    def enumerate(self, project, limit=64):
+        """Every optimum, distinct on ``project``, blocking as it goes."""
+        cost, _ = self.optimum()
+        solutions = []
+        while len(solutions) < limit:
+            result = solve(self.cnf, self.at_most(cost))
+            if not result.satisfiable:
+                break
+            projection = {v: result.assignment[v] for v in project}
+            solutions.append(projection)
+            self.cnf.add_clause(
+                [-v if value else v for v, value in projection.items()]
+            )
+        return cost, solutions
+
+
 class TestSatEngineEquivalence:
     @pytest.mark.parametrize("fm,cf1,cf2,targets", ENV_CASES)
     @pytest.mark.parametrize("mode", ["increasing", "decreasing"])
@@ -199,34 +264,44 @@ class TestSatEngineEquivalence:
     ):
         t = paper_transformation(2)
         env = paper_env(fm, cf1, cf2)
-        selection = TargetSelection(targets)
-        checker = Checker(t)
         incremental = enforce_sat(
-            checker, env, selection, mode=mode, incremental=True
+            Checker(t), env, TargetSelection(targets), mode=mode
         )
-        oneshot = enforce_sat(
-            checker, env, selection, mode=mode, incremental=False
-        )
-        assert incremental[1] == oneshot[1]
+        grounder = grounder_for(t, env, targets)
+        cost, assignment = OneShotReference(grounder.ground()).optimum()
+        assert incremental[1] == cost
         metric = TupleMetric()
         assert incremental[1] == metric.distance(env, incremental[0])
-        assert oneshot[1] == metric.distance(env, oneshot[0])
+        assert cost == metric.distance(env, grounder.decode(assignment))
 
     def test_enumeration_identical_repair_sets(self):
-        """Full enumeration is order-canonical, so incremental and
-        one-shot must return *identical* repair lists."""
+        """Full enumeration is order-canonical, so the incremental engine
+        and the one-shot reference must return *identical* repair lists."""
         scenario = scenario_rename(2)
-        checker = Checker(scenario.transformation)
-        selection = TargetSelection(scenario.repairable_targets[0])
+        targets = scenario.repairable_targets[0]
         scope = Scope(extra_objects=1)
         cost_inc, repairs_inc = enumerate_repairs(
-            checker, scenario.after_update, selection, scope=scope,
-            incremental=True,
+            Checker(scenario.transformation),
+            scenario.after_update,
+            TargetSelection(targets),
+            scope=scope,
         )
-        cost_one, repairs_one = enumerate_repairs(
-            checker, scenario.after_update, selection, scope=scope,
-            incremental=False,
+        grounder = grounder_for(
+            scenario.transformation, scenario.after_update, targets, scope
         )
+        grounding = grounder.ground()
+        project = sorted(
+            grounding.pool.var(name)
+            for name in grounding.pool.names()
+            if isinstance(name, tuple) and name[0] in ("obj", "attr", "ref")
+        )
+        cost_one, solutions = OneShotReference(grounding).enumerate(project)
+        decoded = {}
+        for assignment in solutions:
+            tuple_ = grounder.decode(assignment)
+            key = "|".join(canonical_text(tuple_[p]) for p in sorted(tuple_))
+            decoded.setdefault(key, tuple_)
+        repairs_one = [decoded[key] for key in sorted(decoded)]
         assert cost_inc == cost_one == 4
         assert [models_key(r) for r in repairs_inc] == [
             models_key(r) for r in repairs_one
@@ -264,39 +339,14 @@ class TestTranslationCounts:
         assert Totalizer.built - totalizers == 1
         assert GLOBAL_STATS.solver_builds - builds == 1
 
-    def test_oneshot_path_rebuilds_per_call(self):
-        """The ablation baseline really is the old behaviour: at least
-        one solver build per enumerated solution."""
-        scenario = scenario_rename(2)
-        checker = Checker(scenario.transformation)
-        selection = TargetSelection(scenario.repairable_targets[0])
-        scope = Scope(extra_objects=1)
-        builds = GLOBAL_STATS.solver_builds
-        _, repairs = enumerate_repairs(
-            checker, scenario.after_update, selection, scope=scope,
-            incremental=False,
-        )
-        assert GLOBAL_STATS.solver_builds - builds > len(repairs)
-
     def test_maxsat_session_translates_once(self):
         """solve_maxsat + enumerate_optimal on the same grounding: the
         incremental path builds one solver per session."""
         t = paper_transformation(2)
         models = paper_env({"core": True, "log": True}, ["core"], [])
-        checker = Checker(t)
-        directions = [
-            (relation, dependency)
-            for relation in t.top_relations()
-            for dependency in checker.directions_of(relation)
-        ]
-        grounder = Grounder(
-            t,
-            models,
-            frozenset({"cf1", "cf2"}),
-            directions,
-            scope=Scope(extra_objects=2),
-        )
-        grounding = grounder.ground()
+        grounding = grounder_for(
+            t, models, {"cf1", "cf2"}, Scope(extra_objects=2)
+        ).ground()
         builds = GLOBAL_STATS.solver_builds
         result = solve_maxsat(grounding.cnf, list(grounding.soft))
         assert result.satisfiable

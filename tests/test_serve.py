@@ -52,6 +52,21 @@ from repro.solver.bounded import Scope
 #: The differential sweep's seed list (>= 25 seeds, fixed like A8's).
 DIFFERENTIAL_SEEDS = tuple(range(25))
 
+#: Wire values the strict request codec must reject, naming the field.
+MALFORMED_FIELDS = [
+    ("max_distance", "3"),
+    ("max_distance", 2.5),
+    ("max_distance", [1]),
+    ("max_distance", -1),
+    ("max_distance", True),
+    ("weights", {"cf1": "a"}),
+    ("weights", {"cf1": -1}),
+    ("weights", {"cf1": True}),
+    ("weights", ["cf1"]),
+    ("mode", "sideways"),
+    ("mode", None),
+]
+
 
 @pytest.fixture(autouse=True)
 def _isolate_session_caches():
@@ -131,6 +146,31 @@ class TestWireFormat:
         data["models"]["fm"]["metamodel"] = "Ghost"
         with pytest.raises(SerializationError):
             request_from_dict(data)
+
+    @pytest.mark.parametrize("field,value", MALFORMED_FIELDS)
+    def test_malformed_field_is_typed_and_named(self, field, value):
+        from repro.errors import SerializationError
+
+        data = dict(request_to_dict(paper_request()), **{field: value})
+        with pytest.raises(SerializationError, match=field):
+            request_from_dict(data)
+
+    @pytest.mark.parametrize("field,value", MALFORMED_FIELDS)
+    def test_malformed_request_fails_alone_in_its_shard(self, field, value):
+        """One bad request gets a typed error; its shard siblings are
+        still answered (the shard must not crash as a whole)."""
+        good = request_to_dict(paper_request())
+        bad = dict(good, **{field: value})
+        result = worker_module.process_shard(
+            {"shard": "s", "requests": [[0, good], [1, bad], [2, good]]}
+        )
+        outcomes = {
+            index: response_from_dict(data, paper_request().metamodels)
+            for index, data in result["responses"]
+        }
+        assert outcomes[0].outcome == outcomes[2].outcome == REPAIRED
+        assert outcomes[1].outcome == "error"
+        assert field in outcomes[1].error
 
     def test_request_json_is_stable_text(self):
         from repro.serve import request_to_json
@@ -242,8 +282,6 @@ class TestBatchService:
     def test_worker_count_validation(self):
         with pytest.raises(ServeError):
             serve_batch([paper_request()], workers=-1)
-        with pytest.raises(ServeError):
-            serve_batch([paper_request()], workers=0, portfolio=True)
 
     def test_one_grounding_per_shard(self):
         scenario = random_scenario(1)
@@ -271,20 +309,6 @@ class TestBatchService:
         assert [(r.outcome, r.distance) for r in inline.responses] == [
             (outcome, distance) for outcome, distance, _c, _m in prints[1]
         ]
-
-    def test_portfolio_agrees_on_verdicts_and_costs(self):
-        requests = []
-        for seed in (0, 3, 5):
-            requests.extend(scenario_requests(random_scenario(seed), rounds=3))
-        default = serve_batch(requests, workers=2)
-        raced = serve_batch(requests, workers=2, portfolio=True)
-        assert [
-            (r.outcome, r.distance if r.ok else None) for r in raced.responses
-        ] == [
-            (r.outcome, r.distance if r.ok else None)
-            for r in default.responses
-        ]
-        assert {s.restart for s in raced.shards} <= {"luby", "geometric"}
 
 
 class TestDifferentialSweep:

@@ -1,22 +1,22 @@
-"""Cross-backend differential battery: flat CDCL core vs legacy core.
+"""Cross-core differential battery: flat CDCL core vs legacy core.
 
-The flat array core (:mod:`repro.solver.flat`) is the default solver
-backend; the object-based legacy core (:mod:`repro.solver.sat`) is the
-reference it was rewritten from. This battery is what makes the rewrite
-— and any future backend — safe to trust:
+The flat array core (:class:`repro.solver.sat.IncrementalSolver`) is the
+production solver; the object-based legacy core
+(:class:`repro.solver.legacy.LegacySolver`) is the reference it was
+rewritten from. This battery is what makes the rewrite — and any future
+change to the core — safe to trust:
 
 * the A8 generated-scenario corpus (the CI smoke seeds) replayed
-  through full SAT enforcement on both backends must agree on verdict,
+  through full SAT enforcement on both cores must agree on verdict,
   optimal cost and the repaired model tuple;
 * random and phase-transition-hard CNFs with assumption streams must
   agree on satisfiability, decoded models, failed-assumption cores and
   per-call work counters;
 * per-call :class:`~repro.solver.sat.SolverStats` must be populated and
-  lifetime counters monotone on both backends (the daemon ``metrics``
+  lifetime counters monotone on both cores (the daemon ``metrics``
   verb aggregates them — a silently-zeroed counter is an observability
   bug);
-* both cores must satisfy the :class:`~repro.solver.SolverBackend`
-  protocol, including the ``force_restart``/``force_gc`` hooks.
+* both cores must honour the ``force_restart``/``force_gc`` hooks.
 
 The flat core is built to be *trace-identical* to the legacy core
 (same decisions, same learnt clauses, same restarts), so the
@@ -32,18 +32,15 @@ from repro.enforce.session import EnforcementSession
 from repro.errors import NoRepairFound
 from repro.gen import random_scenario
 from repro.gen.workloads import random_hard_cnf
-from repro.solver import (
-    DEFAULT_BACKEND,
-    FLAT,
-    LEGACY,
-    SOLVER_BACKENDS,
-    FlatSolver,
-    IncrementalSolver,
-    LegacySolver,
-    SolverBackend,
-)
+from repro.solver import maxsat
+from repro.solver.legacy import LegacySolver
+from repro.solver.sat import IncrementalSolver
 
-BACKENDS = (LEGACY, FLAT)
+LEGACY, FLAT = "legacy", "flat"
+
+#: The two cores, by the name their test ids carry.
+CORES = {LEGACY: LegacySolver, FLAT: IncrementalSolver}
+BACKENDS = tuple(CORES)
 
 #: Same list as tests/test_differential_engines.py / the A8 smoke arm.
 SMOKE_SEEDS = tuple(range(25))
@@ -73,7 +70,7 @@ def _assumption_stream(seed: int, num_vars: int, calls: int = 3):
 
 def _replay(backend: str, num_vars: int, clauses, assumptions_stream):
     """One incremental solver answering the whole stream; raw outcomes."""
-    solver = IncrementalSolver(backend=backend)
+    solver = CORES[backend]()
     solver.ensure_vars(num_vars)
     for clause in clauses:
         solver.add_clause(clause)
@@ -94,37 +91,16 @@ def _assert_outcomes_agree(label, legacy_runs, flat_runs):
         assert s1 == s2, f"{where}: verdicts differ"
         assert m1 == m2, f"{where}: decoded models differ"
         if c1 is None or c2 is None:
-            assert c1 == c2, f"{where}: one backend lost its core"
+            assert c1 == c2, f"{where}: one core lost its failed core"
         else:
             assert set(c1) == set(c2), f"{where}: cores differ as sets"
         assert st1 == st2, f"{where}: per-call stats differ"
 
 
 class TestProtocolConformance:
-    def test_registry_contents_and_default(self):
-        assert set(SOLVER_BACKENDS) == {FLAT, LEGACY}
-        assert SOLVER_BACKENDS[FLAT] is FlatSolver
-        assert SOLVER_BACKENDS[LEGACY] is LegacySolver
-        assert DEFAULT_BACKEND == FLAT
-        assert type(IncrementalSolver()) is FlatSolver
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backend_flag_dispatches(self, backend):
-        solver = IncrementalSolver(backend=backend)
-        assert type(solver) is SOLVER_BACKENDS[backend]
-
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(Exception):
-            IncrementalSolver(backend="does-not-exist")
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_instances_satisfy_the_protocol(self, backend):
-        solver = IncrementalSolver(backend=backend)
-        assert isinstance(solver, SolverBackend)
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_force_hooks_exist_and_take_effect(self, backend):
-        solver = IncrementalSolver(gc=False, backend=backend)
+        solver = CORES[backend](gc=False)
         solver.force_gc()
         assert solver.gc and solver.max_learnts == 0.0
         solver.force_restart()  # consumed at the next restart boundary
@@ -156,35 +132,21 @@ class TestCnfDifferential:
         }
         _assert_outcomes_agree(f"hard seed {seed}", runs[LEGACY], runs[FLAT])
 
-    @pytest.mark.parametrize("decision", ("heap", "scan"))
-    def test_decision_modes_agree(self, decision):
-        """Both decision heuristics run on both backends, identically."""
-        rng = random.Random(99)
-        num_vars = 30
-        clauses = _random_clauses(rng, num_vars, 120)
-        stream = [(), (1, -2)]
-        runs = {}
-        for backend in BACKENDS:
-            solver = IncrementalSolver(decision=decision, backend=backend)
-            solver.ensure_vars(num_vars)
-            for clause in clauses:
-                solver.add_clause(clause)
-            runs[backend] = [
-                (r.satisfiable, r.assignment, r.core, r.stats)
-                for r in (solver.solve(a) for a in stream)
-            ]
-        _assert_outcomes_agree(f"decision={decision}", runs[LEGACY], runs[FLAT])
 
+def _enforce_verdict(backend: str, scenario, monkeypatch):
+    """(outcome, cost, canonical repaired tuple) under one core.
 
-def _enforce_verdict(backend: str, scenario):
-    """(outcome, cost, canonical repaired tuple) under one backend."""
+    Every solver of an enforcement session is built by
+    :class:`~repro.solver.maxsat.MaxSatSession`, so substituting the
+    core there swaps it for the whole session.
+    """
+    monkeypatch.setattr(maxsat, "IncrementalSolver", CORES[backend])
     session = EnforcementSession(
         scenario.transformation,
         scenario.targets,
         semantics=scenario.semantics,
         metric=scenario.metric,
         scope=scenario.scope,
-        solver_kwargs={"backend": backend},
     )
     try:
         repair = session.enforce(
@@ -205,13 +167,13 @@ def _enforce_verdict(backend: str, scenario):
 
 
 class TestScenarioCorpus:
-    """The A8 smoke corpus, replayed through SAT enforcement per backend."""
+    """The A8 smoke corpus, replayed through SAT enforcement per core."""
 
     @pytest.mark.parametrize("seed", SMOKE_SEEDS)
-    def test_backends_agree_on_scenario(self, seed):
+    def test_backends_agree_on_scenario(self, seed, monkeypatch):
         scenario = random_scenario(seed)
-        legacy = _enforce_verdict(LEGACY, scenario)
-        flat = _enforce_verdict(FLAT, scenario)
+        legacy = _enforce_verdict(LEGACY, scenario, monkeypatch)
+        flat = _enforce_verdict(FLAT, scenario, monkeypatch)
         assert legacy[0] == flat[0], f"seed {seed}: verdicts differ"
         assert legacy[1] == flat[1], f"seed {seed}: optimal costs differ"
         assert legacy[2] == flat[2], f"seed {seed}: repaired tuples differ"
@@ -223,7 +185,7 @@ class TestSolverStats:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_per_call_stats_are_populated(self, backend):
         cnf = random_hard_cnf(3, num_vars=40)
-        solver = IncrementalSolver(cnf, backend=backend)
+        solver = CORES[backend](cnf)
         result = solver.solve()
         delta = result.stats
         assert delta.solves == 1
@@ -234,7 +196,7 @@ class TestSolverStats:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_forced_restart_and_gc_are_counted(self, backend):
         cnf = random_hard_cnf(5, num_vars=40)
-        solver = IncrementalSolver(cnf, backend=backend)
+        solver = CORES[backend](cnf)
         solver.force_restart()
         solver.force_gc()
         delta = solver.solve().stats
@@ -248,7 +210,7 @@ class TestSolverStats:
         minimised = midsearch = 0
         for seed in range(6):
             cnf = random_hard_cnf(seed, num_vars=40)
-            solver = IncrementalSolver(cnf, backend=backend)
+            solver = CORES[backend](cnf)
             solver.force_gc()
             solver.solve()
             solver.solve((1, 2))
@@ -260,7 +222,7 @@ class TestSolverStats:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_lifetime_counters_are_monotone(self, backend):
         cnf = random_hard_cnf(7, num_vars=40)
-        solver = IncrementalSolver(cnf, backend=backend)
+        solver = CORES[backend](cnf)
         previous = solver.stats.snapshot()
         for assumptions in [(), (1,), (-1, 2), ()]:
             solver.solve(assumptions)

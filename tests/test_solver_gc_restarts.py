@@ -1,31 +1,29 @@
 """Hot-loop overhaul lockdown: VSIDS heap, Luby restarts, learnt GC.
 
-Three layers of guarantees, each asserted on **every registered solver
-backend** (the flat array core and the legacy object core):
+Three layers of guarantees, each asserted on **both CDCL cores** (the
+flat production core and the legacy reference core):
 
 * **Equivalence under pressure** — with a restart forced into every
   query and learnt-clause reduction forced at every opportunity (via
-  the :class:`~repro.solver.SolverBackend` hooks ``force_restart`` /
-  ``force_gc``), the solver's verdicts, model validity and core
-  soundness still match the truth-table oracle on random incremental
-  workloads, and match the GC-off/scan/geometric configuration (the
-  PR-1 behaviour) verdict for verdict.
-* **Deterministic tie-breaking** — the heap and the linear scan pick the
-  *same* decision variable in every state: equal-activity ties break
-  towards the lowest variable index, so whole runs are reproducible
-  across both implementations (identical decision/conflict counts).
+  the hooks ``force_restart`` / ``force_gc``), the solver's verdicts,
+  model validity and core soundness still match the truth-table oracle
+  on random incremental workloads, and match the plain GC-off solver
+  verdict for verdict.
+* **Deterministic tie-breaking** — the heap picks the unassigned
+  variable of maximal activity, equal-activity ties broken towards the
+  lowest variable index, so whole runs are reproducible.
 * **GC safety** — locked reason clauses and glue clauses survive every
   reduction; the clause database stays internally consistent
   (reasons/watches reference live clauses) after solves that reduced.
 
-Stress is applied through the protocol hooks only — ``force_restart()``
+Stress is applied through the hooks only — ``force_restart()``
 (one-shot: the next restart fires after one conflict) and
 ``force_gc()`` (reduction at every chance) — so the same tests drive
-any backend without reaching into scheduler internals. The few
+either core without reaching into scheduler internals. The few
 genuinely *structural* checks that must read a core's clause database
-go through the per-backend helpers ``_check_database`` /
+go through the per-core helpers ``_check_database`` /
 ``_mark_all_weak`` / ``_locked_reasons`` below, which dispatch on the
-backend's representation (clause list vs int arena).
+core's representation (clause list vs int arena).
 """
 
 import pytest
@@ -33,12 +31,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SolverError
-from repro.solver import FLAT, LEGACY, FlatSolver
 from repro.solver.brute import brute_solve, check_assignment
 from repro.solver.cnf import CNF
-from repro.solver.sat import GEOMETRIC, HEAP, LUBY, SCAN, IncrementalSolver, luby
+from repro.solver.legacy import LegacySolver
+from repro.solver.sat import IncrementalSolver, luby
 
-BACKENDS = (LEGACY, FLAT)
+LEGACY, FLAT = "legacy", "flat"
+CORES = {LEGACY: LegacySolver, FLAT: IncrementalSolver}
+BACKENDS = tuple(CORES)
 
 
 @st.composite
@@ -71,8 +71,8 @@ def _random_cnf(num_vars: int, num_clauses: int, seed: int) -> CNF:
 
 
 def _stressed(cnf: CNF, backend: str) -> IncrementalSolver:
-    """A solver with GC forced constantly, via the protocol hook."""
-    solver = IncrementalSolver(cnf, backend=backend)
+    """A solver with GC forced constantly, via the hook."""
+    solver = CORES[backend](cnf)
     solver.force_gc()  # reduce the learnt database at every chance
     return solver
 
@@ -98,11 +98,11 @@ def _check_solve(mirror: CNF, result, assumptions) -> None:
 
 
 # ----------------------------------------------------------------------
-# Per-backend structural helpers (the only representation-aware code).
+# Per-core structural helpers (the only representation-aware code).
 # ----------------------------------------------------------------------
 def _check_database(solver: IncrementalSolver) -> None:
     """Internal invariants that a buggy GC sweep would break."""
-    if isinstance(solver, FlatSolver):
+    if not isinstance(solver, LegacySolver):
         arena, crefs = solver.arena, solver.cref_list
         live = set(crefs)
         assert solver.num_learnts == sum(1 for c in crefs if arena[c - 2] > 0)
@@ -134,7 +134,7 @@ def _check_database(solver: IncrementalSolver) -> None:
 
 def _mark_all_weak(solver: IncrementalSolver) -> None:
     """Relabel every clause as a weak learnt the GC would love to drop."""
-    if isinstance(solver, FlatSolver):
+    if not isinstance(solver, LegacySolver):
         for cref in solver.cref_list:
             solver.arena[cref - 2] = 9
             solver.clause_act[cref] = 0.0
@@ -148,7 +148,7 @@ def _mark_all_weak(solver: IncrementalSolver) -> None:
 
 def _locked_reasons(solver: IncrementalSolver) -> set:
     """The reason clauses of the live trail, as comparable literal sets."""
-    if isinstance(solver, FlatSolver):
+    if not isinstance(solver, LegacySolver):
         locked = set()
         for code in solver.trail:
             cref = solver.reasons[code >> 1]
@@ -182,29 +182,27 @@ class TestEquivalenceUnderPressure:
 
     @given(script=solver_scripts())
     @settings(max_examples=75, deadline=None)
-    def test_stressed_solver_matches_pr1_configuration(self, backend, script):
-        """GC + forced restarts vs the PR-1 arms: identical verdicts."""
+    def test_stressed_solver_matches_plain_solver(self, backend, script):
+        """GC + forced restarts vs the plain GC-off arm: same verdicts."""
         num_vars, ops = script
         stressed = _stressed(CNF(num_vars), backend)
-        legacy_config = IncrementalSolver(
-            CNF(num_vars), decision=SCAN, restart=GEOMETRIC, gc=False
-        )
+        plain = CORES[backend](CNF(num_vars), gc=False)
         for op, payload in ops:
             if op == "add":
                 stressed.add_clause(payload)
-                legacy_config.add_clause(payload)
+                plain.add_clause(payload)
             else:
                 stressed.force_restart()
                 assert (
                     stressed.solve(payload).satisfiable
-                    == legacy_config.solve(payload).satisfiable
+                    == plain.solve(payload).satisfiable
                 )
 
     def test_gc_actually_drops_and_verdicts_agree(self, backend):
         cnf = _random_cnf(60, 255, seed=11)
-        gc_on = IncrementalSolver(cnf, backend=backend)
+        gc_on = CORES[backend](cnf)
         gc_on.force_gc()
-        gc_off = IncrementalSolver(cnf, gc=False, backend=backend)
+        gc_off = CORES[backend](cnf, gc=False)
         verdict_on = gc_on.solve().satisfiable
         verdict_off = gc_off.solve().satisfiable
         assert verdict_on == verdict_off
@@ -214,19 +212,11 @@ class TestEquivalenceUnderPressure:
 
     def test_forced_restart_fires_once_then_schedule_resumes(self, backend):
         cnf = _random_cnf(40, 170, seed=3)
-        solver = IncrementalSolver(cnf, backend=backend)
+        solver = CORES[backend](cnf)
         solver.force_restart()
-        solver.solve()
+        forced = solver.solve()
         assert solver.stats.restarts > 0
-        # identical result on the geometric arm
-        assert (
-            IncrementalSolver(cnf, restart=GEOMETRIC, backend=backend)
-            .solve()
-            .satisfiable
-            == IncrementalSolver(cnf, restart=LUBY, backend=backend)
-            .solve()
-            .satisfiable
-        )
+        assert forced.satisfiable == CORES[backend](cnf).solve().satisfiable
 
 
 class TestTieBreaking:
@@ -237,67 +227,39 @@ class TestTieBreaking:
         assigned=st.lists(st.booleans(), min_size=1, max_size=8),
     )
     @settings(max_examples=200, deadline=None)
-    def test_heap_and_scan_pick_the_same_decision(self, activities, assigned):
+    def test_heap_picks_lowest_index_of_maximal_activity(
+        self, activities, assigned
+    ):
         """Equal-activity ties break towards the lowest variable index.
 
-        White-box on the legacy core's ``values``/``activity`` columns;
-        the flat core's decisions are proven identical literal-for-
-        literal by the cross-backend battery, so the law transfers.
+        White-box on the production core's ``activity`` and truth
+        columns; the expected pick is a linear scan computed here.
         """
         n = len(activities)
-        heap_solver = IncrementalSolver(CNF(n), decision=HEAP, backend=LEGACY)
-        scan_solver = IncrementalSolver(CNF(n), decision=SCAN, backend=LEGACY)
-        for solver in (heap_solver, scan_solver):
-            for var, activity in enumerate(activities, start=1):
-                solver.activity[var] = activity
-            for var, is_assigned in enumerate(assigned[:n], start=1):
-                if is_assigned:
-                    solver.values[var] = 1
-        heap_solver._rebuild_heap()
+        solver = IncrementalSolver(CNF(n))
+        for var, activity in enumerate(activities, start=1):
+            solver.activity[var] = activity
+        taken = {var for var, a in enumerate(assigned[:n], start=1) if a}
+        for var in taken:
+            solver.vt[var << 1] = solver.vf[var << 1 | 1] = 1
+        solver._rebuild_heap()
         expected = None
         best = -1.0
         for var in range(1, n + 1):
-            if heap_solver.values[var] == 0 and activities[var - 1] > best:
+            if var not in taken and activities[var - 1] > best:
                 expected, best = var, activities[var - 1]
-        heap_pick = heap_solver._decide()
-        scan_pick = scan_solver._decide()
-        assert heap_pick == scan_pick
+        pick = solver._decide()
         if expected is None:
-            assert heap_pick is None
+            assert pick is None
         else:
-            assert abs(heap_pick) == expected
-
-    @given(script=solver_scripts())
-    @settings(max_examples=50, deadline=None)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_heap_and_scan_runs_are_isomorphic(self, backend, script):
-        """Same decisions/conflicts counts: the whole run is reproduced."""
-        num_vars, ops = script
-        heap_solver = IncrementalSolver(
-            CNF(num_vars), decision=HEAP, gc=False, backend=backend
-        )
-        scan_solver = IncrementalSolver(
-            CNF(num_vars), decision=SCAN, gc=False, backend=backend
-        )
-        for op, payload in ops:
-            if op == "add":
-                heap_solver.add_clause(payload)
-                scan_solver.add_clause(payload)
-            else:
-                a = heap_solver.solve(payload)
-                b = scan_solver.solve(payload)
-                assert a.satisfiable == b.satisfiable
-                assert a.assignment == b.assignment
-                assert a.core == b.core
-        assert heap_solver.stats.decisions == scan_solver.stats.decisions
-        assert heap_solver.stats.conflicts == scan_solver.stats.conflicts
+            assert pick >> 1 == expected
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_runs_are_deterministic(self, backend):
         cnf = _random_cnf(50, 210, seed=5)
         runs = []
         for _ in range(2):
-            solver = IncrementalSolver(cnf, backend=backend)
+            solver = CORES[backend](cnf)
             result = solver.solve()
             runs.append(
                 (result.satisfiable, result.assignment, solver.stats.snapshot())
@@ -332,9 +294,9 @@ class TestMidSearchGc:
         fired = 0
         for seed in range(10):
             cnf, queries = self._generated_workload(seed)
-            stressed = IncrementalSolver(cnf, backend=backend)
+            stressed = CORES[backend](cnf)
             stressed.force_gc()
-            plain = IncrementalSolver(cnf, gc=False, backend=backend)
+            plain = CORES[backend](cnf, gc=False)
             mirror = cnf.copy()
             for assumptions in queries:
                 result = stressed.solve(assumptions)
@@ -363,7 +325,7 @@ class TestMidSearchGc:
         cnf.add_clause([3, 4])    # filler the GC may drop
         cnf.add_clause([4, 5])
         cnf.add_clause([-4, 5, 6])
-        solver = IncrementalSolver(cnf, backend=backend)
+        solver = CORES[backend](cnf)
         # A SAT answer leaves the trail at its final (non-root) levels,
         # with clause [-1, 2] locked as the reason of the assumption-
         # implied literal 2.
@@ -394,7 +356,7 @@ class TestGcSafety:
         cnf.add_clause([2, 5])
         cnf.add_clause([4, 5])
         cnf.add_clause([-4, 3, 5])
-        solver = IncrementalSolver(cnf, backend=backend)
+        solver = CORES[backend](cnf)
         assert solver.solve().satisfiable
         # Mark every clause as a weak learnt so the GC would love to drop
         # them; only the locked ones (reasons of the root trail) may not
@@ -411,23 +373,24 @@ class TestGcSafety:
 
     def test_glue_clauses_survive_reduction(self, backend):
         cnf = _random_cnf(60, 255, seed=11)
-        solver = IncrementalSolver(cnf, backend=backend)
+        solver = CORES[backend](cnf)
         solver.force_gc()
         solver.solve()
         assert solver.stats.reductions > 0
         _check_database(solver)
 
-    def test_knob_validation(self, backend):
+    def test_input_validation(self, backend):
+        solver = CORES[backend](CNF(1))
         with pytest.raises(SolverError):
-            IncrementalSolver(CNF(1), decision="magic", backend=backend)
+            solver.solve([0])
         with pytest.raises(SolverError):
-            IncrementalSolver(CNF(1), restart="never", backend=backend)
+            solver.add_clause([2])
         with pytest.raises(SolverError):
             luby(0)
 
     def test_per_solve_stats_attached(self, backend):
         cnf = _random_cnf(20, 60, seed=2)
-        solver = IncrementalSolver(cnf, backend=backend)
+        solver = CORES[backend](cnf)
         result = solver.solve()
         assert result.stats is not None
         assert result.stats.solves == 1
