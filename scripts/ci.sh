@@ -25,13 +25,14 @@
 # request gets exactly one typed reply, successes stay bit-identical
 # to the fault-free run with zero extra groundings, and the daemon
 # ends healthy (under a hard timeout so a wedged daemon can never
-# hang the pipeline). The end-to-end perfbench correctness stage
-# replays the frozen generated corpus and exits 1 on any answer that
-# differs from its frozen (outcome, distance) reference. Docs can't
-# rot silently:
-# every example
-# runs as a smoke stage, the code blocks in README.md and docs/ are
-# import-checked, and the audited public modules' doctests execute.
+# hang the pipeline). The end-to-end perfbench correctness stages
+# replay the frozen generated corpus inline (gen-cold), through the
+# pooled batch service's worker slots (gen-batch) and as delta
+# sessions on a daemon's worker slots (gen-delta), and exit 1 on any
+# answer that differs from its frozen (outcome, distance) reference.
+# Docs can't rot silently: every example runs as a smoke stage, the
+# code blocks in README.md and docs/ are import-checked, and the
+# audited public modules' doctests execute.
 #
 # Usage: scripts/ci.sh  (from anywhere; finishes in about a minute)
 set -euo pipefail
@@ -84,6 +85,12 @@ timeout 300 python benchmarks/bench_a12_delta_sessions.py --smoke
 # (outcome, distance) reference, or the run exits 1.
 echo "== perfbench gen-cold answers vs frozen references (hard 300 s timeout) =="
 timeout 300 python3 perfbench/run.py --workload gen-cold --seconds 2
+
+echo "== perfbench gen-batch answers vs frozen references (hard 300 s timeout) =="
+timeout 300 python3 perfbench/run.py --workload gen-batch --seconds 2
+
+echo "== perfbench gen-delta answers vs frozen references (hard 300 s timeout) =="
+timeout 300 python3 perfbench/run.py --workload gen-delta --seconds 2
 
 echo "== examples smoke =="
 for example in examples/*.py; do

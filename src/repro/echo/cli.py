@@ -57,15 +57,15 @@ over workspace artefacts:
       "weights": {"cf1": 2}}]
 
 Only "transformation", "bind" and "targets" are required. Requests are
-sharded by question shape and answered on a process pool; responses
-print in submission order regardless of worker interleaving. Keep the
+sharded by question shape and answered by --workers worker processes;
+responses print in submission order regardless of worker interleaving. Keep the
 batch file OUTSIDE the workspace root — the workspace loader scans
 every *.json under it.
 
-Each shard gets --deadline seconds on the pool (submission to answer);
-a shard that blows it is abandoned and its requests are answered with
-typed "error" responses while the rest of the batch completes. On
-Ctrl-C (or a broken worker pool) the batch stops early but still
+Each shard gets --deadline seconds on a worker (dispatch to answer);
+a shard that blows it has its requests answered with typed "error"
+responses, and its wedged worker is killed and respawned while the
+sibling shards continue. On Ctrl-C the batch stops early but still
 prints every response — completed shards carry their real answers,
 the rest say they were never answered — and exits 1.
 
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=DEFAULT_WORKERS,
-        help="process-pool size; 0 answers inline in this process "
+        help="worker processes; 0 answers inline in this process "
         f"(default: {DEFAULT_WORKERS})",
     )
     from repro.serve import DEFAULT_SHARD_DEADLINE
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_SHARD_DEADLINE,
         metavar="SECONDS",
-        help="per-shard deadline on the pool; 0 lifts it "
+        help="per-shard deadline on a worker, dispatch to answer; 0 lifts it "
         f"(default: {DEFAULT_SHARD_DEADLINE:g})",
     )
     batch.add_argument(

@@ -22,12 +22,12 @@ Design, front to back:
   in-flight requests); a request arriving over the bound is rejected
   immediately with a typed :data:`~repro.serve.protocol.OVERLOADED`
   reply — backpressure, not unbounded growth.
-* **Workers** are ``multiprocessing`` processes joined to the loop by a
-  pipe (requests dispatched one at a time, per-slot FIFO, so a shape's
-  requests land on its warm session in submission order — the batch
-  service's determinism contract, kept). Worker processes start from a
-  clean slate exactly like :func:`~repro.serve.service._fresh_worker`
-  pool initialisers.
+* **Workers** are :class:`~repro.serve.supervisor.WorkerSlot`\\ s — the
+  same supervised processes pooled ``serve_batch`` runs on — joined to
+  the loop by a pipe (requests dispatched one at a time, per-slot FIFO,
+  so a shape's requests land on its warm session in submission order —
+  the batch service's determinism contract, kept). Worker processes
+  start from a clean slate.
 * **Deadlines** are enforced end to end: a request carries its budget
   from acceptance, queue wait included. A request that expires in the
   queue is answered :data:`~repro.serve.protocol.DEADLINE_EXCEEDED`
@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
 import os
 import signal
 import threading
@@ -96,6 +95,8 @@ from repro.serve.requests import (
     response_to_dict,
     shard_digest,
 )
+from repro.serve.supervisor import TaskFailed, WorkerCrash, WorkerSlot
+from repro.serve.worker import serve_message
 
 #: How many crash-counting digests the poison tracker retains (LRU).
 CRASH_TRACK_LIMIT = 1024
@@ -166,143 +167,6 @@ class DaemonConfig:
                 f"reply_cache must be >= 1, got {self.reply_cache}"
             )
         FaultPlan.parse(self.faults)  # typo'd specs fail at config time
-
-
-def _daemon_worker_main(conn) -> None:
-    """One worker process: serve wire requests off a pipe, forever.
-
-    Starts from a clean slate (fork inherits the parent's warm caches;
-    answers computed on them would not be reproducible — the same rule
-    as the batch pool's ``_fresh_worker``). ``{"op": "stop"}`` ends the
-    loop; a closed pipe does too. The ``wedge`` field is the protocol's
-    test hook: sleep before answering, simulating a livelocked request.
-    ``fault``/``stall`` are injected-fault directives drawn by the
-    daemon's seeded injector (workers obey, never draw — see
-    :mod:`repro.serve.faults`).
-    """
-    from repro.enforce.session import clear_shared_sessions
-    from repro.serve.worker import reset_worker_state, serve_session, serve_wire
-
-    clear_shared_sessions()
-    reset_worker_state()
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if not isinstance(message, dict) or message.get("op") == "stop":
-            break
-        wedge = message.get("wedge") or 0
-        if wedge:
-            time.sleep(wedge)
-        try:
-            if message.get("op") == "enforce":
-                reply = serve_wire(
-                    message.get("request"),
-                    fault=message.get("fault"),
-                    stall=message.get("stall") or 0.0,
-                )
-            else:
-                reply = serve_session(message)
-        except Exception as exc:  # the service catch-all: a worker
-            # must survive any one request (programming errors included)
-            reply = {
-                "response": response_to_dict(
-                    EnforceResponse("error", error=f"worker failure: {exc!r}")
-                ),
-                "session": None,
-                "counters": None,
-            }
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break
-
-
-class _WorkerCrash(Exception):
-    """The worker process died before replying."""
-
-
-class _WorkerSlot:
-    """One long-lived worker process and its parent-side pipe end."""
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.restarts = 0
-        self._spawn()
-
-    def _spawn(self) -> None:
-        parent, child = multiprocessing.Pipe()
-        self.conn = parent
-        self.process = multiprocessing.Process(
-            target=_daemon_worker_main,
-            args=(child,),
-            daemon=True,
-        )
-        self.process.start()
-        child.close()
-
-    @property
-    def pid(self) -> int | None:
-        return self.process.pid
-
-    async def call(self, message: dict, timeout: float | None) -> dict:
-        """One request/reply round trip; :class:`TimeoutError` on expiry.
-
-        Only the slot's drainer task calls this, so the pipe carries at
-        most one outstanding request. The receive blocks a pool thread,
-        not the loop; killing the process unblocks it with EOF.
-        """
-        conn = self.conn
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError) as exc:
-            raise _WorkerCrash(f"worker {self.index} pipe closed") from exc
-        loop = asyncio.get_running_loop()
-        reply = await asyncio.wait_for(
-            loop.run_in_executor(None, self._recv, conn), timeout
-        )
-        if reply is None:
-            raise _WorkerCrash(
-                f"worker {self.index} (pid {self.pid}) died mid-request"
-            )
-        return reply
-
-    @staticmethod
-    def _recv(conn) -> dict | None:
-        # Sentinel instead of raising: after a deadline kill this runs
-        # in an abandoned executor future, where an exception would only
-        # make noise.
-        try:
-            return conn.recv()
-        except (EOFError, OSError):
-            return None
-
-    def restart(self) -> None:
-        """Kill the (possibly wedged) process and spawn a fresh one."""
-        self.process.kill()
-        self.process.join(timeout=10)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
-        self.restarts += 1
-        self._spawn()
-
-    def stop(self) -> None:
-        """Graceful worker shutdown (kill only if it ignores the stop)."""
-        try:
-            self.conn.send({"op": "stop"})
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=5)
-        if self.process.is_alive():  # pragma: no cover - stop is graceful
-            self.process.kill()
-            self.process.join(timeout=5)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
 
 
 @dataclass
@@ -398,7 +262,7 @@ class EnforcementDaemon:
         self._started_at = 0.0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._slots: list[_WorkerSlot] = []
+        self._slots: list[WorkerSlot] = []
         self._drainers: list[asyncio.Task] = []
         self._slot_tokens: list[asyncio.Queue] = []
         self._shapes: dict[str, _ShapeQueue] = {}
@@ -421,7 +285,7 @@ class EnforcementDaemon:
         self._started_at = time.monotonic()
         self._loop = asyncio.get_running_loop()
         self._slots = [
-            _WorkerSlot(index)
+            WorkerSlot(index)
             for index in range(self.config.workers)
         ]
         self._slot_tokens = [asyncio.Queue() for _ in self._slots]
@@ -892,7 +756,7 @@ class EnforcementDaemon:
             item.envelope_id, item.op, item.session, outcome, error
         )
 
-    def _restart_slot(self, slot: _WorkerSlot) -> None:
+    def _restart_slot(self, slot: WorkerSlot) -> None:
         """Kill + respawn one worker, invalidating its delta sessions.
 
         A worker's version DAGs die with the process: every session
@@ -944,7 +808,7 @@ class EnforcementDaemon:
     # ------------------------------------------------------------------
     # Dispatch (one drainer task per worker slot)
     # ------------------------------------------------------------------
-    async def _drain_slot(self, slot: _WorkerSlot) -> None:
+    async def _drain_slot(self, slot: WorkerSlot) -> None:
         tokens = self._slot_tokens[slot.index]
         while True:
             digest = await tokens.get()
@@ -965,7 +829,7 @@ class EnforcementDaemon:
                 shape.inflight -= 1
 
     async def _dispatch(
-        self, slot: _WorkerSlot, shape: _ShapeQueue, item: _Item
+        self, slot: WorkerSlot, shape: _ShapeQueue, item: _Item
     ) -> None:
         metrics = self.metrics.shape(shape.digest, shape.slot)
         while True:
@@ -993,7 +857,17 @@ class EnforcementDaemon:
                 if stall:
                     message["stall"] = stall
             try:
-                reply = await slot.call(message, timeout)
+                reply = await slot.call(serve_message, message, timeout)
+            except TaskFailed as exc:
+                # The worker survives any one request (programming errors
+                # included); the request gets a typed error reply.
+                reply = {
+                    "response": response_to_dict(
+                        EnforceResponse("error", error=f"worker failure: {exc}")
+                    ),
+                    "session": None,
+                    "counters": None,
+                }
             except asyncio.TimeoutError:
                 # The worker is wedged (or the instance pathological): kill
                 # it so the slot's next request proceeds on a fresh process.
@@ -1002,7 +876,7 @@ class EnforcementDaemon:
                     item, metrics, reason="worker", now=time.monotonic()
                 )
                 return
-            except _WorkerCrash as crash:
+            except WorkerCrash as crash:
                 self._restart_slot(slot)
                 if item.op != "enforce":
                     # A session verb died with its worker — and so did the

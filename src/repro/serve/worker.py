@@ -23,6 +23,7 @@ fork/spawn differences and unpicklable state cannot bite.
 from __future__ import annotations
 
 import os
+import time
 from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -244,10 +245,8 @@ def serve_wire(
     solving, ``"crash-after"`` computes the full reply and exits before
     it can be sent — the daemon sees both as a mid-request worker death.
     """
-    import time as _time
-
     if stall:
-        _time.sleep(stall)
+        time.sleep(stall)
     if fault == "crash-before":
         os._exit(86)
 
@@ -274,6 +273,27 @@ def serve_wire(
     return reply(
         response, session, grounded=session.groundings > groundings_before
     )
+
+
+def serve_message(message: Mapping[str, Any]) -> dict[str, Any]:
+    """One daemon worker message: an enforce request or a session op.
+
+    The task the daemon runs on its worker slots
+    (:mod:`repro.serve.supervisor`). The ``wedge`` field is the
+    protocol's test hook: sleep before
+    answering, simulating a livelocked request. ``fault``/``stall`` are
+    the injected-fault directives :func:`serve_wire` obeys.
+    """
+    wedge = message.get("wedge") or 0
+    if wedge:
+        time.sleep(wedge)
+    if message.get("op") == "enforce":
+        return serve_wire(
+            message.get("request"),
+            fault=message.get("fault"),
+            stall=message.get("stall") or 0.0,
+        )
+    return serve_session(message)
 
 
 def _control_reply(

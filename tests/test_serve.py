@@ -408,8 +408,8 @@ class TestInUniverseStream:
 # ---------------------------------------------------------------------------
 # Shard deadlines and interrupts (the _run_pool hang/raw-traceback fixes)
 # ---------------------------------------------------------------------------
-# The stand-in workers below are module top-level functions so the pool
-# can pickle them by name; with the fork start method the children
+# The stand-in shard tasks below are module top-level functions so they
+# pickle by name; with the fork start method the worker processes
 # inherit the monkeypatched module state that routes to them.
 
 _WEDGE_WEIGHTS = {"cf1": 7}
@@ -429,10 +429,6 @@ def _wedging_process_shard(payload):
     return _REAL_PROCESS_SHARD(payload)
 
 
-def _interrupting_process_shard(payload):
-    raise KeyboardInterrupt
-
-
 _CRASH_WEIGHTS = {"cf1": 13}
 
 
@@ -441,6 +437,19 @@ def _crashing_process_shard(payload):
     first = payload["requests"][0][1]
     if first.get("weights") == _CRASH_WEIGHTS:
         raise RuntimeError("simulated shard-task crash")
+    return _REAL_PROCESS_SHARD(payload)
+
+
+_EXIT_WEIGHTS = {"cf1": 17}
+
+
+def _exiting_process_shard(payload):
+    """Kill the worker process (only) on the shard marked by the weights."""
+    import os
+
+    first = payload["requests"][0][1]
+    if first.get("weights") == _EXIT_WEIGHTS:
+        os._exit(3)
     return _REAL_PROCESS_SHARD(payload)
 
 
@@ -480,6 +489,31 @@ class TestShardDeadline:
         assert timed_out.shard == result.shard_of(1)
         assert timed_out.groundings == 0
 
+    def test_wedged_shard_on_one_worker_spares_its_siblings(
+        self, monkeypatch, capfd
+    ):
+        """One worker, wedged shard first: only that worker is killed and
+        respawned, so every later shard still gets a real answer."""
+        import time as _time
+
+        _route_pool_to(monkeypatch, _wedging_process_shard)
+        requests = [
+            paper_request(weights=_WEDGE_WEIGHTS),
+            paper_request(),
+            paper_request(targets=["fm"]),
+            paper_request(weights={"cf1": 3}),
+        ]
+        started = _time.perf_counter()
+        result = serve_batch(requests, workers=1, deadline=1.0)
+        assert _time.perf_counter() - started < 60  # the wedge sleeps 120 s
+        assert not result.interrupted
+        assert "deadline" in result.responses[0].error
+        for response in result.responses[1:]:
+            assert response.outcome == REPAIRED
+        (timed_out,) = [s for s in result.shards if s.worker == -1]
+        assert timed_out.shard == result.shard_of(0)
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_crashed_shard_task_fails_only_its_shard(self, monkeypatch):
         """A shard task that raises answers *its* requests with typed
         errors; every other shard completes normally — one poisonous
@@ -500,17 +534,54 @@ class TestShardDeadline:
         (failed,) = [s for s in result.shards if s.worker == -1]
         assert failed.shard == result.shard_of(1)
 
+    def test_worker_death_fails_only_its_shard(self, monkeypatch):
+        """A shard task that kills its worker process answers *its*
+        requests with a typed error naming the crash; siblings are
+        answered, and a later shard runs on the respawned worker."""
+        _route_pool_to(monkeypatch, _exiting_process_shard)
+        requests = [
+            paper_request(),
+            paper_request(weights=_EXIT_WEIGHTS),
+            paper_request(targets=["fm"]),
+        ]
+        result = serve_batch(requests, workers=1, deadline=30.0)
+        assert not result.interrupted
+        assert result.responses[0].outcome == REPAIRED
+        assert result.responses[2].outcome == REPAIRED
+        died = result.responses[1]
+        assert died.outcome == "error"
+        assert "crashed" in died.error and "died" in died.error
+        first, dead, later = result.shards
+        assert dead.worker == -1
+        assert later.worker not in (-1, first.worker)  # a fresh process
+
     def test_interrupt_yields_partial_results(self, monkeypatch):
-        """A KeyboardInterrupt mid-batch surfaces as partial results with
-        ``interrupted=True``, not a raw traceback."""
-        _route_pool_to(monkeypatch, _interrupting_process_shard)
-        requests = [paper_request(), paper_request(targets=["fm"])]
-        result = serve_batch(requests, workers=2, deadline=30.0)
+        """Ctrl-C while the parent waits on its workers surfaces as
+        partial results with ``interrupted=True``, not a raw traceback."""
+        import signal
+        import threading
+
+        _route_pool_to(monkeypatch, _wedging_process_shard)
+        requests = [paper_request(), paper_request(weights=_WEDGE_WEIGHTS)]
+        ctrl_c = threading.Timer(
+            2.0,
+            signal.pthread_kill,
+            (threading.main_thread().ident, signal.SIGINT),
+        )
+        ctrl_c.start()
+        try:
+            result = serve_batch(requests, workers=2, deadline=30.0)
+        finally:
+            ctrl_c.cancel()
         assert result.interrupted
         assert len(result.responses) == len(requests)
+        wedged = result.responses[1]
+        assert wedged.outcome == "error"
+        assert "interrupted" in wedged.error
         for response in result.responses:
-            assert response.outcome == "error"
-            assert "interrupted" in response.error
+            assert response.outcome == REPAIRED or "interrupted" in (
+                response.error
+            )
 
     def test_inline_interrupt_yields_partial_results(self, monkeypatch):
         answered = {"count": 0}
