@@ -28,8 +28,10 @@
 # hang the pipeline). The end-to-end perfbench correctness stages
 # replay the frozen generated corpus inline (gen-cold), through the
 # pooled batch service's worker slots (gen-batch) and as delta
-# sessions on a daemon's worker slots (gen-delta), and exit 1 on any
-# answer that differs from its frozen (outcome, distance) reference.
+# sessions on a daemon's worker slots (gen-delta), plus the paper's own
+# feature-model edits on one warm shape (paper-fm, the workload that
+# regrounds), and exit 1 on any answer that differs from its frozen
+# (outcome, distance) reference.
 # Docs can't rot silently: every example runs as a smoke stage, the
 # code blocks in README.md and docs/ are import-checked, and the
 # audited public modules' doctests execute.
@@ -91,6 +93,9 @@ timeout 300 python3 perfbench/run.py --workload gen-batch --seconds 2
 
 echo "== perfbench gen-delta answers vs frozen references (hard 300 s timeout) =="
 timeout 300 python3 perfbench/run.py --workload gen-delta --seconds 2
+
+echo "== perfbench paper-fm answers vs frozen references (hard 300 s timeout) =="
+timeout 300 python3 perfbench/run.py --workload paper-fm --seconds 2
 
 echo "== examples smoke =="
 for example in examples/*.py; do

@@ -16,18 +16,26 @@ Design, front to back:
   never deserialises models there. Routing needs only the question
   shape, which :func:`~repro.serve.protocol.wire_shape_key` reads
   straight off the wire dict.
+* **Admission** is one path for every enforce and session verb
+  (:meth:`EnforcementDaemon._accept`). Its gates run in a fixed order:
+  an idempotent replay/attach first (so a retrying client gets its
+  original answer even from a draining or full daemon), then the
+  envelope's ``deadline``/``wedge`` fields, the per-verb step (shape,
+  worker payload, session name), the poison quarantine, and last the
+  drain and ``queue_limit`` gates. Each rejection is one typed reply.
 * **Shapes** map to worker slots by stable digest hash (same shape →
   same slot → same warm session, across connections and batches). Each
-  shape has a **bounded queue** (``queue_limit`` counts queued +
-  in-flight requests); a request arriving over the bound is rejected
-  immediately with a typed :data:`~repro.serve.protocol.OVERLOADED`
-  reply — backpressure, not unbounded growth.
+  slot has one FIFO of accepted items; each shape a **load count**
+  (queued + in-flight requests) bounded by ``queue_limit``. A request
+  arriving over the bound is rejected immediately with a typed
+  :data:`~repro.serve.protocol.OVERLOADED` reply — backpressure, not
+  unbounded growth.
 * **Workers** are :class:`~repro.serve.supervisor.WorkerSlot`\\ s — the
   same supervised processes pooled ``serve_batch`` runs on — joined to
-  the loop by a pipe (requests dispatched one at a time, per-slot FIFO,
-  so a shape's requests land on its warm session in submission order —
-  the batch service's determinism contract, kept). Worker processes
-  start from a clean slate.
+  the loop by a pipe (requests dispatched one at a time in slot FIFO
+  order, so a shape's requests land on its warm session in submission
+  order — the batch service's determinism contract, kept). Worker
+  processes start from a clean slate.
 * **Deadlines** are enforced end to end: a request carries its budget
   from acceptance, queue wait included. A request that expires in the
   queue is answered :data:`~repro.serve.protocol.DEADLINE_EXCEEDED`
@@ -43,9 +51,10 @@ Design, front to back:
 * **Delta sessions**: the ``open``/``edit``/``ask``/``close`` verbs
   carry multi-version model sessions — a client ships its tuple once,
   then only edit scripts. ``open`` binds the session to its shape's
-  queue for life (per-session worker affinity: the version DAG lives
-  in that worker process, see :mod:`repro.serve.worker`); the daemon
-  keeps only a routing record (shape, slot, the slot's restart epoch).
+  worker slot for life (per-session worker affinity: the version DAG
+  lives in that worker process, see :mod:`repro.serve.worker`); the
+  daemon keeps only a routing record (shape, slot, the slot's restart
+  epoch).
   Session state is stateful and *not* replayable, so session verbs get
   no idempotency, retries or fault targeting: a worker death or cache
   eviction answers a typed ``session-lost`` and the client reopens
@@ -67,11 +76,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import signal
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
@@ -103,6 +113,17 @@ CRASH_TRACK_LIMIT = 1024
 
 #: Socket read chunk for the bounded envelope reader.
 READ_CHUNK = 64 * 1024
+
+
+def _is_seconds(value: Any, positive: bool) -> bool:
+    """Whether ``value`` is a finite number of seconds (``bool``
+    excluded), > 0 when ``positive`` and >= 0 otherwise."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (value > 0 if positive else value >= 0)
+    )
 
 
 @dataclass(frozen=True)
@@ -151,7 +172,7 @@ class DaemonConfig:
             raise ServeError(
                 f"queue_limit must be >= 1, got {self.queue_limit}"
             )
-        if self.deadline <= 0:
+        if not _is_seconds(self.deadline, positive=True):
             raise ServeError(f"deadline must be > 0, got {self.deadline}")
         if self.max_envelope_bytes < 1024:
             raise ServeError(
@@ -169,31 +190,59 @@ class DaemonConfig:
         FaultPlan.parse(self.faults)  # typo'd specs fail at config time
 
 
+class _Rejected(Exception):
+    """A typed admission rejection: ``outcome`` plus the error text."""
+
+    def __init__(self, outcome: str, error: str) -> None:
+        super().__init__(error)
+        self.outcome = outcome
+
+
+def _rejection(
+    envelope_id, op: str, session, outcome: str, error: str
+) -> dict:
+    """The typed rejection reply to one envelope: an ``enforce-reply``
+    for ``enforce``, a ``session-reply`` echoing op and session name for
+    the session verbs."""
+    if op == "enforce":
+        reply = {"kind": "enforce-reply", "id": envelope_id}
+    else:
+        reply = {
+            "kind": "session-reply",
+            "id": envelope_id,
+            "op": op,
+            "session": session,
+        }
+    reply["outcome"] = outcome
+    reply["error"] = error
+    return reply
+
+
 @dataclass
 class _Item:
-    """One accepted envelope (enforce or session verb), queued for its
-    shape's slot."""
+    """One accepted envelope (enforce or session verb), queued on its
+    shape's worker slot."""
 
     envelope_id: Any
+    #: The envelope's verb (= the payload's ``op``).
+    op: str
     #: The worker message body: ``{"op": "enforce", "request": ...}`` or
     #: a session-op payload (``open``/``edit``/``ask``/``close``).
     payload: dict
     shape: str
-    deadline_at: float | None
+    deadline_at: float
     accepted_at: float
     wedge: float | None
     future: asyncio.Future
-    attempts: int = 0
-    #: The envelope's verb (= the payload's ``op``).
-    op: str = "enforce"
     #: The delta-session name, for session verbs.
-    session: str | None = None
+    session: str | None
     #: :func:`~repro.serve.requests.request_digest` — the request's
     #: cross-connection identity (poison tracking, fault targeting).
     #: Empty for session verbs (never poison-tracked, never faulted).
-    digest: str = ""
+    digest: str
     #: The client's idempotency key, if the envelope carried one.
-    idem: str | None = None
+    idem: str | None
+    attempts: int = 0
 
 
 @dataclass
@@ -201,8 +250,8 @@ class _SessionRecord:
     """The daemon-side routing record of one delta session.
 
     The models (and the version DAG) live in the worker process; the
-    daemon keeps only what routing needs: which shape queue (and so
-    which worker slot) owns the session, and the slot's restart epoch at
+    daemon keeps only what routing needs: which shape (and so which
+    worker slot) owns the session, and the slot's restart epoch at
     open time — a restarted worker loses every session it held, so a
     stale epoch means ``session-lost``.
     """
@@ -211,21 +260,6 @@ class _SessionRecord:
     shape: str
     slot: int
     epoch: int
-    latest: int = 0
-
-
-class _ShapeQueue:
-    """One shape's bounded FIFO plus its routing/metrics identity."""
-
-    def __init__(self, digest: str, slot: int) -> None:
-        self.digest = digest
-        self.slot = slot
-        self.items: deque[_Item] = deque()
-        self.inflight = 0
-
-    @property
-    def load(self) -> int:
-        return len(self.items) + self.inflight
 
 
 class EnforcementDaemon:
@@ -264,8 +298,10 @@ class EnforcementDaemon:
         self._server: asyncio.AbstractServer | None = None
         self._slots: list[WorkerSlot] = []
         self._drainers: list[asyncio.Task] = []
-        self._slot_tokens: list[asyncio.Queue] = []
-        self._shapes: dict[str, _ShapeQueue] = {}
+        #: One FIFO of accepted items per worker slot (``None`` stops it).
+        self._queues: list[asyncio.Queue] = []
+        #: shape digest -> queued + in-flight items (the queue_limit gate).
+        self._load: dict[str, int] = {}
         #: delta-session name -> routing record (models live in workers).
         self._sessions: dict[str, _SessionRecord] = {}
         self._connections: dict[asyncio.Task, Any] = {}
@@ -288,7 +324,7 @@ class EnforcementDaemon:
             WorkerSlot(index)
             for index in range(self.config.workers)
         ]
-        self._slot_tokens = [asyncio.Queue() for _ in self._slots]
+        self._queues = [asyncio.Queue() for _ in self._slots]
         self._drainers = [
             asyncio.create_task(self._drain_slot(slot)) for slot in self._slots
         ]
@@ -352,8 +388,8 @@ class EnforcementDaemon:
             await asyncio.gather(
                 *list(self._connections), return_exceptions=True
             )
-        for tokens in self._slot_tokens:
-            tokens.put_nowait(None)  # drainer shutdown sentinel
+        for queue in self._queues:
+            queue.put_nowait(None)  # drainer shutdown sentinel
         for task in self._drainers:
             await task
         for slot in self._slots:
@@ -388,6 +424,7 @@ class EnforcementDaemon:
         # max_envelope_bytes must become one typed `malformed` reply on a
         # *surviving* connection, which asyncio's stream limit cannot do.
         limit = self.config.max_envelope_bytes
+        oversized = f"envelope exceeds max_envelope_bytes ({limit})"
         buffer = bytearray()
         skipping = False  # discarding an oversized line's tail
         try:
@@ -407,13 +444,13 @@ class EnforcementDaemon:
                         skipping = False
                         continue
                     if len(line) > limit:
-                        await self._reject_oversized(writer, lock, limit)
+                        await self._malformed(writer, lock, oversized)
                         continue
                     await self._handle_envelope(line, writer, lock, tasks)
                 if len(buffer) > limit and not skipping:
                     buffer.clear()
                     skipping = True
-                    await self._reject_oversized(writer, lock, limit)
+                    await self._malformed(writer, lock, oversized)
                 elif skipping:
                     buffer.clear()  # still inside the oversized line
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
@@ -428,23 +465,20 @@ class EnforcementDaemon:
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
 
-    async def _reject_oversized(self, writer, lock, limit: int) -> None:
+    async def _malformed(self, writer, lock, error: str) -> None:
+        """Answer an unreadable envelope with a typed ``malformed``."""
         self.metrics.malformed += 1
         await self._write(
             writer, lock,
             {"kind": "protocol-error", "id": None, "outcome": MALFORMED,
-             "error": f"envelope exceeds max_envelope_bytes ({limit})"},
+             "error": error},
         )
 
     async def _handle_envelope(self, line, writer, lock, tasks) -> None:
         try:
             envelope = decode_envelope(line)
         except ReproError as exc:
-            self.metrics.malformed += 1
-            await self._write(
-                writer, lock, {"kind": "protocol-error", "id": None,
-                               "outcome": MALFORMED, "error": str(exc)}
-            )
+            await self._malformed(writer, lock, str(exc))
             return
         verb = envelope.get("verb")
         envelope_id = envelope.get("id")
@@ -458,17 +492,14 @@ class EnforcementDaemon:
                  "metrics": self._snapshot()},
             )
             return
-        if verb == "enforce":
-            accepted = self._accept(envelope)
-        elif verb in SESSION_VERBS:
-            accepted = self._accept_session(envelope, verb)
-        else:
+        if verb != "enforce" and verb not in SESSION_VERBS:
             await self._write(
                 writer, lock,
                 {"kind": "protocol-error", "id": envelope_id,
                  "error": f"unknown verb {verb!r}"},
             )
             return
+        accepted = self._accept(envelope, verb)
         if isinstance(accepted, dict):  # typed rejection or idem replay
             await self._write(writer, lock, accepted)
             return
@@ -479,211 +510,166 @@ class EnforcementDaemon:
         tasks.add(task)
         task.add_done_callback(tasks.discard)
 
-    def _accept(self, envelope: dict) -> dict | tuple[_Item, bool]:
-        """Route one enforce envelope.
+    def _accept(self, envelope: dict, verb: str) -> dict | tuple[_Item, bool]:
+        """Admit one enforce or session envelope onto its worker slot.
 
         Returns a reply dict (typed rejection or idempotent replay,
         answered inline), or ``(item, attached)`` — ``attached`` marks
         an idempotent duplicate riding an in-flight original's future,
         whose eventual reply must be restamped as a replay.
 
-        Order of the gates matters: an idempotent resubmission is
+        The order of the gates matters. An idempotent resubmission is
         answered from the reply cache (or attached to its in-flight
         original) *before* any rejection gate, so a client retrying
         after a dropped connection gets the original answer even while
-        the daemon drains or the shape queue is full. Quarantined
-        digests are rejected before queue admission — a poison request
-        never reaches a worker twice past its budget.
+        the daemon drains or the shape is full. Quarantined digests are
+        rejected before queue admission — a poison request never reaches
+        a worker twice past its budget. Session verbs are stateful, so
+        they get no idempotency (nor, later, retries, faults or poison
+        tracking), and an ``open`` registers its session only once every
+        gate has passed.
         """
         envelope_id = envelope.get("id")
-        idem = envelope.get("idem")
-        if idem is not None and not isinstance(idem, str):
-            return self._rejection(
-                envelope_id, "error", "idem key must be a string"
-            )
-        if idem is not None:
-            cached = self._replies.get(idem)
-            if cached is not None:
-                self._replies.move_to_end(idem)
-                self.metrics.idempotent_replays += 1
-                return dict(cached, id=envelope_id, replayed=True)
-            original = self._pending_idem.get(idem)
-            if original is not None:
-                self.metrics.idempotent_attached += 1
-                self._pending += 1
-                self._idle.clear()
-                return original, True  # a second waiter on its future
+        name = None if verb == "enforce" else envelope.get("session")
+        idem = envelope.get("idem") if verb == "enforce" else None
         try:
-            key = wire_shape_key(envelope.get("request"))
-        except ReproError as exc:
-            return self._rejection(envelope_id, "error", str(exc))
-        digest = shard_digest(key)
-        shape = self._shapes.get(digest)
-        if shape is None:
-            slot = int(digest, 16) % len(self._slots)
-            shape = self._shapes[digest] = _ShapeQueue(digest, slot)
-        rdigest = request_digest(envelope.get("request"))
-        record = self.metrics.quarantined.get(rdigest)
-        if record is not None:
-            record["rejected"] += 1
-            self.metrics.poisoned += 1
-            self.metrics.shape(digest, shape.slot).poisoned += 1
-            return self._rejection(
-                envelope_id, POISONED,
-                f"request {rdigest} is quarantined after "
-                f"{record['crashes']} worker crashes",
+            if idem is not None:
+                if not isinstance(idem, str):
+                    raise _Rejected("error", "idem key must be a string")
+                cached = self._replies.get(idem)
+                if cached is not None:
+                    self._replies.move_to_end(idem)
+                    self.metrics.idempotent_replays += 1
+                    return dict(cached, id=envelope_id, replayed=True)
+                original = self._pending_idem.get(idem)
+                if original is not None:
+                    self.metrics.idempotent_attached += 1
+                    self._pending += 1
+                    self._idle.clear()
+                    return original, True  # a second waiter on its future
+            for field, bound in (("deadline", ">"), ("wedge", ">=")):
+                value = envelope.get(field)
+                if value is not None and not _is_seconds(value, bound == ">"):
+                    raise _Rejected(
+                        "error",
+                        f"field {field!r} must be a finite number {bound} 0 "
+                        f"or null, got {value!r}",
+                    )
+            shape, payload = self._route(envelope, verb, name)
+            slot = int(shape, 16) % len(self._slots)
+            digest = ""
+            if verb == "enforce":
+                digest = request_digest(payload["request"])
+                record = self.metrics.quarantined.get(digest)
+                if record is not None:
+                    record["rejected"] += 1
+                    self.metrics.poisoned += 1
+                    self.metrics.shape(shape, slot).poisoned += 1
+                    raise _Rejected(
+                        POISONED,
+                        f"request {digest} is quarantined after "
+                        f"{record['crashes']} worker crashes",
+                    )
+            if self._draining or (
+                self._load.get(shape, 0) >= self.config.queue_limit
+            ):
+                self.metrics.overloaded += 1
+                self.metrics.shape(shape, slot).overloaded += 1
+                raise _Rejected(
+                    OVERLOADED,
+                    "daemon is draining" if self._draining else
+                    f"shape {shape} queue is full "
+                    f"({self.config.queue_limit} queued or in flight)",
+                )
+        except _Rejected as rejected:
+            return _rejection(
+                envelope_id, verb, name, rejected.outcome, str(rejected)
             )
-        if self._draining:
-            self.metrics.overloaded += 1
-            self.metrics.shape(digest, shape.slot).overloaded += 1
-            return self._rejection(
-                envelope_id, OVERLOADED, "daemon is draining"
+        if verb == "open":
+            self._sessions[name] = _SessionRecord(
+                name=name, shape=shape, slot=slot,
+                epoch=self._slots[slot].restarts,
             )
-        if shape.load >= self.config.queue_limit:
-            self.metrics.overloaded += 1
-            self.metrics.shape(digest, shape.slot).overloaded += 1
-            return self._rejection(
-                envelope_id, OVERLOADED,
-                f"shape {digest} queue is full "
-                f"({self.config.queue_limit} queued or in flight)",
-            )
-        deadline = envelope.get("deadline")
-        if deadline is None:
-            deadline = self.config.deadline
         now = time.monotonic()
         item = _Item(
             envelope_id=envelope_id,
-            payload={"op": "enforce", "request": envelope.get("request")},
-            shape=digest,
-            deadline_at=None if deadline is None else now + float(deadline),
+            op=verb,
+            payload=payload,
+            shape=shape,
+            deadline_at=now + (envelope.get("deadline") or self.config.deadline),
             accepted_at=now,
             wedge=envelope.get("wedge"),
             future=asyncio.get_running_loop().create_future(),
-            attempts=0,
-            digest=rdigest,
+            session=name,
+            digest=digest,
             idem=idem,
         )
         if idem is not None:
             self._pending_idem[idem] = item
-        self._enqueue(item, shape)
-        return item, False
-
-    def _accept_session(
-        self, envelope: dict, verb: str
-    ) -> dict | tuple[_Item, bool]:
-        """Route one delta-session envelope (``open``/``edit``/``ask``/
-        ``close``).
-
-        ``open`` computes the shape of the carried request and binds the
-        session to that shape's queue (and so its worker slot) for life;
-        every later verb rides the *same* queue — per-session worker
-        affinity, because the version DAG lives in that worker process.
-        Session verbs are stateful, so they get none of the enforce
-        path's idempotency/retry machinery: a lost session is a typed
-        :data:`~repro.serve.protocol.SESSION_LOST` answer, never a
-        silent replay.
-        """
-        envelope_id = envelope.get("id")
-        name = envelope.get("session")
-        if not isinstance(name, str) or not name:
-            return self._session_rejection(
-                envelope_id, verb, name, "error",
-                "session verbs need a non-empty 'session' name",
-            )
-        if verb == "open":
-            record = self._sessions.get(name)
-            if record is not None:
-                if self._slots[record.slot].restarts == record.epoch:
-                    return self._session_rejection(
-                        envelope_id, verb, name, "error",
-                        f"session {name!r} is already open; close it first",
-                    )
-                del self._sessions[name]  # stale: its worker restarted
-                self.metrics.sessions_lost += 1
-            try:
-                key = wire_shape_key(envelope.get("request"))
-            except ReproError as exc:
-                return self._session_rejection(
-                    envelope_id, verb, name, "error", str(exc)
-                )
-            digest = shard_digest(key)
-            shape = self._shapes.get(digest)
-            if shape is None:
-                slot = int(digest, 16) % len(self._slots)
-                shape = self._shapes[digest] = _ShapeQueue(digest, slot)
-            payload = {
-                "op": "open",
-                "session": name,
-                "request": envelope.get("request"),
-            }
-        else:
-            record = self._sessions.get(name)
-            if record is not None and (
-                self._slots[record.slot].restarts != record.epoch
-            ):
-                del self._sessions[name]
-                self.metrics.sessions_lost += 1
-                record = None
-            if record is None:
-                return self._session_rejection(
-                    envelope_id, verb, name, SESSION_LOST,
-                    f"no open session {name!r} (its worker may have "
-                    "restarted; reopen with a full tuple)",
-                )
-            shape = self._shapes[record.shape]
-            payload = {"op": verb, "session": name}
-            if verb == "edit":
-                payload["parent"] = envelope.get("parent")
-                payload["edits"] = envelope.get("edits")
-            elif verb == "ask":
-                payload["version"] = envelope.get("version")
-                if "max_distance" in envelope:
-                    payload["max_distance"] = envelope.get("max_distance")
-        if self._draining:
-            self.metrics.overloaded += 1
-            self.metrics.shape(shape.digest, shape.slot).overloaded += 1
-            return self._session_rejection(
-                envelope_id, verb, name, OVERLOADED, "daemon is draining"
-            )
-        if shape.load >= self.config.queue_limit:
-            self.metrics.overloaded += 1
-            self.metrics.shape(shape.digest, shape.slot).overloaded += 1
-            return self._session_rejection(
-                envelope_id, verb, name, OVERLOADED,
-                f"shape {shape.digest} queue is full "
-                f"({self.config.queue_limit} queued or in flight)",
-            )
-        if verb == "open":
-            self._sessions[name] = _SessionRecord(
-                name=name,
-                shape=shape.digest,
-                slot=shape.slot,
-                epoch=self._slots[shape.slot].restarts,
-            )
-        deadline = envelope.get("deadline")
-        if deadline is None:
-            deadline = self.config.deadline
-        now = time.monotonic()
-        item = _Item(
-            envelope_id=envelope_id,
-            payload=payload,
-            shape=shape.digest,
-            deadline_at=None if deadline is None else now + float(deadline),
-            accepted_at=now,
-            wedge=envelope.get("wedge"),
-            future=asyncio.get_running_loop().create_future(),
-            op=verb,
-            session=name,
-        )
-        self._enqueue(item, shape)
-        return item, False
-
-    def _enqueue(self, item: _Item, shape: _ShapeQueue) -> None:
         self.metrics.accepted += 1
         self._pending += 1
         self._idle.clear()
-        shape.items.append(item)
-        self._slot_tokens[shape.slot].put_nowait(shape.digest)
+        self._load[shape] = self._load.get(shape, 0) + 1
+        self._queues[slot].put_nowait(item)
+        return item, False
+
+    def _route(self, envelope: dict, verb: str, name) -> tuple[str, dict]:
+        """The per-verb admission step: the shape digest and the worker
+        payload (raises :class:`_Rejected`).
+
+        ``enforce`` and ``open`` route by the shape of the carried
+        request; ``open`` binds the session to that shape's slot for
+        life, and every later verb of the session rides the *same* slot
+        — per-session worker affinity, because the version DAG lives in
+        that worker process. A session whose worker restarted since its
+        ``open`` is gone: a typed
+        :data:`~repro.serve.protocol.SESSION_LOST`, never a silent replay.
+        """
+        if verb == "enforce":
+            request = envelope.get("request")
+            return self._shape_of(request), {"op": verb, "request": request}
+        if not isinstance(name, str) or not name:
+            raise _Rejected(
+                "error", "session verbs need a non-empty 'session' name"
+            )
+        record = self._sessions.get(name)
+        if record is not None and (
+            self._slots[record.slot].restarts != record.epoch
+        ):
+            del self._sessions[name]  # stale: its worker restarted
+            self.metrics.sessions_lost += 1
+            record = None
+        if verb == "open":
+            if record is not None:
+                raise _Rejected(
+                    "error", f"session {name!r} is already open; close it first"
+                )
+            request = envelope.get("request")
+            return self._shape_of(request), {
+                "op": verb, "session": name, "request": request,
+            }
+        if record is None:
+            raise _Rejected(
+                SESSION_LOST,
+                f"no open session {name!r} (its worker may have "
+                "restarted; reopen with a full tuple)",
+            )
+        payload = {"op": verb, "session": name}
+        if verb == "edit":
+            payload["parent"] = envelope.get("parent")
+            payload["edits"] = envelope.get("edits")
+        elif verb == "ask":
+            payload["version"] = envelope.get("version")
+            if "max_distance" in envelope:
+                payload["max_distance"] = envelope["max_distance"]
+        return record.shape, payload
+
+    @staticmethod
+    def _shape_of(request) -> str:
+        try:
+            return shard_digest(wire_shape_key(request))
+        except ReproError as exc:
+            raise _Rejected("error", str(exc)) from None
 
     async def _reply_when_done(
         self, item: _Item, writer, lock, envelope_id, attached: bool = False
@@ -727,35 +713,6 @@ class EnforcementDaemon:
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass  # the client went away; the work is already done
 
-    def _rejection(self, envelope_id, outcome: str, error: str) -> dict:
-        return {
-            "kind": "enforce-reply",
-            "id": envelope_id,
-            "outcome": outcome,
-            "error": error,
-        }
-
-    def _session_rejection(
-        self, envelope_id, op: str, session, outcome: str, error: str
-    ) -> dict:
-        return {
-            "kind": "session-reply",
-            "id": envelope_id,
-            "op": op,
-            "session": session,
-            "outcome": outcome,
-            "error": error,
-        }
-
-    def _rejection_for_item(
-        self, item: _Item, outcome: str, error: str
-    ) -> dict:
-        if item.op == "enforce":
-            return self._rejection(item.envelope_id, outcome, error)
-        return self._session_rejection(
-            item.envelope_id, item.op, item.session, outcome, error
-        )
-
     def _restart_slot(self, slot: WorkerSlot) -> None:
         """Kill + respawn one worker, invalidating its delta sessions.
 
@@ -789,9 +746,8 @@ class EnforcementDaemon:
         }
 
     def _depths(self) -> tuple[int, int]:
-        queued = sum(len(s.items) for s in self._shapes.values())
-        inflight = sum(s.inflight for s in self._shapes.values())
-        return queued, inflight
+        queued = sum(queue.qsize() for queue in self._queues)
+        return queued, sum(self._load.values()) - queued
 
     def _snapshot(self) -> dict:
         queued, inflight = self._depths()
@@ -809,38 +765,30 @@ class EnforcementDaemon:
     # Dispatch (one drainer task per worker slot)
     # ------------------------------------------------------------------
     async def _drain_slot(self, slot: WorkerSlot) -> None:
-        tokens = self._slot_tokens[slot.index]
+        queue = self._queues[slot.index]
         while True:
-            digest = await tokens.get()
-            if digest is None:  # drain sentinel
+            item = await queue.get()
+            if item is None:  # drain sentinel
                 break
-            shape = self._shapes[digest]
-            if not shape.items:  # a retry token raced the original
-                continue
-            item = shape.items.popleft()
-            shape.inflight += 1
             try:
                 if self._injector is not None:
                     delay = self._injector.stall("queue-stall", item.digest)
                     if delay:
                         await asyncio.sleep(delay)
-                await self._dispatch(slot, shape, item)
+                await self._dispatch(slot, item)
             finally:
-                shape.inflight -= 1
+                self._load[item.shape] -= 1
+                if not self._load[item.shape]:
+                    del self._load[item.shape]
 
-    async def _dispatch(
-        self, slot: WorkerSlot, shape: _ShapeQueue, item: _Item
-    ) -> None:
-        metrics = self.metrics.shape(shape.digest, shape.slot)
+    async def _dispatch(self, slot: WorkerSlot, item: _Item) -> None:
+        metrics = self.metrics.shape(item.shape, slot.index)
         while True:
             now = time.monotonic()
-            if item.deadline_at is not None and now >= item.deadline_at:
+            if now >= item.deadline_at:
                 # Expired while queued: never reaches a worker.
-                self._finish_deadline(item, metrics, reason="queue", now=now)
+                self._finish_deadline(item, metrics, "queue")
                 return
-            timeout = (
-                None if item.deadline_at is None else item.deadline_at - now
-            )
             item.attempts += 1
             message = dict(item.payload)
             message["wedge"] = item.wedge
@@ -857,7 +805,9 @@ class EnforcementDaemon:
                 if stall:
                     message["stall"] = stall
             try:
-                reply = await slot.call(serve_message, message, timeout)
+                reply = await slot.call(
+                    serve_message, message, item.deadline_at - now
+                )
             except TaskFailed as exc:
                 # The worker survives any one request (programming errors
                 # included); the request gets a typed error reply.
@@ -872,9 +822,7 @@ class EnforcementDaemon:
                 # The worker is wedged (or the instance pathological): kill
                 # it so the slot's next request proceeds on a fresh process.
                 self._restart_slot(slot)
-                self._finish_deadline(
-                    item, metrics, reason="worker", now=time.monotonic()
-                )
+                self._finish_deadline(item, metrics, "worker")
                 return
             except WorkerCrash as crash:
                 self._restart_slot(slot)
@@ -883,18 +831,10 @@ class EnforcementDaemon:
                     # session's version DAG. No retry (the op may have half
                     # happened; session state is not idempotent): answer
                     # the typed loss and let the client reopen.
-                    elapsed = time.monotonic() - item.accepted_at
-                    self.metrics.dead_letter(
-                        shape.digest, item.envelope_id, SESSION_LOST,
-                        str(crash), elapsed, item.attempts,
-                    )
-                    self._resolve(
-                        item,
-                        self._rejection_for_item(
-                            item, SESSION_LOST,
-                            f"{crash}; session {item.session!r} lost "
-                            "(reopen with a full tuple)",
-                        ),
+                    self._dead_letter(
+                        item, SESSION_LOST, str(crash), SESSION_LOST,
+                        f"{crash}; session {item.session!r} lost "
+                        "(reopen with a full tuple)",
                     )
                     return
                 crashes = self._crashes.get(item.digest, 0) + 1
@@ -906,46 +846,30 @@ class EnforcementDaemon:
                     # Restart-budget circuit breaker: this request is what
                     # kills workers. Quarantine its digest — resubmissions
                     # are rejected at accept, siblings keep answering.
-                    elapsed = time.monotonic() - item.accepted_at
                     self.metrics.quarantine(
-                        item.digest, shape.digest, crashes, str(crash)
+                        item.digest, item.shape, crashes, str(crash)
                     )
                     self.metrics.poisoned += 1
                     metrics.poisoned += 1
-                    self.metrics.dead_letter(
-                        shape.digest, item.envelope_id, "poisoned",
-                        str(crash), elapsed, item.attempts,
-                    )
-                    self._resolve(
-                        item,
-                        self._rejection(
-                            item.envelope_id, POISONED,
-                            f"poisoned: request {item.digest} killed its "
-                            f"worker {crashes} times; quarantined",
-                        ),
+                    self._dead_letter(
+                        item, "poisoned", str(crash), POISONED,
+                        f"poisoned: request {item.digest} killed its "
+                        f"worker {crashes} times; quarantined",
                     )
                     return
                 if item.attempts <= self.config.retries:
                     # Retry immediately on the respawned worker, before the
                     # slot moves on. Re-queueing at the back of the slot's
-                    # token queue would defer this item behind other shapes
+                    # FIFO would defer this item behind other shapes
                     # whose dispatch can restart the worker again — leaving
                     # it to re-ground on a cold session and (legitimately)
                     # pick a different equal-cost optimum than the warm
                     # queue prefix would have.
                     self.metrics.retries += 1
                     continue
-                elapsed = time.monotonic() - item.accepted_at
-                self.metrics.dead_letter(
-                    shape.digest, item.envelope_id, "worker-crashed",
-                    str(crash), elapsed, item.attempts,
-                )
-                self._resolve(
-                    item,
-                    self._rejection(
-                        item.envelope_id, "error",
-                        f"{crash} ({item.attempts} attempts)",
-                    ),
+                self._dead_letter(
+                    item, "worker-crashed", str(crash), "error",
+                    f"{crash} ({item.attempts} attempts)",
                 )
                 return
             break
@@ -990,8 +914,7 @@ class EnforcementDaemon:
         """Turn a worker session-op control reply into a session-reply.
 
         Registry bookkeeping happens here, on the *confirmed* worker
-        answer: a failed ``open`` rolls its record back, a successful
-        ``edit`` advances the record's latest version, ``close`` and a
+        answer: a failed ``open`` rolls its record back, ``close`` and a
         worker-side ``session-lost`` drop the record.
         """
         error = control.get("error")
@@ -1009,10 +932,6 @@ class EnforcementDaemon:
                 del self._sessions[item.session]
         elif item.op == "edit" and outcome == "ok":
             self.metrics.delta_edits += 1
-            if record is not None and isinstance(
-                control.get("version"), int
-            ):
-                record.latest = control["version"]
         elif item.op == "close" and outcome == "ok":
             self.metrics.sessions_closed += 1
             if record is not None:
@@ -1040,22 +959,36 @@ class EnforcementDaemon:
             envelope["error"] = error
         self._resolve(item, envelope)
 
-    def _finish_deadline(
-        self, item: _Item, metrics, reason: str, now: float
-    ) -> None:
-        elapsed = now - item.accepted_at
+    def _finish_deadline(self, item: _Item, metrics, where: str) -> None:
+        elapsed = time.monotonic() - item.accepted_at
         self.metrics.deadline_exceeded += 1
         metrics.deadline_exceeded += 1
         error = (
             f"deadline exceeded after {elapsed:.3f}s "
-            f"({'expired in queue' if reason == 'queue' else 'worker killed'})"
+            f"({'expired in queue' if where == 'queue' else 'worker killed'})"
         )
+        self._dead_letter(
+            item, f"deadline-{where}", error, DEADLINE_EXCEEDED, error
+        )
+
+    def _dead_letter(
+        self, item: _Item, reason: str, detail: str, outcome: str, error: str
+    ) -> None:
+        """Record ``item`` in the bounded dead-letter log (``reason``,
+        ``detail``) and answer it with a typed ``outcome`` rejection.
+
+        A dead-lettered ``open`` leaves no session in any worker, so its
+        routing record goes too.
+        """
+        if item.op == "open":
+            self._sessions.pop(item.session, None)
         self.metrics.dead_letter(
-            item.shape, item.envelope_id, f"deadline-{reason}", error,
-            elapsed, item.attempts,
+            item.shape, item.envelope_id, reason, detail,
+            time.monotonic() - item.accepted_at, item.attempts,
         )
         self._resolve(
-            item, self._rejection_for_item(item, DEADLINE_EXCEEDED, error)
+            item,
+            _rejection(item.envelope_id, item.op, item.session, outcome, error),
         )
 
     def _resolve(self, item: _Item, reply: dict) -> None:

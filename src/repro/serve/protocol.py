@@ -11,6 +11,8 @@ name a ``verb``:
   means the daemon's configured default. ``wedge`` (seconds, optional)
   is a test hook: the worker sleeps that long before answering, which is
   how the deadline/dead-letter path is exercised deterministically.
+  Any ``deadline`` but a finite number > 0 or null, and any ``wedge``
+  but a finite number >= 0 or null, is answered with a typed ``error``.
 * ``{"verb": "health", "id": ...}`` — liveness and queue depths.
 * ``{"verb": "metrics", "id": ...}`` — the full metrics snapshot
   (:meth:`repro.serve.metrics.DaemonMetrics.snapshot`).
@@ -83,13 +85,13 @@ from repro.errors import (
     SessionLostError,
 )
 from repro.gen.edits import edits_to_wire
-from repro.serve.requests import (
+from repro.serve.requests import (  # noqa: F401 - wire_shape_key re-exported
     EnforceRequest,
     EnforceResponse,
     request_to_dict,
     response_from_dict,
-    scope_from_dict,
     shape_key,
+    wire_shape_key,
 )
 
 #: Typed daemon rejections, extending the batch service's outcomes.
@@ -128,41 +130,6 @@ def decode_envelope(line: bytes | str) -> dict[str, Any]:
             f"protocol envelope must be a JSON object, got {type(data).__name__}"
         )
     return data
-
-
-def wire_shape_key(request: Mapping[str, Any]) -> tuple:
-    """:func:`~repro.serve.requests.shape_key` from the raw wire dict.
-
-    The daemon routes by question shape *without* deserialising models
-    (that work belongs to the worker processes) — every shape component
-    is a plain field of the request wire format. Mirrors
-    :func:`shape_key` exactly: a request round-tripped through
-    :func:`request_from_dict` produces the same key.
-    """
-    if not isinstance(request, Mapping):
-        raise SerializationError("enforce envelope needs a request object")
-    transformation = request.get("transformation")
-    if not isinstance(transformation, str) or not transformation.strip():
-        raise SerializationError("request needs QVT-R transformation text")
-    targets = request.get("targets", [])
-    if not isinstance(targets, list) or not all(
-        isinstance(t, str) for t in targets
-    ):
-        raise SerializationError("targets must be a list of parameter names")
-    weights = request.get("weights", {})
-    if not isinstance(weights, Mapping):
-        raise SerializationError("weights must be a JSON object")
-    from repro.check.engine import EXTENDED
-    from repro.solver.maxsat import INCREASING
-
-    return (
-        transformation,
-        frozenset(targets),
-        request.get("semantics", EXTENDED),
-        tuple(sorted(weights.items())),
-        scope_from_dict(request.get("scope")),
-        request.get("mode", INCREASING),
-    )
 
 
 class DaemonClient:
@@ -785,12 +752,3 @@ def delta_enforce_many(
         session.close(deadline=deadline)
     assert all(response is not None for response in responses)
     return responses  # type: ignore[return-value]
-
-
-def agrees_with_request(key: tuple, request: EnforceRequest) -> bool:
-    """Whether a wire-derived shape key matches the live request's.
-
-    A protocol invariant check used by the tests: routing from the raw
-    wire dict must agree with routing after full deserialisation.
-    """
-    return key == shape_key(request)

@@ -150,6 +150,18 @@ class EnforceResponse:
         return f"{self.outcome}: {self.error}"
 
 
+def _shape(transformation, targets, semantics, weights, scope, mode) -> tuple:
+    """A question-shape key from its six fields (shared by both keys)."""
+    return (
+        transformation,
+        frozenset(targets),
+        semantics,
+        tuple(sorted(weights.items())),
+        scope,
+        mode,
+    )
+
+
 def shape_key(request: EnforceRequest) -> tuple:
     """The request's question shape — the service's sharding key.
 
@@ -158,13 +170,41 @@ def shape_key(request: EnforceRequest) -> tuple:
     identity: requests mapping to one shape resolve (per worker) to one
     shared session and therefore one retargetable grounding.
     """
-    return (
-        request.transformation,
-        frozenset(request.targets),
-        request.semantics,
-        tuple(sorted(request.weights.items())),
-        request.scope,
-        request.mode,
+    return _shape(
+        request.transformation, request.targets, request.semantics,
+        request.weights, request.scope, request.mode,
+    )
+
+
+def wire_shape_key(data: Any) -> tuple:
+    """:func:`shape_key` from the raw wire dict, without decoding models.
+
+    The daemon routes by question shape on its event loop; the model
+    payloads are the worker processes' to deserialise. Validates just
+    the shape fields it reads (:class:`~repro.errors.SerializationError`
+    otherwise); a request round-tripped through :func:`request_from_dict`
+    produces the same key.
+    """
+    if not isinstance(data, Mapping):
+        raise SerializationError("enforce envelope needs a request object")
+    transformation = data.get("transformation")
+    if not isinstance(transformation, str) or not transformation.strip():
+        raise SerializationError("request needs QVT-R transformation text")
+    targets = data.get("targets", [])
+    if not isinstance(targets, list) or not all(
+        isinstance(t, str) for t in targets
+    ):
+        raise SerializationError("targets must be a list of parameter names")
+    weights = data.get("weights", {})
+    if not isinstance(weights, Mapping):
+        raise SerializationError("weights must be a JSON object")
+    return _shape(
+        transformation,
+        targets,
+        data.get("semantics", EXTENDED),
+        weights,
+        scope_from_dict(data.get("scope")),
+        data.get("mode", INCREASING),
     )
 
 

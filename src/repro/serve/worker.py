@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -141,6 +141,48 @@ def serve_request(request: EnforceRequest) -> EnforceResponse:
     )
 
 
+def _answer(
+    decode: Callable[[], EnforceRequest],
+) -> tuple[dict[str, Any], EnforcementSession | None, int, int]:
+    """The one answer step: decode -> warm session -> serve -> wire form.
+
+    ``decode`` builds the request; a :class:`~repro.errors.ReproError`
+    from it or from the session lookup becomes a typed :data:`ERROR`
+    response. Returns the response wire dict, the session that served it
+    (``None`` if the request never reached one) and the groundings and
+    reuses this request paid on that session.
+    """
+    try:
+        request = decode()
+        session = _session_for(request)
+    except ReproError as exc:
+        error = EnforceResponse(ERROR, error=str(exc))
+        return response_to_dict(error), None, 0, 0
+    groundings, reuses = session.groundings, session.reuses
+    response = response_to_dict(serve_request(request))
+    return (
+        response,
+        session,
+        session.groundings - groundings,
+        session.reuses - reuses,
+    )
+
+
+def _reply(answer: tuple) -> dict[str, Any]:
+    """A daemon worker's enforce reply for one :func:`_answer`: the
+    response, the serving session's counters (``grounded``: whether
+    *this* request paid a grounding) and the process's
+    :func:`worker_counters` snapshot."""
+    response, session, groundings, _reuses = answer
+    return {
+        "response": response,
+        "session": None if session is None else dict(
+            session.counters(), grounded=groundings > 0
+        ),
+        "counters": worker_counters(),
+    }
+
+
 def process_shard(payload: dict[str, Any]) -> dict[str, Any]:
     """Answer one shard (the pool task body; also the inline-mode path).
 
@@ -154,42 +196,19 @@ def process_shard(payload: dict[str, Any]) -> dict[str, Any]:
     shard-level stats: worker pid, grounding delta, session counters.
     """
     responses: list[list[Any]] = []
-    session: EnforcementSession | None = None
-    groundings_before = 0
-    reuses_before = 0
+    groundings = reuses = 0
     for index, data in payload["requests"]:
-        try:
-            request = request_from_dict(data)
-        except ReproError as exc:
-            responses.append(
-                [index, response_to_dict(EnforceResponse(ERROR, error=str(exc)))]
-            )
-            continue
-        if session is None:
-            try:
-                session = _session_for(request)
-                groundings_before = session.groundings
-                reuses_before = session.reuses
-            except ReproError as exc:
-                responses.append(
-                    [
-                        index,
-                        response_to_dict(EnforceResponse(ERROR, error=str(exc))),
-                    ]
-                )
-                continue
-        responses.append(
-            [index, response_to_dict(serve_request(request))]
+        response, _session, grounded, reused = _answer(
+            lambda: request_from_dict(data)
         )
+        responses.append([index, response])
+        groundings += grounded
+        reuses += reused
     return {
         "shard": payload.get("shard"),
         "worker": os.getpid(),
-        "groundings": (
-            session.groundings - groundings_before if session is not None else 0
-        ),
-        "reuses": (
-            session.reuses - reuses_before if session is not None else 0
-        ),
+        "groundings": groundings,
+        "reuses": reuses,
         "responses": responses,
     }
 
@@ -249,30 +268,10 @@ def serve_wire(
         time.sleep(stall)
     if fault == "crash-before":
         os._exit(86)
-
-    def reply(response: EnforceResponse, session=None, grounded=False) -> dict:
-        return {
-            "response": response_to_dict(response),
-            "session": None if session is None else dict(
-                session.counters(), grounded=grounded
-            ),
-            "counters": worker_counters(),
-        }
-
-    try:
-        request = request_from_dict(data)
-        session = _session_for(request)
-    except ReproError as exc:
-        if fault == "crash-after":
-            os._exit(86)
-        return reply(EnforceResponse(ERROR, error=str(exc)))
-    groundings_before = session.groundings
-    response = serve_request(request)
+    answer = _answer(lambda: request_from_dict(data))
     if fault == "crash-after":
         os._exit(86)
-    return reply(
-        response, session, grounded=session.groundings > groundings_before
-    )
+    return _reply(answer)
 
 
 def serve_message(message: Mapping[str, Any]) -> dict[str, Any]:
@@ -432,32 +431,17 @@ def serve_session(message: Mapping[str, Any]) -> dict[str, Any]:
                     f"retained (the session keeps {VERSION_LIMIT} versions)"
                 ),
             )
-        request = replace(store.request, models=tuple_)
-        try:
+
+        def decode() -> EnforceRequest:
+            request = replace(store.request, models=tuple_)
             if "max_distance" in message:
                 request = replace(
                     request,
                     max_distance=check_max_distance(message["max_distance"]),
                 )
-            session = _session_for(request)
-        except ReproError as exc:
-            return {
-                "response": response_to_dict(
-                    EnforceResponse(ERROR, error=str(exc))
-                ),
-                "session": None,
-                "counters": worker_counters(),
-            }
-        groundings_before = session.groundings
-        response = serve_request(request)
-        return {
-            "response": response_to_dict(response),
-            "session": dict(
-                session.counters(),
-                grounded=session.groundings > groundings_before,
-            ),
-            "counters": worker_counters(),
-        }
+            return request
+
+        return _reply(_answer(decode))
     return _control_reply(op, name, error=f"unknown session op {op!r}")
 
 

@@ -79,11 +79,6 @@ class Totalizer:
             return []
         return [-self.outputs[k]]
 
-    def assert_at_most(self, k: int) -> None:
-        """Permanently assert ``count <= k``."""
-        for lit in self.at_most_assumption(k):
-            self._cnf.add_clause([lit])
-
     def at_least_assumption(self, k: int) -> list[Lit]:
         """Assumption literals enforcing ``count >= k``."""
         if k <= 0:

@@ -43,10 +43,6 @@ class CNF:
                 )
         self.clauses.append(clause)
 
-    def add_clauses(self, clauses: Iterable[Iterable[Lit]]) -> None:
-        for clause in clauses:
-            self.add_clause(clause)
-
     def copy(self) -> "CNF":
         """An independent copy (clause tuples are shared, list is not)."""
         duplicate = CNF(self.num_vars)

@@ -180,12 +180,6 @@ def global_stats() -> SolverStats:
     return GLOBAL_STATS.snapshot()
 
 
-def reset_global_stats() -> None:
-    """Zero the process-wide solver counters (benchmark/test preamble)."""
-    for f in fields(SolverStats):
-        setattr(GLOBAL_STATS, f.name, 0)
-
-
 @dataclass(frozen=True)
 class SatResult:
     """Outcome of a solve call.

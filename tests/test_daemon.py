@@ -210,6 +210,40 @@ class TestEnforce:
         assert shape["hits"] == 5
         assert snapshot["sessions"]["groundings"] == 1
 
+    def test_two_shapes_sharing_one_slot_match_serve_batch(self, tmp_path):
+        """Interleaved shapes A1 B1 A2 B2 A3 B3 on a one-worker daemon
+        (so both shapes share its only slot) answer bit for bit like
+        ``serve_batch`` on the same list."""
+        fm = feature_model({"core": True, "log": True})
+        selections = (["core"], [], ["core", "log"])
+        requests = []
+        for selection in selections:
+            models = {
+                "fm": fm,
+                "cf1": configuration(["core", "log"], name="cf1"),
+                "cf2": configuration(selection, name="cf2"),
+            }
+            for weights in ({}, {"cf1": 2}):
+                requests.append(
+                    EnforceRequest.build(
+                        paper_transformation(2), models,
+                        targets=["cf1", "cf2"], weights=weights,
+                    )
+                )
+        assert len({shape_key(r) for r in requests}) == 2
+        baseline = serve_batch(requests, workers=1)
+        handle = run_in_thread(
+            DaemonConfig(socket_path=str(tmp_path / "one.sock"), workers=1)
+        )
+        try:
+            with connect(handle) as client:
+                responses = client.enforce_many(requests)
+        finally:
+            handle.drain()
+        assert [response_fingerprint(r) for r in responses] == [
+            response_fingerprint(r) for r in baseline.responses
+        ]
+
     def test_routing_agrees_with_live_shape_key(self):
         request = paper_request(weights={"cf1": 2})
         assert wire_shape_key(request_to_dict(request)) == shape_key(request)
@@ -415,6 +449,8 @@ class TestConfig:
             {"queue_limit": 0},
             {"deadline": 0},
             {"deadline": -1.0},
+            {"deadline": float("nan")},
+            {"deadline": True},
         ],
     )
     def test_rejects_bad_numbers(self, bad):
@@ -503,6 +539,53 @@ class TestEnvelopeBounds:
     def test_config_rejects_tiny_bound(self):
         with pytest.raises(ServeError, match="max_envelope_bytes"):
             DaemonConfig(socket_path="/tmp/x", max_envelope_bytes=10).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deadline", "soon"),
+            ("deadline", []),
+            ("deadline", "5"),
+            ("deadline", True),
+            ("deadline", -1),
+            ("deadline", 0),
+            ("deadline", float("inf")),
+            ("wedge", "soon"),
+            ("wedge", -1),
+            ("wedge", False),
+            ("wedge", {}),
+        ],
+    )
+    def test_bad_budget_field_is_typed_and_connection_survives(
+        self, daemon, field, value
+    ):
+        with connect(daemon) as client:
+            reply = client.call(
+                {
+                    "verb": "enforce",
+                    "request": request_to_dict(paper_request()),
+                    field: value,
+                }
+            )
+            assert reply["kind"] == "enforce-reply"
+            assert reply["outcome"] == "error"
+            assert f"field {field!r}" in reply["error"]
+            health = client.health()
+        assert health["status"] == "ok"
+        assert health["queued"] == 0 and health["inflight"] == 0
+        assert daemon.daemon.metrics.accepted == 0
+
+    def test_integer_deadline_and_zero_wedge_are_accepted(self, daemon):
+        with connect(daemon) as client:
+            reply = client.call(
+                {
+                    "verb": "enforce",
+                    "request": request_to_dict(paper_request()),
+                    "deadline": 30,
+                    "wedge": 0,
+                }
+            )
+        assert reply["outcome"] == "repaired"
 
 
 class TestIdempotency:

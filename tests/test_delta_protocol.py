@@ -411,6 +411,54 @@ class TestDaemonSessions:
             session.close()
             assert SessionClient(client, "dup").open(request) == 0
 
+    def test_bad_deadline_open_leaves_no_phantom_session(self, daemon):
+        request = paper_request()
+        with DaemonClient.connect(path=daemon.address) as client:
+            reply = client.call(
+                {
+                    "verb": "open",
+                    "session": "phantom",
+                    "request": request_to_dict(request),
+                    "deadline": "soon",
+                }
+            )
+            assert reply["kind"] == "session-reply"
+            assert reply["outcome"] == "error"
+            assert "'deadline'" in reply["error"]
+            assert client.health()["sessions"] == 0
+            assert SessionClient(client, "phantom").open(request) == 0
+            assert client.health()["sessions"] == 1
+
+    def test_open_expiring_in_queue_leaves_no_session(self, tmp_path):
+        """An ``open`` dead-lettered before any worker saw it drops its
+        routing record, so the name can be opened again at once."""
+        handle = run_in_thread(
+            DaemonConfig(socket_path=str(tmp_path / "q.sock"), workers=1)
+        )
+        request = paper_request()
+        try:
+            with DaemonClient.connect(path=handle.address) as client:
+                client.send(  # occupies the only worker for 1 s
+                    {
+                        "verb": "enforce",
+                        "request": request_to_dict(request),
+                        "wedge": 1.0,
+                    }
+                )
+                expired = client.call(
+                    {
+                        "verb": "open",
+                        "session": "late",
+                        "request": request_to_dict(request),
+                        "deadline": 0.2,
+                    }
+                )
+                assert expired["outcome"] == "deadline-exceeded"
+                assert client.health()["sessions"] == 0
+                assert SessionClient(client, "late").open(request) == 0
+        finally:
+            handle.drain()
+
     def test_ask_with_malformed_max_distance_is_typed(self, daemon):
         with DaemonClient.connect(path=daemon.address) as client:
             session = SessionClient(client, "strict")
