@@ -31,7 +31,10 @@
 # sessions on a daemon's worker slots (gen-delta), plus the paper's own
 # feature-model edits on one warm shape (paper-fm, the workload that
 # regrounds), and exit 1 on any answer that differs from its frozen
-# (outcome, distance) reference.
+# (outcome, distance) reference. One more gen-cold run with the
+# per-layer tracer on guards the names the tracer patches: a refactor
+# that renames one fails the stage instead of silently breaking the
+# per-layer numbers.
 # Docs can't rot silently: every example runs as a smoke stage, the
 # code blocks in README.md and docs/ are import-checked, and the
 # audited public modules' doctests execute.
@@ -87,6 +90,9 @@ timeout 300 python benchmarks/bench_a12_delta_sessions.py --smoke
 # (outcome, distance) reference, or the run exits 1.
 echo "== perfbench gen-cold answers vs frozen references (hard 300 s timeout) =="
 timeout 300 python3 perfbench/run.py --workload gen-cold --seconds 2
+
+echo "== perfbench gen-cold with the per-layer tracer (hard 300 s timeout) =="
+timeout 300 python3 perfbench/run.py --workload gen-cold --seconds 2 --trace 1
 
 echo "== perfbench gen-batch answers vs frozen references (hard 300 s timeout) =="
 timeout 300 python3 perfbench/run.py --workload gen-batch --seconds 2

@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     enf.add_argument("--engine", choices=["sat", "search"], default="sat")
     enf.add_argument("--mode", choices=["increasing", "decreasing"], default="increasing")
-    enf.add_argument("--max-distance", type=int, default=None)
+    enf.add_argument("--max-distance", type=_distance_cap, default=None)
     enf.add_argument(
         "--weight",
         action="append",
@@ -551,6 +551,13 @@ def _explain(workspace: Workspace, name: str) -> int:
         for site in sites:
             print(f"  {site.caller} -> {site.callee} ({site.clause})")
     return 0
+
+
+def _distance_cap(text: str) -> int:
+    """``--max-distance`` values: integers >= 0, as on the wire."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _parse_weights(items: Sequence[str]) -> dict[str, int]:

@@ -135,7 +135,12 @@ class Workspace:
         same thing against either service.
         """
         from repro.serve import EnforceRequest
-        from repro.serve.requests import scope_from_dict
+        from repro.serve.requests import (
+            check_max_distance,
+            check_mode,
+            check_weights,
+            scope_from_dict,
+        )
 
         if not isinstance(entries, list):
             raise WorkspaceError("batch must be a JSON array of requests")
@@ -191,18 +196,6 @@ class Workspace:
                 raise WorkspaceError(
                     f"{label}: targets name unknown parameters {sorted(unknown)}"
                 )
-            max_distance = entry.get("max_distance")
-            if max_distance is not None and not isinstance(max_distance, int):
-                raise WorkspaceError(f"{label}: 'max_distance' must be an int")
-            weights = entry.get("weights", {})
-            if not isinstance(weights, dict) or not all(
-                isinstance(key, str) and isinstance(value, int)
-                and not isinstance(value, bool)
-                for key, value in weights.items()
-            ):
-                raise WorkspaceError(
-                    f"{label}: 'weights' must map parameters to integers"
-                )
             try:
                 requests.append(
                     EnforceRequest.build(
@@ -210,10 +203,12 @@ class Workspace:
                         models,
                         targets,
                         semantics=entry.get("semantics", "extended"),
-                        weights=weights,
+                        weights=check_weights(entry.get("weights", {})),
                         scope=scope_from_dict(entry.get("scope")),
-                        mode=entry.get("mode", "increasing"),
-                        max_distance=max_distance,
+                        mode=check_mode(entry.get("mode", "increasing")),
+                        max_distance=check_max_distance(
+                            entry.get("max_distance")
+                        ),
                     )
                 )
             except ReproError as exc:

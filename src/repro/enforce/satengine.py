@@ -35,7 +35,7 @@ incremental solve instead of a full checker pass.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.check.engine import Checker
 from repro.deps.dependency import Dependency
@@ -50,10 +50,11 @@ from repro.solver.bounded import (
     GroundingContext,
     GroundingResult,
     Scope,
+    StateTable,
     encode_state,
 )
 from repro.solver.cnf import Lit
-from repro.solver.maxsat import INCREASING, enumerate_optimal
+from repro.solver.maxsat import INCREASING, MaxSatSession, enumerate_optimal
 from repro.solver.sat import IncrementalSolver
 
 
@@ -135,21 +136,53 @@ def enforce_sat(
     per call (the A7 baseline).
     """
     if share:
-        from repro.enforce.session import shared_session
-
-        session = shared_session(
-            checker.transformation,
-            targets,
-            semantics=checker.config.semantics,
-            metric=metric,
-            scope=scope,
-            mode=mode,
-        )
-        return session.solve_tuple(models, max_distance=max_distance, mode=mode)
+        session = _shared(checker, targets, metric, scope, mode)
+        return session.solve_tuple(models, max_distance=max_distance)
     grounder = _ground(checker, models, targets, metric, scope)
     grounding = grounder.ground()
-    session = grounding.session()
-    result = session.solve_optimal(mode=mode, max_cost=max_distance)
+    return _solve_optimum(
+        grounder, grounding.session(), (), mode, max_distance, scope, targets
+    )
+
+
+def _shared(
+    checker: Checker,
+    targets: TargetSelection,
+    metric: TupleMetric,
+    scope: Scope,
+    mode: str = INCREASING,
+):
+    """The shared session of this question shape (see ``share=True``)."""
+    from repro.enforce.session import shared_session
+
+    return shared_session(
+        checker.transformation,
+        targets,
+        semantics=checker.config.semantics,
+        metric=metric,
+        scope=scope,
+        mode=mode,
+    )
+
+
+def _solve_optimum(
+    grounder: Grounder,
+    maxsat: MaxSatSession,
+    assumptions: Sequence[Lit],
+    mode: str,
+    max_distance: int | None,
+    scope: Scope | str,
+    targets: TargetSelection,
+) -> tuple[dict[str, Model], int]:
+    """The one optimum -> decode step of every SAT-engine repair.
+
+    ``assumptions`` are the grounding's base assumptions plus the
+    distance-origin assumptions (both empty on a per-call grounding);
+    ``scope`` and ``targets`` only word the :class:`NoRepairFound`.
+    """
+    result = maxsat.solve_optimal(
+        mode=mode, max_cost=max_distance, assumptions=assumptions
+    )
     if not result.satisfiable:
         raise NoRepairFound(
             f"no consistent tuple within scope {scope} "
@@ -158,8 +191,7 @@ def enforce_sat(
             explored_distance=max_distance,
         )
     assert result.assignment is not None
-    repaired = grounder.decode(result.assignment)
-    return repaired, result.cost
+    return grounder.decode(result.assignment), result.cost
 
 
 def enumerate_repairs(
@@ -185,16 +217,7 @@ def enumerate_repairs(
     unaffected.
     """
     if share:
-        from repro.enforce.session import shared_session
-
-        session = shared_session(
-            checker.transformation,
-            targets,
-            semantics=checker.config.semantics,
-            metric=metric,
-            scope=scope,
-            mode=INCREASING,
-        )
+        session = _shared(checker, targets, metric, scope)
         return session.enumerate_tuple(models, limit=limit)
     grounder = _ground(checker, models, targets, metric, scope)
     grounding = grounder.ground()
@@ -209,13 +232,19 @@ def enumerate_repairs(
         project,
         limit=limit,
     )
+    return cost, _distinct_repairs(grounder, assignments)
+
+
+def _distinct_repairs(
+    grounder: Grounder, assignments: Iterable[Mapping[int, bool]]
+) -> list[dict[str, Model]]:
+    """Decoded repairs, one per canonical text, in canonical-text order."""
     decoded: dict[str, dict[str, Model]] = {}
     for assignment in assignments:
         tuple_ = grounder.decode(assignment)
         key = "|".join(canonical_text(tuple_[p]) for p in sorted(tuple_))
         decoded.setdefault(key, tuple_)
-    ordered = [decoded[key] for key in sorted(decoded)]
-    return cost, ordered
+    return [decoded[key] for key in sorted(decoded)]
 
 
 class ConsistencyOracle:
@@ -250,9 +279,10 @@ class ConsistencyOracle:
         grounding: GroundingResult,
         targets: frozenset[str],
         solver: IncrementalSolver,
+        tables: dict[str, StateTable],
     ) -> None:
-        self._grounding = grounding
         self._targets = tuple(sorted(targets))
+        self._tables = tables
         self._solver = solver
         self._base = grounding.base_assumptions(symmetry=False)
         self.queries = 0
@@ -264,11 +294,20 @@ class ConsistencyOracle:
             for param, gm in grounding.ground_models.items()
             if not gm.symbolic
         }
+
+    @classmethod
+    def attach(
+        cls,
+        grounding: GroundingResult,
+        targets: frozenset[str],
+        solver: IncrementalSolver,
+    ) -> "ConsistencyOracle | None":
+        """The oracle over ``grounding`` querying ``solver``, or ``None``
+        when the grounding cannot tabulate every target's atoms."""
         tables = grounding.atom_tables()
-        self.complete = tables is not None and all(
-            param in tables for param in self._targets
-        )
-        self._tables = tables if self.complete else None
+        if tables is None or not all(param in tables for param in targets):
+            return None
+        return cls(grounding, targets, solver, tables)
 
     @classmethod
     def try_build(
@@ -290,15 +329,7 @@ class ConsistencyOracle:
         """
         try:
             if share:
-                from repro.enforce.session import shared_session
-
-                session = shared_session(
-                    checker.transformation,
-                    targets,
-                    semantics=checker.config.semantics,
-                    metric=metric or TupleMetric(),
-                    scope=scope,
-                )
+                session = _shared(checker, targets, metric or TupleMetric(), scope)
                 return session.oracle_for(models)
             grounder = _ground(
                 checker, models, targets, None, scope, symmetry_breaking=False
@@ -306,10 +337,9 @@ class ConsistencyOracle:
             grounding = grounder.ground()
         except (SatFragmentError, SolverError):
             return None
-        oracle = cls(
+        return cls.attach(
             grounding, frozenset(targets.params), IncrementalSolver(grounding.cnf)
         )
-        return oracle if oracle.complete else None
 
     def query(self, state: Mapping[str, Model]) -> bool | None:
         """Whether ``state`` is consistent with conformant targets.
@@ -334,6 +364,4 @@ class ConsistencyOracle:
             current = state.get(param)
             if current is not original and current != original:
                 return None  # frozen side drifted from the grounding
-        if self._tables is None:
-            return None
         return encode_state(self._tables, self._targets, state)

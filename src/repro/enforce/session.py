@@ -38,18 +38,27 @@ grounding behind every SAT-fragment entry point:
   ``enumerate_repairs`` / ``ConsistencyOracle.try_build`` resolve to it
   — so mixing verbs over one evolving tuple grounds exactly once;
 * :meth:`solve_tuple` / :meth:`enumerate_tuple` / :meth:`oracle_for`
-  are those entry points' primitives: optimum solve and enumeration
-  assume the symmetry-breaking selector (matching the historical
-  hard-clause behaviour), oracle queries do not, and enumeration
-  blocking clauses are guarded by a per-run selector so they never
-  outlive their enumeration;
+  are those entry points' primitives, each asking the *active*
+  generation (the session reads it only through ``_active``): the
+  optimum solve and the enumeration assume the symmetry-breaking
+  selector whenever sound (matching the historical hard-clause
+  behaviour), oracle queries never do. Enumeration is
+  :meth:`~repro.solver.maxsat.MaxSatSession.enumerate_optimal` with
+  ``retract=True``, so its blocking clauses are guarded by a per-run
+  selector and never outlive their enumeration; a generation's MaxSAT
+  session and oracle come from one attach step
+  (:meth:`~repro.enforce.satengine.ConsistencyOracle.attach`, ``None``
+  when the grounding cannot tabulate its atoms);
 * a cached session retains up to :attr:`EnforcementSession.GENERATION_LIMIT`
   grounding *generations*: an edit that escapes the active grounding
   but still anchors an older one — oscillating frozen drifts are the
   common case — switches generations instead of re-grounding at all.
 
-Semantic note: the session's own :meth:`enforce` verb solves *without*
-the symmetry assumption (like the PR 2 session) and uses the oracle as a
+Semantic note: every SAT-engine optimum — this session's :meth:`enforce`
+and :meth:`solve_tuple`, and the per-call ``enforce_sat(share=False)`` —
+is found and decoded by the one step ``satengine._solve_optimum``; only
+the symmetry policy differs. The session's own :meth:`enforce` verb
+solves *without* the symmetry assumption and uses the oracle as a
 hippocratic fast *accept* — a state the oracle accepts is consistent and
 returned unrepaired at distance 0; any other verdict defers to the real
 checker, exactly like :func:`~repro.enforce.enforce`. Optimal repair
@@ -72,17 +81,18 @@ from repro.enforce.api import (
     verify_repair,
 )
 from repro.enforce.metrics import TupleMetric
-from repro.enforce.satengine import ConsistencyOracle, _ground
-from repro.enforce.targets import TargetSelection
-from repro.errors import (
-    EnforcementError,
-    NoRepairFound,
-    SatFragmentError,
-    SolverError,
+from repro.enforce.satengine import (
+    ConsistencyOracle,
+    _distinct_repairs,
+    _ground,
+    _solve_optimum,
+    enforce_sat,
+    enumerate_repairs,
 )
+from repro.enforce.targets import TargetSelection
+from repro.errors import EnforcementError, SatFragmentError
 from repro.metamodel.conformance import is_conformant
 from repro.metamodel.model import Model
-from repro.metamodel.serialize import canonical_text
 from repro.metamodel.types import EnumType, PrimitiveType
 from repro.solver.bounded import GroundingContext, Scope, _same_value
 from repro.solver.cnf import Lit
@@ -111,8 +121,6 @@ class _Generation:
 
     grounder: object
     grounding: object
-    maxsat: object
-    oracle: ConsistencyOracle | None
     frozen: dict[str, Model]
     #: Fresh-slot object ids per target parameter. Symmetry breaking is
     #: only sound while the anchoring state leaves every fresh slot
@@ -121,10 +129,23 @@ class _Generation:
     #: *occupies* a fresh slot (a previously accepted repair evolved
     #: further) breaks the interchangeability and must solve unchained.
     fresh: dict[str, frozenset]
+    maxsat: object = None
+    oracle: ConsistencyOracle | None = None
     #: Dead (selector-retired) enumeration blocking clauses accumulated
     #: on this generation's solver; bounded by a rebuild in
     #: :meth:`EnforcementSession.enumerate_tuple`.
     enum_clauses: int = 0
+
+    def attach(self, targets: frozenset[str]) -> None:
+        """(Re)build the MaxSAT session and the oracle on its solver.
+
+        The grounding itself is untouched; a rebuild drops every retired
+        enumeration blocking clause with the old solver."""
+        self.maxsat = self.grounding.session()
+        self.oracle = ConsistencyOracle.attach(
+            self.grounding, targets, self.maxsat.solver
+        )
+        self.enum_clauses = 0
 
 
 class EnforcementSession:
@@ -198,11 +219,6 @@ class EnforcementSession:
         # historical behaviour, and the ``cache=False`` ablation arm).
         self._generations: list[_Generation] = []
         self._active: _Generation | None = None
-        self._grounder = None
-        self._grounding = None
-        self._maxsat = None
-        self._oracle: ConsistencyOracle | None = None
-        self._frozen: dict[str, Model] = {}
         self._fragment_error: Exception | None = None
         self.calls = 0
         self.groundings = 0
@@ -215,11 +231,6 @@ class EnforcementSession:
     #: Retired enumeration blocking clauses tolerated on one generation's
     #: solver before :meth:`enumerate_tuple` rebuilds its MaxSAT session.
     ENUM_CLAUSE_LIMIT = 512
-
-    @property
-    def cache(self) -> bool:
-        """Whether re-grounds reuse one persistent translation context."""
-        return self._context is not None
 
     def counters(self) -> dict:
         """The session's work counters, as one JSON-ready dict.
@@ -252,11 +263,6 @@ class EnforcementSession:
         """
         self._generations.clear()
         self._active = None
-        self._grounder = None
-        self._grounding = None
-        self._maxsat = None
-        self._oracle = None
-        self._frozen = {}
         if self._context is not None:
             self._context = GroundingContext()
         self.closes += 1
@@ -303,39 +309,15 @@ class EnforcementSession:
             if self.checker.is_consistent(original):
                 return self._untouched(original)
             assumptions = self._ground_fresh(original)
-            if assumptions is None:
-                # Unanchorable tuple: serve it standalone, same
-                # guarantees, no shared-context pollution.
-                repaired, cost = self._standalone(
-                    original, max_distance, self.mode
-                )
-                return verify_repair(
-                    self.checker,
-                    SAT_ENGINE,
-                    original,
-                    repaired,
-                    cost,
-                    self.targets,
-                    self.metric,
-                )
-
-        result = self._maxsat.solve_optimal(
-            mode=self.mode,
-            max_cost=max_distance,
-            # Selector first: one propagation pass activates the whole
-            # generation before the origin literals pin the distance.
-            assumptions=self._grounding.base_assumptions() + assumptions,
+        repaired, cost = self._solve(
+            original, assumptions, max_distance, symmetry=False
         )
-        if not result.satisfiable:
-            raise self._no_repair(max_distance)
-        assert result.assignment is not None
-        repaired = self._grounder.decode(result.assignment)
         return verify_repair(
             self.checker,
             SAT_ENGINE,
             original,
             repaired,
-            result.cost,
+            cost,
             self.targets,
             self.metric,
         )
@@ -348,38 +330,22 @@ class EnforcementSession:
         self,
         models: Mapping[str, Model],
         max_distance: int | None = None,
-        mode: str | None = None,
-        symmetry: bool = True,
     ) -> tuple[dict[str, Model], int]:
         """The :func:`~repro.enforce.satengine.enforce_sat` primitive.
 
         One optimum solve over the shared grounding — no hippocratic
-        shortcut, symmetry breaking assumed by default (matching the
+        shortcut, symmetry breaking assumed whenever sound (matching the
         historical per-call grounding). Returns ``(repaired tuple,
         weighted distance)`` or raises :class:`NoRepairFound`.
         """
         original = self._bound(models)
         assumptions = self._ensure(original)
-        if assumptions is None:
-            return self._standalone(original, max_distance, mode)
-        symmetry = symmetry and self._symmetry_ok(original)
-        result = self._maxsat.solve_optimal(
-            mode=mode or self.mode,
-            max_cost=max_distance,
-            assumptions=self._grounding.base_assumptions(symmetry=symmetry)
-            + assumptions,
-        )
-        if not result.satisfiable:
-            raise self._no_repair(max_distance)
-        assert result.assignment is not None
-        return self._grounder.decode(result.assignment), result.cost
+        return self._solve(original, assumptions, max_distance, symmetry=True)
 
     def enumerate_tuple(
         self,
         models: Mapping[str, Model],
         limit: int = 64,
-        mode: str = INCREASING,
-        symmetry: bool = True,
     ) -> tuple[int, list[dict[str, Model]]]:
         """The :func:`~repro.enforce.satengine.enumerate_repairs` primitive.
 
@@ -391,8 +357,6 @@ class EnforcementSession:
         original = self._bound(models)
         assumptions = self._ensure(original)
         if assumptions is None:
-            from repro.enforce.satengine import enumerate_repairs
-
             return enumerate_repairs(
                 self.checker,
                 original,
@@ -402,26 +366,13 @@ class EnforcementSession:
                 limit=limit,
                 share=False,
             )
-        if self._active.enum_clauses >= self.ENUM_CLAUSE_LIMIT:
+        active = self._active
+        if active.enum_clauses >= self.ENUM_CLAUSE_LIMIT:
             # Retired blocking clauses from earlier enumerations are
             # inert but still cost watch-list traffic; rebuild the
-            # MaxSAT session (the grounding itself is untouched) so a
-            # long-lived shared session stays bounded.
-            self._active.maxsat = self._grounding.session()
-            oracle = ConsistencyOracle(
-                self._grounding,
-                frozenset(self.targets.params),
-                self._active.maxsat.solver,
-            )
-            self._active.oracle = oracle if oracle.complete else None
-            self._active.enum_clauses = 0
-            self._set_active(self._active)
-        symmetry = symmetry and self._symmetry_ok(original)
-        base = self._grounding.base_assumptions(symmetry=symmetry) + assumptions
-        optimum = self._maxsat.solve_optimal(mode=mode, assumptions=base)
-        if not optimum.satisfiable:
-            raise SolverError("enumerate_optimal needs satisfiable hard clauses")
-        tables = self._grounding.atom_tables()
+            # MaxSAT session so a long-lived shared session stays bounded.
+            active.attach(frozenset(self.targets.params))
+        tables = active.grounding.atom_tables()
         assert tables is not None, "shared groundings tabulate their atoms"
         project: list[int] = []
         for param in sorted(tables):
@@ -432,29 +383,17 @@ class EnforcementSession:
                 for _ref, ref_pairs, _targets in entry.refs:
                     project.extend(var for _target, var in ref_pairs)
         project.sort()
-        blocking_selector = self._maxsat.new_var()
-        bound = self._maxsat.at_most(optimum.cost)
-        query = base + bound + [blocking_selector]
-        decoded: dict[str, dict[str, Model]] = {}
-        found = 0
-        while found < limit:
-            result = self._maxsat.solve(query)
-            if not result.satisfiable:
-                break
-            assert result.assignment is not None
-            projection = {v: result.assignment[v] for v in project}
-            found += 1
-            tuple_ = self._grounder.decode(projection)
-            key = "|".join(canonical_text(tuple_[p]) for p in sorted(tuple_))
-            decoded.setdefault(key, tuple_)
-            # Block this projection for this enumeration only.
-            self._maxsat.add_clause(
-                [-blocking_selector]
-                + [-v if value else v for v, value in projection.items()]
-            )
-            self._active.enum_clauses += 1
-        ordered = [decoded[key] for key in sorted(decoded)]
-        return optimum.cost, ordered
+        symmetry = self._symmetry_ok(original)
+        cost, assignments = active.maxsat.enumerate_optimal(
+            project,
+            mode=self.mode,
+            limit=limit,
+            assumptions=active.grounding.base_assumptions(symmetry=symmetry)
+            + assumptions,
+            retract=True,
+        )
+        active.enum_clauses += len(assignments)
+        return cost, _distinct_repairs(active.grounder, assignments)
 
     def oracle_for(
         self, models: Mapping[str, Model]
@@ -477,7 +416,7 @@ class EnforcementSession:
                 self._scope_for(original),
                 share=False,
             )
-        return self._oracle
+        return self._active.oracle
 
     # ------------------------------------------------------------------
     # Internals
@@ -514,7 +453,7 @@ class EnforcementSession:
         if not self._anchorable(original):
             return None
         self._reground(original)
-        assumptions = self._grounding.origin_assumptions(original)
+        assumptions = self._active.grounding.origin_assumptions(original)
         if assumptions is None:
             raise EnforcementError(
                 "model tuple cannot anchor its own grounding; this is a bug"
@@ -557,19 +496,42 @@ class EnforcementSession:
     def _scope_for(self, original: Mapping[str, Model]) -> Scope:
         return self.scope if self.scope is not None else adaptive_scope(original)
 
-    def _standalone(self, original, max_distance, mode):
-        """The historical per-call path for unanchorable tuples."""
-        from repro.enforce.satengine import enforce_sat
+    def _solve(
+        self,
+        original: Mapping[str, Model],
+        origin: list[Lit] | None,
+        max_distance: int | None,
+        symmetry: bool,
+    ) -> tuple[dict[str, Model], int]:
+        """The session's optimum -> decode step on the active generation.
 
-        return enforce_sat(
-            self.checker,
-            original,
+        ``symmetry`` assumes the symmetry chain where :meth:`_symmetry_ok`
+        allows it. The generation selector leads the assumptions: one
+        propagation pass activates the whole generation before the
+        origin literals pin the distance. An unanchorable tuple
+        (``origin`` is ``None``) takes the historical per-call path —
+        same guarantees, no shared-context pollution."""
+        if origin is None:
+            return enforce_sat(
+                self.checker,
+                original,
+                self.targets,
+                metric=self.metric,
+                scope=self._scope_for(original),
+                mode=self.mode,
+                max_distance=max_distance,
+                share=False,
+            )
+        active = self._active
+        symmetry = symmetry and self._symmetry_ok(original)
+        return _solve_optimum(
+            active.grounder,
+            active.maxsat,
+            active.grounding.base_assumptions(symmetry=symmetry) + origin,
+            self.mode,
+            max_distance,
+            self.scope if self.scope is not None else "adaptive scope",
             self.targets,
-            metric=self.metric,
-            scope=self._scope_for(original),
-            mode=mode or self.mode,
-            max_distance=max_distance,
-            share=False,
         )
 
     def _activate(self, original: Mapping[str, Model]) -> list[Lit] | None:
@@ -589,17 +551,9 @@ class EnforcementSession:
             if generation is not self._generations[-1]:
                 self._generations.remove(generation)
                 self._generations.append(generation)
-            self._set_active(generation)
+            self._active = generation
             return assumptions
         return None
-
-    def _set_active(self, generation: _Generation) -> None:
-        self._active = generation
-        self._grounder = generation.grounder
-        self._grounding = generation.grounding
-        self._maxsat = generation.maxsat
-        self._oracle = generation.oracle
-        self._frozen = generation.frozen
 
     def _symmetry_ok(self, original: Mapping[str, Model]) -> bool:
         """Whether the active generation may assume its symmetry chain.
@@ -610,19 +564,6 @@ class EnforcementSession:
             if fresh and not fresh.isdisjoint(original[param].object_ids()):
                 return False
         return True
-
-    def _no_repair(self, max_distance: int | None) -> NoRepairFound:
-        scope = self.scope if self.scope is not None else "adaptive scope"
-        return NoRepairFound(
-            f"no consistent tuple within scope {scope} "
-            f"for targets {self.targets}"
-            + (
-                f" and distance cap {max_distance}"
-                if max_distance is not None
-                else ""
-            ),
-            explored_distance=max_distance,
-        )
 
     def _untouched(self, original: Mapping[str, Model]) -> Repair:
         return Repair(
@@ -647,8 +588,9 @@ class EnforcementSession:
         or oracle ``None`` — the real checker decides, so answers never
         depend on whether a grounding happens to be cached.
         """
-        if self._oracle is not None:
-            verdict = self._oracle.query(original)
+        oracle = self._active.oracle
+        if oracle is not None:
+            verdict = oracle.query(original)
             if verdict:
                 return True
             if verdict is False and all(
@@ -682,7 +624,7 @@ class EnforcementSession:
             # This question shape can never ground; don't rebuild (and,
             # on a shared context, re-leak) anything per call.
             raise self._fragment_error
-        scope = self.scope if self.scope is not None else adaptive_scope(models)
+        scope = self._scope_for(models)
         grounder = _ground(
             self.checker,
             models,
@@ -699,15 +641,9 @@ class EnforcementSession:
         except SatFragmentError as error:
             self._fragment_error = error
             raise
-        maxsat = grounding.session()
-        oracle = ConsistencyOracle(
-            grounding, frozenset(self.targets.params), maxsat.solver
-        )
         generation = _Generation(
             grounder=grounder,
             grounding=grounding,
-            maxsat=maxsat,
-            oracle=oracle if oracle.complete else None,
             frozen={
                 param: gm.model
                 for param, gm in grounding.ground_models.items()
@@ -721,10 +657,11 @@ class EnforcementSession:
                 if gm.symbolic
             },
         )
+        generation.attach(frozenset(self.targets.params))
         limit = self.GENERATION_LIMIT if self._context is not None else 1
         self._generations.append(generation)
         del self._generations[:-limit]
-        self._set_active(generation)
+        self._active = generation
         self.groundings += 1
 
 

@@ -323,30 +323,15 @@ def request_from_dict(data: Mapping[str, Any]) -> EnforceRequest:
     transformation = data.get("transformation")
     if not isinstance(transformation, str) or not transformation.strip():
         raise SerializationError("request needs QVT-R transformation text")
-    weights = data.get("weights", {})
-    if not isinstance(weights, Mapping) or not all(
-        isinstance(param, str) and _is_count(weight)
-        for param, weight in weights.items()
-    ):
-        raise SerializationError(
-            "field 'weights' must map parameter names to integers >= 0, "
-            f"got {weights!r}"
-        )
-    mode = data.get("mode", INCREASING)
-    if mode not in (INCREASING, DECREASING):
-        raise SerializationError(
-            f"field 'mode' must be {INCREASING!r} or {DECREASING!r}, "
-            f"got {mode!r}"
-        )
     return EnforceRequest(
         transformation=transformation,
         metamodels=metamodels,
         models=models,
         targets=frozenset(targets),
         semantics=data.get("semantics", EXTENDED),
-        weights=dict(weights),
+        weights=check_weights(data.get("weights", {})),
         scope=scope_from_dict(data.get("scope")),
-        mode=mode,
+        mode=check_mode(data.get("mode", INCREASING)),
         max_distance=check_max_distance(data.get("max_distance")),
     )
 
@@ -354,6 +339,29 @@ def request_from_dict(data: Mapping[str, Any]) -> EnforceRequest:
 def _is_count(value: Any) -> bool:
     """Whether ``value`` is a JSON integer >= 0 (``bool`` excluded)."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def check_weights(value: Any) -> dict[str, int]:
+    """``value`` as weights (names to integers >= 0), else a typed error."""
+    if isinstance(value, Mapping) and all(
+        isinstance(param, str) and _is_count(weight)
+        for param, weight in value.items()
+    ):
+        return dict(value)
+    raise SerializationError(
+        "field 'weights' must map parameter names to integers >= 0, "
+        f"got {value!r}"
+    )
+
+
+def check_mode(value: Any) -> str:
+    """``value`` as a MaxSAT mode, else a typed error naming the field."""
+    if value in (INCREASING, DECREASING):
+        return value
+    raise SerializationError(
+        f"field 'mode' must be {INCREASING!r} or {DECREASING!r}, "
+        f"got {value!r}"
+    )
 
 
 def check_max_distance(value: Any) -> int | None:

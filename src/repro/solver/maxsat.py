@@ -156,6 +156,8 @@ class MaxSatSession:
         """
         if mode not in (INCREASING, DECREASING):
             raise SolverError(f"unknown MaxSAT mode {mode!r}")
+        if max_cost is not None and max_cost < 0:
+            raise SolverError(f"max_cost must be >= 0 or None, got {max_cost}")
         base = list(assumptions)
         if self.total_weight == 0:
             result = self.solve(base)
@@ -194,6 +196,47 @@ class MaxSatSession:
             return MaxSatResult(False)
         return MaxSatResult(True, best_cost, best.assignment)
 
+    def enumerate_optimal(
+        self,
+        project: Sequence[int],
+        mode: str = INCREASING,
+        limit: int = 64,
+        assumptions: Sequence[Lit] = (),
+        retract: bool = False,
+    ) -> tuple[int, list[dict[int, bool]]]:
+        """All optimum-cost assignments, distinct on the ``project`` variables.
+
+        Finds the optimum under the base ``assumptions``, then re-solves
+        under the optimal bound, blocking each found projection, until
+        UNSAT or ``limit`` solutions; raises :class:`SolverError` when
+        the hard clauses are unsatisfiable. Only the projection is
+        blocked: auxiliary (Tseitin/totalizer/relaxation) variables vary
+        freely without changing the decoded solution. ``retract`` guards
+        the blocking clauses with a fresh selector (allocated after the
+        optimum solve) that only this enumeration assumes, so the session
+        stays reusable for every later query.
+        """
+        first = self.solve_optimal(mode=mode, assumptions=assumptions)
+        if not first.satisfiable:
+            raise SolverError("enumerate_optimal needs satisfiable hard clauses")
+        project = [abs(v) for v in project]
+        guard = [self.new_var()] if retract else []
+        query = list(assumptions) + self.at_most(first.cost) + guard
+        solutions: list[dict[int, bool]] = []
+        while len(solutions) < limit:
+            result = self.solve(query)
+            if not result.satisfiable:
+                break
+            assert result.assignment is not None
+            projection = {v: result.assignment[v] for v in project}
+            solutions.append(projection)
+            # Block this projection: at least one projected var must differ.
+            self.add_clause(
+                [-g for g in guard]
+                + [-v if value else v for v, value in projection.items()]
+            )
+        return first.cost, solutions
+
 
 def solve_maxsat(
     hard: CNF,
@@ -228,42 +271,10 @@ def enumerate_optimal(
     mode: str = INCREASING,
     limit: int = 64,
 ) -> tuple[int, list[dict[int, bool]]]:
-    """All optimum-cost assignments, distinct on the ``project`` variables.
-
-    Finds the optimum as :func:`solve_maxsat` does, then re-solves under
-    the optimal bound, blocking each found assignment's projection, until
-    UNSAT or ``limit`` solutions. Returns ``(optimal cost, assignments)``;
-    raises :class:`SolverError` when the hard clauses are unsatisfiable.
-
-    The projection matters: auxiliary (Tseitin/totalizer/relaxation)
-    variables can vary freely without changing the decoded solution, so
-    blocking must quantify over the meaningful variables only.
-
-    The whole enumeration runs in one :class:`MaxSatSession`: the
-    encoding is translated once, each blocking clause is a cheap
-    ``add_clause`` on the persistent solver, and the optimum bound is a
-    single reusable assumption — nothing is re-encoded or re-solved from
-    scratch between solutions.
-    """
-    session = MaxSatSession(hard, soft)
-    first = session.solve_optimal(mode=mode)
-    if not first.satisfiable:
-        raise SolverError("enumerate_optimal needs satisfiable hard clauses")
-    project = [abs(v) for v in project]
-    assumptions = session.at_most(first.cost)
-    solutions: list[dict[int, bool]] = []
-    while len(solutions) < limit:
-        result = session.solve(assumptions)
-        if not result.satisfiable:
-            break
-        assert result.assignment is not None
-        projection = {v: result.assignment[v] for v in project}
-        solutions.append(projection)
-        # Block this projection: at least one projected var must differ.
-        session.add_clause(
-            [-v if value else v for v, value in projection.items()]
-        )
-    return first.cost, solutions
+    """:meth:`MaxSatSession.enumerate_optimal` on a throwaway session."""
+    return MaxSatSession(hard, soft).enumerate_optimal(
+        project, mode=mode, limit=limit
+    )
 
 
 def verify_soft_cost(

@@ -356,6 +356,24 @@ class TestCli:
                 ]
             )
 
+    @pytest.mark.parametrize("bad", ["-1", "far"])
+    def test_bad_max_distance_refused_at_parse(self, workspace_dir, capsys, bad):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "enforce",
+                    "--workspace", str(workspace_dir),
+                    "-t", "F",
+                    "--bind", "fm=fm", "cf1=alpha", "cf2=beta",
+                    "--target", "cf2",
+                    "--max-distance", bad,
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--max-distance: expected an integer >= 0" in (
+            capsys.readouterr().err
+        )
+
     def test_validate_reports_failures(self, workspace_dir, capsys):
         bad = """
         transformation Bad (a : FM) {
@@ -518,6 +536,10 @@ class TestCliBatch:
             (dict(ENTRY, targets=[1]), "'targets' must be"),
             (dict(ENTRY, weights={"cf1": "three"}), "'weights' must map"),
             (dict(ENTRY, weights={"cf1": True}), "'weights' must map"),
+            (dict(ENTRY, max_distance=-1), "'max_distance'"),
+            (dict(ENTRY, max_distance=True), "'max_distance'"),
+            (dict(ENTRY, weights={"cf1": -1}), "'weights' must map"),
+            (dict(ENTRY, mode="sideways"), "'mode' must be"),
         ],
     )
     def test_batch_malformed_entry(

@@ -21,7 +21,7 @@ from repro.enforce.session import (
     clear_shared_sessions,
     shared_session,
 )
-from repro.errors import EnforcementError, NoRepairFound
+from repro.errors import EnforcementError, NoRepairFound, SolverError
 from repro.featuremodels import (
     configuration,
     configuration_metamodel,
@@ -91,6 +91,27 @@ class TestSessionEquivalence:
             session.enforce(models, max_distance=repair.distance - 1)
         # the session survives a failed (capped) query
         assert session.enforce(models).distance == repair.distance
+
+    @pytest.mark.parametrize("mode", ["increasing", "decreasing"])
+    @pytest.mark.parametrize("share", [True, False])
+    def test_negative_distance_cap_rejected_alike(self, mode, share):
+        """A negative cap is one typed error in both MaxSAT modes, on
+        the shared and the per-call grounding and through the session
+        verb."""
+        transformation = paper_transformation(k=2)
+        targets = TargetSelection(["cf1", "cf2"])
+        models = _tuple({"core": True}, [], [])
+        with pytest.raises(SolverError, match="max_cost must be >= 0"):
+            enforce(
+                transformation, models, targets,
+                scope=SCOPE, mode=mode, max_distance=-1, share=share,
+            )
+        session = EnforcementSession(
+            transformation, targets, scope=SCOPE, mode=mode
+        )
+        with pytest.raises(SolverError, match="max_cost must be >= 0"):
+            session.enforce(models, max_distance=-1)
+        assert session.enforce(models).distance == 4
 
     def test_missing_binding_rejected(self):
         session = EnforcementSession(
@@ -243,9 +264,9 @@ class TestSharedSessionEviction:
         first.enforce(models)  # make it hold a live grounding + solver
         graveyard = (
             weakref.ref(first),
-            weakref.ref(first._maxsat),
-            weakref.ref(first._maxsat.solver),
-            weakref.ref(first._grounding),
+            weakref.ref(first._active.maxsat),
+            weakref.ref(first._active.maxsat.solver),
+            weakref.ref(first._active.grounding),
         )
         del first, models
         # Fill the cache past its limit with distinct question shapes
@@ -299,9 +320,9 @@ class TestSharedSessionEviction:
         first.enforce(models)
         assert first.counters()["generations"] == 1
         graveyard = (
-            weakref.ref(first._maxsat),
-            weakref.ref(first._maxsat.solver),
-            weakref.ref(first._grounding),
+            weakref.ref(first._active.maxsat),
+            weakref.ref(first._active.maxsat.solver),
+            weakref.ref(first._active.grounding),
         )
         for _ in range(SHARED_SESSION_LIMIT):
             shared_session(

@@ -215,6 +215,41 @@ class TestSharedGrounding:
         _, cost = enforce_sat(checker, models, targets, scope=_SCOPE)
         assert cost == cost_a
 
+    def test_enum_clause_limit_rebuilds_the_maxsat_session(self, monkeypatch):
+        """Past ``ENUM_CLAUSE_LIMIT`` retired blocking clauses the next
+        enumeration rebuilds the generation's MaxSAT session (oracle
+        re-attached to the new solver) without re-grounding, and answers
+        exactly as before."""
+        from repro.enforce import shared_session
+
+        monkeypatch.setattr(EnforcementSession, "ENUM_CLAUSE_LIMIT", 1)
+        transformation, models, targets = self._question()
+        checker = Checker(transformation)
+        clear_shared_sessions()
+        cost_a, repairs_a = enumerate_repairs(
+            checker, models, targets, scope=_SCOPE, limit=8
+        )
+        session = shared_session(transformation, targets, scope=_SCOPE)
+        generation = session._active
+        first_maxsat = generation.maxsat
+        assert generation.enum_clauses >= 1
+        cost_b, repairs_b = enumerate_repairs(
+            checker, models, targets, scope=_SCOPE, limit=8
+        )
+        assert session._active is generation
+        assert generation.maxsat is not first_maxsat
+        assert generation.oracle is not None
+        assert generation.oracle._solver is generation.maxsat.solver
+        assert cost_a == cost_b
+        assert [
+            {p: m.objects for p, m in r.items()} for r in repairs_a
+        ] == [{p: m.objects for p, m in r.items()} for r in repairs_b]
+        before = Grounder.translations
+        _, cost = enforce_sat(checker, models, targets, scope=_SCOPE)
+        assert cost == 2
+        assert Grounder.translations == before
+        assert session.groundings == 1
+
     def test_shared_matches_unshared_results(self):
         transformation, models, targets = self._question()
         checker = Checker(transformation)
@@ -367,8 +402,8 @@ class TestLockstepDeclines:
     def test_oracle_and_origin_walk_agree(self):
         """Both ride encode_state: they accept and decline together."""
         session, models = self._session()
-        grounding = session._grounding
-        oracle = session._oracle
+        grounding = session._active.grounding
+        oracle = session._active.oracle
         assert oracle is not None
 
         def cf_with(objects):
