@@ -1,6 +1,6 @@
 """A11 (chaos) — the enforcement daemon under deterministic fault injection.
 
-Replays the A8/A9 generated request streams against a real daemon while
+Replays the generated request streams against a real daemon while
 :mod:`repro.serve.faults` injects one fault class per arm, and gates the
 robustness contract of the serve stack:
 
@@ -51,7 +51,7 @@ from repro.util.text import render_table
 
 from benchmarks._common import bench_cli, record
 
-#: Scenario seeds shared with the A8/A9/A10 generated-workload sweeps.
+#: Scenario seeds, a prefix of the A8 and perfbench generated corpora.
 SMOKE_SEEDS = tuple(range(6))
 FULL_SEEDS = tuple(range(16))
 

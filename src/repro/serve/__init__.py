@@ -22,19 +22,21 @@ hold an :class:`~repro.enforce.session.EnforcementSession` (or let the
 Echo tool do it); **many independent questions at once** → build
 requests and call :func:`serve_batch` (or ``repro-echo batch`` /
 :meth:`~repro.echo.workspace.Workspace.serve` from a workspace).
-Ablation A9 (``benchmarks/bench_a9_batch_service.py``) guards the
-service: verdicts and costs identical to sequential per-call SAT, one
-grounding per shape per worker, >= 2x throughput at 4 workers.
+``tests/test_serve.py`` guards the service: verdicts and costs
+identical to sequential per-call SAT, one grounding per shape per
+worker, responses independent of the worker count; the ``perfbench
+gen-batch`` stage of ``scripts/ci.sh`` checks the verdicts and costs on
+the whole generated corpus.
 
 For traffic that *keeps arriving* — many batches over hours, the same
 question shapes recurring — run the engine resident instead:
 :mod:`repro.serve.daemon` keeps the warm worker sessions alive across
 batches behind a JSON-lines socket (``repro-echo daemon``), with typed
-backpressure, per-request deadlines and dead-letter metrics. Ablation
-A10 (``benchmarks/bench_a10_daemon.py``) guards it: daemon verdicts
-bit-identical to :func:`serve_batch`, >= 2x throughput on repeated
-same-shape streams via cross-batch reuse, wedged requests dead-lettered
-on deadline while the rest of the traffic completes.
+backpressure, per-request deadlines and dead-letter metrics.
+``tests/test_daemon.py`` guards it: daemon answers bit-identical to
+:func:`serve_batch`, zero re-grounding on repeated same-shape traffic
+via cross-batch reuse, wedged requests dead-lettered on deadline while
+the rest of the traffic completes.
 
 For clients whose models *evolve* between questions — an editor asking
 after every edit — the daemon also speaks a **delta wire protocol**:
@@ -42,8 +44,8 @@ open a named session with one full tuple, then send only serialised
 edit scripts and ask the consistency/enforcement question at any
 retained version (:class:`SessionClient`, :func:`delta_enforce_many`).
 O(edit) wire bytes per request instead of O(model), answered on the
-same warm sessions, bit-identical to full-tuple traffic. Ablation A12
-(``benchmarks/bench_a12_delta_sessions.py``) guards it.
+same warm sessions, bit-identical to full-tuple traffic.
+``tests/test_delta_protocol.py`` guards both.
 """
 
 from repro.serve.requests import (

@@ -65,11 +65,11 @@ Design, front to back:
   and in-flight request, emit one final metrics snapshot, stop the
   workers.
 
-The gate is ablation A10 (``benchmarks/bench_a10_daemon.py``): daemon
-verdicts bit-identical to ``serve_batch`` on the same stream, ≥ 2x
-throughput on repeated same-shape traffic via cross-batch session
-reuse, and a deliberately wedged request dead-lettered within its
-deadline while the rest of the batch completes.
+The gates are in ``tests/test_daemon.py``: daemon answers
+bit-identical to ``serve_batch`` on the same stream, zero re-grounding
+on repeated same-shape traffic via cross-batch session reuse, and a
+deliberately wedged request dead-lettered within its deadline while the
+rest of the batch completes.
 """
 
 from __future__ import annotations
@@ -101,6 +101,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.requests import (
     EnforceResponse,
+    _is_count,
     request_digest,
     response_to_dict,
     shard_digest,
@@ -113,6 +114,17 @@ CRASH_TRACK_LIMIT = 1024
 
 #: Socket read chunk for the bounded envelope reader.
 READ_CHUNK = 64 * 1024
+
+#: :class:`DaemonConfig`'s integer fields and the least value each takes.
+_COUNT_FIELDS = (
+    ("port", 0),
+    ("workers", 1),
+    ("queue_limit", 1),
+    ("retries", 0),
+    ("max_envelope_bytes", 1024),
+    ("poison_budget", 1),
+    ("reply_cache", 1),
+)
 
 
 def _is_seconds(value: Any, positive: bool) -> bool:
@@ -166,27 +178,14 @@ class DaemonConfig:
             raise ServeError(
                 "daemon needs exactly one of socket_path or host"
             )
-        if self.workers < 1:
-            raise ServeError(f"daemon needs >= 1 worker, got {self.workers}")
-        if self.queue_limit < 1:
-            raise ServeError(
-                f"queue_limit must be >= 1, got {self.queue_limit}"
-            )
+        for name, least in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if not (_is_count(value) and value >= least):
+                raise ServeError(
+                    f"{name} must be an integer >= {least}, got {value!r}"
+                )
         if not _is_seconds(self.deadline, positive=True):
             raise ServeError(f"deadline must be > 0, got {self.deadline}")
-        if self.max_envelope_bytes < 1024:
-            raise ServeError(
-                "max_envelope_bytes must be >= 1024, got "
-                f"{self.max_envelope_bytes}"
-            )
-        if self.poison_budget < 1:
-            raise ServeError(
-                f"poison_budget must be >= 1, got {self.poison_budget}"
-            )
-        if self.reply_cache < 1:
-            raise ServeError(
-                f"reply_cache must be >= 1, got {self.reply_cache}"
-            )
         FaultPlan.parse(self.faults)  # typo'd specs fail at config time
 
 
@@ -1043,7 +1042,7 @@ def run_daemon(config: DaemonConfig) -> dict:
 class DaemonHandle:
     """A daemon running on a background thread's event loop.
 
-    The harness behind the tests and benchmark A10: the caller keeps
+    The harness behind the tests and benchmarks: the caller keeps
     its own (blocking) thread and talks to the daemon through a
     :class:`~repro.serve.protocol.DaemonClient` on :attr:`address`.
     :meth:`drain` is the graceful shutdown, returning final metrics.

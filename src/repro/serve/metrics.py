@@ -11,7 +11,7 @@ Three layers of counters:
 * **per shape** (:class:`ShapeMetrics`) — requests, warm hits vs
   grounding misses (a *miss* is a request whose answer paid a grounding
   build; repeated same-shape traffic across batches must converge to
-  all-hits, which is ablation A10's reuse gate), typed rejections, and
+  all-hits, which ``tests/test_daemon.py`` gates), typed rejections, and
   a latency histogram;
 * **per worker slot** — the last :func:`~repro.serve.worker.worker_counters`
   snapshot each worker reported (solver work, bindings enumerated,

@@ -57,7 +57,7 @@ the work twice. That is what makes retry-after-connection-loss safe —
 a retried ``enforce`` never double-solves.
 
 :class:`DaemonClient` is the blocking client used by the CLI's client
-mode, the tests and benchmark A10 — deliberately plain ``socket`` code
+mode, the tests and the benchmarks — deliberately plain ``socket`` code
 so scripting against the daemon needs nothing from asyncio. Every
 connection-level failure it hits surfaces as a typed
 :class:`~repro.errors.DaemonConnectionError` carrying the ids still
@@ -146,7 +146,8 @@ class DaemonClient:
         self._file = sock.makefile("rb")
         self._next_id = 0
         #: Wire bytes written/read by this client (envelope framing
-        #: included) — what ablation A12's bytes-per-request gate reads.
+        #: included) — what the delta protocol's bytes-per-request test
+        #: (``tests/test_delta_protocol.py::TestWireBytes``) reads.
         self.bytes_sent = 0
         self.bytes_received = 0
 

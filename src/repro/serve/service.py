@@ -58,7 +58,7 @@ from repro.serve.requests import (
 from repro.serve.supervisor import TaskFailed, WorkerCrash, WorkerSlot
 from repro.serve.worker import process_shard
 
-#: Default worker count; also the A9 benchmark's batch arm.
+#: Default worker count.
 DEFAULT_WORKERS = 4
 
 #: Default per-shard deadline for pooled batches, in seconds. Generous

@@ -35,11 +35,13 @@ from repro.errors import (
     SerializationError,
     ServeError,
 )
+from repro.gen import random_scenario, scenario_requests
 from repro.serve import (
     DEADLINE_EXCEEDED,
     MALFORMED,
     OVERLOADED,
     POISONED,
+    REPAIRED,
     DaemonClient,
     DaemonConfig,
     DaemonMetrics,
@@ -80,6 +82,24 @@ def paper_request(**overrides) -> EnforceRequest:
     settings = dict(targets=["cf1", "cf2"], semantics="extended")
     settings.update(overrides)
     return EnforceRequest.build(paper_transformation(2), models, **settings)
+
+
+def paper_trio() -> list[EnforceRequest]:
+    """Three paper questions on one shape: both directions and a weight."""
+    return [
+        paper_request(),
+        paper_request(targets=["fm"]),
+        paper_request(weights={"cf1": 2}),
+    ]
+
+
+def generated_stream() -> list[EnforceRequest]:
+    """Generated scenarios 0-11, six same-shape requests each: twelve
+    shapes sharing the daemon's two worker slots."""
+    requests = []
+    for seed in range(12):
+        requests.extend(scenario_requests(random_scenario(seed), rounds=6))
+    return requests
 
 
 def response_fingerprint(response):
@@ -177,13 +197,14 @@ class TestEnforce:
         assert response.distance >= 1
         assert response.changed
 
-    def test_matches_serve_batch_bit_for_bit(self, daemon):
-        requests = [
-            paper_request(),
-            paper_request(targets=["fm"]),
-            paper_request(weights={"cf1": 2}),
-        ]
+    @pytest.mark.parametrize(
+        "build", [paper_trio, generated_stream], ids=["paper", "generated"]
+    )
+    def test_matches_serve_batch_bit_for_bit(self, daemon, build):
+        requests = build()
         baseline = serve_batch(requests, workers=2)
+        # the stream must exercise repairs, not only hippocratic answers
+        assert baseline.outcomes().get(REPAIRED, 0) > 0
         with connect(daemon) as client:
             responses = client.enforce_many(requests)
         assert [response_fingerprint(r) for r in responses] == [
@@ -451,10 +472,18 @@ class TestConfig:
             {"deadline": -1.0},
             {"deadline": float("nan")},
             {"deadline": True},
+            {"retries": -1},
+            {"workers": True},
+            {"queue_limit": 2.5},
+            {"poison_budget": 1.5},
+            {"reply_cache": True},
+            {"max_envelope_bytes": 4096.0},
+            {"port": -1},
         ],
     )
     def test_rejects_bad_numbers(self, bad):
-        with pytest.raises(ServeError):
+        (field,) = bad
+        with pytest.raises(ServeError, match=field):
             DaemonConfig(socket_path="/tmp/x", **bad).validate()
 
     def test_tcp_endpoint(self):

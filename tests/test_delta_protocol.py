@@ -15,8 +15,9 @@ Three layers, innermost out:
 * **daemon sessions** — the full stack over a real socket: lifecycle
   and metrics, bit-identity of :func:`~repro.serve.delta_enforce_many`
   against :func:`~repro.serve.serve_batch` on generated request
-  streams, session loss across a worker restart, and the retrying
-  client's total-deadline bound.
+  streams, the >= 10x wire-byte cut on an editor-style drift stream,
+  session loss across a worker restart, and the retrying client's
+  total-deadline bound.
 """
 
 import json
@@ -514,6 +515,9 @@ class TestDaemonSessions:
             response_fingerprint(r)
             for r in serve_batch(requests, workers=1).responses
         ]
+        if seed != 1:  # seed 1 only asks consistent/no-repair questions
+            # the check must cover repaired-model bytes, not only verdicts
+            assert "repaired" in {outcome for outcome, *_ in expected}
         with DaemonClient.connect(path=daemon.address) as client:
             responses = delta_enforce_many(
                 client, requests, prefix=f"seed{seed}"
@@ -525,6 +529,78 @@ class TestDaemonSessions:
                 len(json.dumps(request_to_dict(r))) for r in requests
             )
             assert client.bytes_sent < full_wire
+
+
+#: The wire gate: delta bytes/request at most 1/10 of full-tuple.
+WIRE_RATIO_FLOOR = 10.0
+
+
+def drift_requests(k: int, rounds: int):
+    """An editor-style stream: every request one selection toggle away.
+
+    One fixed shape (the paper's transformation over ``fm``, ``cf1``,
+    ``cf2``), a frozen k-feature model, and a configuration drifting one
+    feature per round — the access pattern the delta protocol exists
+    for.
+    """
+    names = ["core"] + [f"f{i}" for i in range(1, k)]
+    fm = feature_model({name: (name == "core") for name in names})
+    selected = ["core"]
+    requests = []
+    for round_ in range(rounds):
+        models = {
+            "fm": fm,
+            "cf1": configuration(list(selected), name="cf1"),
+            "cf2": configuration(["core"], name="cf2"),
+        }
+        requests.append(
+            EnforceRequest.build(
+                paper_transformation(2),
+                models,
+                targets=["cf1", "cf2"],
+                semantics="extended",
+            )
+        )
+        toggle = names[1 + round_ % (k - 1)]
+        if toggle in selected:
+            selected.remove(toggle)
+        else:
+            selected.append(toggle)
+    return requests
+
+
+class TestWireBytes:
+    def test_drift_stream_cuts_wire_bytes_tenfold(self, tmp_path):
+        """The protocol's reason to exist: on an editor-style drift
+        stream (16 features, 24 rounds) delta sessions send at most 1/10
+        of the full-tuple wire bytes per request, with no ``error``
+        replies and answers identical to the full-tuple arm. Each arm
+        walks the stream on its own cold daemon."""
+        requests = drift_requests(16, 24)
+        arms = {}
+        for name, answer in (
+            ("full", DaemonClient.enforce_many),
+            ("delta", delta_enforce_many),
+        ):
+            handle = run_in_thread(
+                DaemonConfig(socket_path=str(tmp_path / f"{name}.sock"))
+            )
+            try:
+                with DaemonClient.connect(path=handle.address) as client:
+                    responses = answer(client, requests)
+                    per_request = client.bytes_sent / len(requests)
+            finally:
+                handle.drain()
+            arms[name] = (responses, per_request)
+        (full, full_bytes), (delta, delta_bytes) = arms["full"], arms["delta"]
+        assert [r for r in full + delta if r.outcome == "error"] == []
+        assert [response_fingerprint(r) for r in delta] == [
+            response_fingerprint(r) for r in full
+        ]
+        assert full_bytes >= WIRE_RATIO_FLOOR * delta_bytes, (
+            f"delta sent {delta_bytes:.0f} B/request vs full "
+            f"{full_bytes:.0f} B/request"
+        )
 
 
 class TestRetryingClientDeadline:

@@ -218,7 +218,9 @@ class TestWorkloadGenerators:
 
 class TestScenarioGenerator:
     def test_bit_for_bit_deterministic_per_seed(self):
-        for seed in range(10):
+        # the differential oracle's smoke seeds (0..24): a drifting
+        # generator would detach a failure from its seed
+        for seed in range(25):
             a = random_scenario(seed)
             b = random_scenario(seed)
             assert isinstance(a, GeneratedScenario)

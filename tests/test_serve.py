@@ -314,8 +314,8 @@ class TestBatchService:
 class TestDifferentialSweep:
     def test_batch_matches_sequential_per_call_sat(self):
         """>= 25 seeds: the batch service vs per-call SAT, request by
-        request (the ISSUE-5 acceptance sweep; A9 re-drives it with
-        throughput gates in script mode)."""
+        request. The ``perfbench gen-batch`` CI stage checks the same
+        identity on the whole 120-seed generated corpus."""
         requests = []
         for seed in DIFFERENTIAL_SEEDS:
             requests.extend(
