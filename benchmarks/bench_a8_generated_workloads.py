@@ -17,10 +17,12 @@ Three arms over seeded generated scenarios (:mod:`repro.gen`):
   SAT; generation retention must absorb the flips (2 groundings for any
   number of rounds).
 
-The full run sweeps >= 200 seeds (the PR-4 acceptance bar); ``--smoke``
-runs the fixed CI seed list in a few seconds (see ``scripts/ci.sh``).
+The run sweeps 200 seeds (the PR-4 acceptance bar). The first 25 seeds
+are the tier-1 differential test (``tests/test_differential_engines.py``),
+so this script runs only by hand.
 """
 
+import argparse
 import sys
 import time
 from collections import Counter
@@ -46,11 +48,9 @@ from repro.gen import (
 from repro.metamodel.serialize import canonical_text
 from repro.util.text import render_table
 
-from benchmarks._common import bench_cli, record
+from benchmarks._common import record
 
-#: The CI smoke seed list — identical to tests/test_differential_engines.py.
-SMOKE_SEEDS = tuple(range(25))
-FULL_SEEDS = tuple(range(200))
+SEEDS = tuple(range(200))
 
 #: Pinned oscillation streams for the session arm (seed, frozen param).
 SESSION_STREAMS = ((3, "m2"), (5, "m1"), (18, "m1"))
@@ -152,26 +152,20 @@ def bench_sessions(rows: list) -> dict:
     return streams
 
 
-def run(smoke: bool = False) -> dict:
-    seeds = SMOKE_SEEDS if smoke else FULL_SEEDS
+def run() -> dict:
     rows: list = []
     metrics = {
-        "differential": bench_differential(seeds, rows),
-        "determinism": bench_determinism(seeds[:: max(1, len(seeds) // 10)], rows),
+        "differential": bench_differential(SEEDS, rows),
+        "determinism": bench_determinism(SEEDS[::20], rows),
         "sessions": bench_sessions(rows),
     }
     table = render_table(
         ["workload", "arm", "work", "detail", "time"],
         rows,
-        title="A8: generated workloads — cross-engine differential oracle"
-        + (" [smoke]" if smoke else ""),
+        title="A8: generated workloads — cross-engine differential oracle",
     )
-    record(
-        "a8_generated_workloads" + ("_smoke" if smoke else ""),
-        table,
-        metrics=metrics,
-    )
-    # Gates (the CI smoke contract):
+    record("a8_generated_workloads", table, metrics=metrics)
+    # Gates:
     diff = metrics["differential"]
     assert not diff["disagreements"], diff["disagreements"]
     assert diff["outcomes"].get(REPAIRED, 0) > 0, (
@@ -180,11 +174,9 @@ def run(smoke: bool = False) -> dict:
     assert diff["outcomes"].get(CONSISTENT, 0) > 0, (
         f"seed list must contain hippocratic questions: {diff['outcomes']}"
     )
-    if not smoke:
-        assert diff["scenarios"] >= 200
-        assert diff["outcomes"].get(NO_REPAIR, 0) > 0, (
-            f"full sweep must contain unrepairable questions: {diff['outcomes']}"
-        )
+    assert diff["outcomes"].get(NO_REPAIR, 0) > 0, (
+        f"seed list must contain unrepairable questions: {diff['outcomes']}"
+    )
     assert not metrics["determinism"]["mismatches"], metrics["determinism"]
     for seed, stream in metrics["sessions"].items():
         assert stream["groundings"] <= 2, (
@@ -194,7 +186,7 @@ def run(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    args = bench_cli(__doc__.splitlines()[0])
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     start = time.perf_counter()
-    run(smoke=args.smoke)
+    run()
     print(f"\ntotal bench time: {time.perf_counter() - start:.2f} s")

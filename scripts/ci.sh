@@ -1,8 +1,19 @@
 #!/usr/bin/env bash
 # Minimal CI. Each gate has one home, named here.
 #
-# tier-1 pytest holds the correctness gates of the serve stack and the
-# generated-workload oracle:
+# tier-1 pytest holds the correctness gates of the fast paths, the serve
+# stack and the generated-workload oracle:
+#   - the flat CDCL core makes the legacy reference core's decisions,
+#     propagations and answers (tests/test_solver_backends.py), and
+#     learnt-clause GC under constant restarts keeps the optimum of a
+#     re-probed enforcement session (tests/test_solver_gc_restarts.py);
+#   - an Echo enforcement session answers like re-grounding per edit
+#     with one grounding (tests/test_enforce_session.py);
+#   - pruned grounding answers like the naive product with at most its
+#     bindings, and at least 2x fewer on frozen-dominated questions;
+#     re-grounds onto one persistent GroundingContext translate at most
+#     half the clauses of private CNFs; the SAT entry points share one
+#     grounding (tests/test_grounding_fastpath.py);
 #   - every engine agrees on verdict and optimal cost over the fixed
 #     generated seeds 0..24, generation is bit-for-bit deterministic and
 #     oscillating drift is absorbed (tests/test_differential_engines.py;
@@ -17,14 +28,6 @@
 #   - delta sessions answer bit-for-bit like serve_batch and cut wire
 #     bytes per request >= 10x on a drift stream
 #     (tests/test_delta_protocol.py).
-# a6 runs the decide workload on the flat production core and on the
-# legacy reference core and fails if the flat core's smoke decide
-# throughput regresses below the legacy core's, checks that learnt-
-# clause GC changes no optimum, and that Echo enforcement sessions
-# reuse one grounding (>= 20 % faster than re-grounding per edit).
-# a7 asserts the grounding fast path (pruning never enumerates more
-# bindings than the naive arm and never changes a verdict; re-grounds
-# reuse cached translations; the SAT entry points share one grounding).
 # a11 replays the generated workload under each injected fault class
 # (worker crash, stall, corrupt wire, connection drop, poison) and
 # asserts every request gets exactly one typed reply, successes stay
@@ -46,19 +49,13 @@
 # code blocks in README.md and docs/ are import-checked, and the
 # audited public modules' doctests execute.
 #
-# Usage: scripts/ci.sh  (from anywhere; finishes in about a minute)
+# Usage: scripts/ci.sh  (from anywhere; finishes in a few minutes)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
-
-echo "== a6 solver hot-loop + reference-core + enforcement-session smoke guard =="
-python benchmarks/bench_a6_solver_hotloop.py --smoke
-
-echo "== a7 grounding fast-path smoke guard =="
-python benchmarks/bench_a7_grounding.py --smoke
 
 # The fault-injection and robustness suites (tests/test_faults.py,
 # tests/test_daemon.py) already run inside the tier-1 pytest above;

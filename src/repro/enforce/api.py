@@ -94,7 +94,8 @@ def enforce(
     and bound the solving machinery; ``share=False`` makes the SAT
     engine ground this call standalone instead of riding the shared
     retargetable grounding of its question shape (the re-grounding
-    baseline arm of ablations A6/A7). Raises
+    arm ``tests/test_enforce_session.py`` compares sessions against).
+    Raises
     :class:`~repro.errors.NoRepairFound` when the chosen direction cannot
     restore consistency within bounds — the paper's closing caveat that
     *"not all update directions are able to restore the consistency of

@@ -25,7 +25,8 @@ injected per call as assumptions
 symmetry breaking is an opt-in assumption, and enumeration blocking
 clauses are guarded by a per-enumeration selector so they never outlive
 their run. ``share=False`` restores the historical
-one-grounding-per-call behaviour — the baseline arm of ablation A7.
+one-grounding-per-call behaviour — the baseline arm of
+``tests/test_grounding_fastpath.py::TestSharedGrounding``.
 
 :class:`ConsistencyOracle` exports the machinery to the other engines:
 candidate repair states become assumption sets over the atom variables,
@@ -133,7 +134,7 @@ def enforce_sat(
     encoded at most once per shape, the concrete tuple is injected as
     origin assumptions, and the distance sweep explores bounds as
     assumptions on one persistent solver. ``share=False`` grounds
-    per call (the A7 baseline).
+    per call (the baseline arm of the shared-grounding tests).
     """
     if share:
         session = _shared(checker, targets, metric, scope, mode)

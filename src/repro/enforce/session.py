@@ -159,8 +159,8 @@ class EnforcementSession:
 
     ``prune``/``cache`` toggle the grounding fast path (binding-space
     pruning, cross-grounding translation caching); both default on and
-    exist as the naive arms of ablation A7 and the equivalence property
-    tests.
+    exist as the naive arms of the equivalence tests in
+    ``tests/test_grounding_fastpath.py``.
 
     Counters: ``calls`` (enforce calls), ``groundings`` (full grounding
     builds), ``reuses`` (queries served by patching the cached

@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import signal
 import threading
@@ -102,6 +101,7 @@ from repro.serve.protocol import (
 from repro.serve.requests import (
     EnforceResponse,
     _is_count,
+    _is_seconds,
     request_digest,
     response_to_dict,
     shard_digest,
@@ -125,17 +125,6 @@ _COUNT_FIELDS = (
     ("poison_budget", 1),
     ("reply_cache", 1),
 )
-
-
-def _is_seconds(value: Any, positive: bool) -> bool:
-    """Whether ``value`` is a finite number of seconds (``bool``
-    excluded), > 0 when ``positive`` and >= 0 otherwise."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and (value > 0 if positive else value >= 0)
-    )
 
 
 @dataclass(frozen=True)

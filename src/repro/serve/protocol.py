@@ -88,6 +88,8 @@ from repro.gen.edits import edits_to_wire
 from repro.serve.requests import (  # noqa: F401 - wire_shape_key re-exported
     EnforceRequest,
     EnforceResponse,
+    _is_count,
+    _is_seconds,
     request_to_dict,
     response_from_dict,
     shape_key,
@@ -359,10 +361,17 @@ class RetryingClient:
     ) -> None:
         if path is None and (host is None or port is None):
             raise ServeError("RetryingClient needs a path or host+port")
-        if retries < 0:
-            raise ServeError(f"retries must be >= 0, got {retries}")
-        if backoff < 0 or backoff_max < 0 or jitter < 0:
-            raise ServeError("backoff, backoff_max and jitter must be >= 0")
+        if not _is_count(retries):
+            raise ServeError(f"retries must be an integer >= 0, got {retries!r}")
+        for name, value in (
+            ("backoff", backoff),
+            ("backoff_max", backoff_max),
+            ("jitter", jitter),
+        ):
+            if not _is_seconds(value, positive=False):
+                raise ServeError(
+                    f"{name} must be a finite number >= 0, got {value!r}"
+                )
         self._endpoint = dict(path=path, host=host, port=port, timeout=timeout)
         self.retries = retries
         self.backoff = backoff

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -341,6 +342,17 @@ def _is_count(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _is_seconds(value: Any, positive: bool) -> bool:
+    """Whether ``value`` is a finite number of seconds (``bool``
+    excluded), > 0 when ``positive`` and >= 0 otherwise."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (value > 0 if positive else value >= 0)
+    )
+
+
 def check_weights(value: Any) -> dict[str, int]:
     """``value`` as weights (names to integers >= 0), else a typed error."""
     if isinstance(value, Mapping) and all(
@@ -474,10 +486,25 @@ def scope_from_dict(data: Mapping[str, Any] | None) -> Scope | None:
     if not isinstance(data, Mapping):
         raise SerializationError("scope must be a JSON object or null")
     _reject_unknown(data, _SCOPE_FIELDS, "scope")
+    for name in ("extra_objects", "extra_strings"):
+        if not _is_count(data.get(name, 1)):
+            raise SerializationError(
+                f"field 'scope.{name}' must be an integer >= 0, "
+                f"got {data[name]!r}"
+            )
+    extra_ints = data.get("extra_ints", [0, 1])
+    if not isinstance(extra_ints, list) or not all(
+        isinstance(value, int) and not isinstance(value, bool)
+        for value in extra_ints
+    ):
+        raise SerializationError(
+            "field 'scope.extra_ints' must be a list of integers, "
+            f"got {extra_ints!r}"
+        )
     return Scope(
         extra_objects=data.get("extra_objects", 1),
         extra_strings=data.get("extra_strings", 1),
-        extra_ints=tuple(data.get("extra_ints", (0, 1))),
+        extra_ints=tuple(extra_ints),
     )
 
 

@@ -50,6 +50,8 @@ from repro.serve.requests import (
     ERROR,
     EnforceRequest,
     EnforceResponse,
+    _is_count,
+    _is_seconds,
     request_to_dict,
     response_from_dict,
     shape_key,
@@ -146,10 +148,12 @@ def serve_batch(
     runs in the caller's process, where killing a computation isn't
     possible one-sidedly.
     """
-    if workers < 0:
-        raise ServeError(f"workers must be >= 0, got {workers}")
-    if deadline is not None and deadline <= 0:
-        raise ServeError(f"deadline must be > 0 (or None), got {deadline}")
+    if not _is_count(workers):
+        raise ServeError(f"workers must be an integer >= 0, got {workers!r}")
+    if deadline is not None and not _is_seconds(deadline, positive=True):
+        raise ServeError(
+            f"deadline must be a finite number > 0 or None, got {deadline!r}"
+        )
     started = time.perf_counter()
     shards = shard_requests(requests)
 

@@ -38,7 +38,7 @@ same implications (with the same multiplicity) as ``prune=False``: the
 skipped bindings are precisely those whose guard constant-folds to
 ``PFALSE``, which the naive loop enumerates only to discard.
 ``Grounder.bindings_enumerated`` counts candidate bindings process-wide
-so ablation A7 and the CI gate can compare arms.
+so ``tests/test_grounding_fastpath.py`` can compare arms.
 
 Caching contract
 ----------------
@@ -574,8 +574,8 @@ class Grounder:
 
     #: Process-wide count of candidate bindings enumerated while
     #: grounding directional checks (source products and conclusion
-    #: disjuncts). Ablation A7 and the CI gate read deltas to assert the
-    #: pruned arm never enumerates more than the naive arm.
+    #: disjuncts). ``tests/test_grounding_fastpath.py`` reads deltas to
+    #: assert the pruned arm never enumerates more than the naive arm.
     bindings_enumerated = 0
 
     def __init__(
@@ -906,7 +906,7 @@ class Grounder:
         var_pools: Mapping[str, tuple[Value, ...]],
         source_vars: Sequence[str],
     ) -> None:
-        """The unpruned product enumeration (ablation arm of A7)."""
+        """The unpruned product enumeration (the naive ``prune=False`` arm)."""
         root_spaces = [
             self.ground_models[d.model_param].objects_of(d.template.class_name)
             for d in source_domains

@@ -5,8 +5,8 @@
 are Python lists in a list-of-lists database, watches a dict keyed by
 signed literal, truth values a per-variable ``values`` column. It is
 kept as the readable reference that the cross-core differential battery
-(``tests/test_solver_backends.py``) and the A6 hot-loop benchmark
-compare the production core against — the two are trace-identical:
+(``tests/test_solver_backends.py``) compares the production core
+against — the two are trace-identical:
 same decisions, same learnt clauses, same models, same per-call stats.
 
 Nothing in production constructs it. Tests build it directly, or

@@ -938,6 +938,13 @@ class TestRetryingClient:
             RetryingClient(path="/tmp/x", retries=-1)
         with pytest.raises(ServeError, match="backoff"):
             RetryingClient(path="/tmp/x", backoff=-0.1)
+        for argument, value in (
+            ("retries", 1.5),
+            ("retries", True),
+            ("jitter", float("inf")),
+        ):
+            with pytest.raises(ServeError, match=argument):
+                RetryingClient(path="/tmp/x", **{argument: value})
 
 
 class TestProtocol:

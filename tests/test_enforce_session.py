@@ -68,6 +68,7 @@ class TestSessionEquivalence:
                 TargetSelection(["cf1", "cf2"]),
                 engine="sat",
                 scope=SCOPE,
+                share=False,  # re-ground per edit
             )
             assert from_session.distance == reference.distance
             assert from_session.engine == reference.engine

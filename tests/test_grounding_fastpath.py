@@ -18,6 +18,7 @@ The PR 3 fast path may change *how much* work grounding does, never
   answer-preserving against the truth-table oracle.
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +40,7 @@ from repro.featuremodels import (
 )
 from repro.metamodel.model import Model, ModelObject
 from repro.solver.brute import brute_solve
-from repro.solver.bounded import Grounder, Scope
+from repro.solver.bounded import Grounder, GroundingContext, Scope
 from repro.solver.cnf import CNF
 from repro.solver.maxsat import MaxSatSession
 from repro.solver.sat import IncrementalSolver
@@ -77,6 +78,26 @@ def _small(models) -> bool:
     return sum(m.size() for m in models.values()) <= 5
 
 
+def _frozen_fm(features: int, variant: str = "a"):
+    """A repair question whose frozen side dominates the binding space.
+
+    ``fm`` holds ``features`` features, ``core`` mandatory; variant
+    ``"b"`` swaps the last optional feature for another name. ``cf1``
+    (frozen) selects ``core`` and ``cf2`` (the target) is empty, so the
+    minimal repair adds ``core`` to ``cf2``.
+    """
+    names = {"core": True}
+    names.update({f"opt{i:02d}": False for i in range(1, features)})
+    if variant == "b":
+        names.pop(f"opt{features - 1:02d}")
+        names["alt01"] = False
+    return {
+        "fm": feature_model(names).renamed("fm"),
+        "cf1": configuration(["core"], name="cf1"),
+        "cf2": configuration([], name="cf2"),
+    }
+
+
 class TestPrunedGroundingEquivalence:
     @given(models=model_tuples(k=2), targets=st.sampled_from(
         [("cf1",), ("cf1", "cf2"), ("fm",), ("fm", "cf2")]
@@ -95,6 +116,23 @@ class TestPrunedGroundingEquivalence:
         assert pruned.satisfiable == naive.satisfiable
         assert pruned.cost == naive.cost
         assert pruned_bindings <= naive_bindings
+
+    @pytest.mark.parametrize("features", [6, 10])
+    def test_frozen_side_prunes_at_least_half_the_bindings(self, features):
+        """Frozen patterns collapse to their matched bindings: on a
+        frozen-dominated question the naive product enumerates at least
+        twice the pruned bindings, at the same optimum."""
+        transformation = paper_transformation(2)
+        models = _frozen_fm(features)
+        naive, naive_bindings = _ground_and_solve(
+            transformation, models, ("cf2",), prune=False
+        )
+        pruned, pruned_bindings = _ground_and_solve(
+            transformation, models, ("cf2",), prune=True
+        )
+        assert pruned.satisfiable and naive.satisfiable
+        assert pruned.cost == naive.cost
+        assert naive_bindings >= 2 * pruned_bindings
 
     @given(models=model_tuples(k=2))
     @settings(max_examples=10, deadline=None)
@@ -289,6 +327,35 @@ class TestGenerationRetention:
         assert session.groundings == 2
         assert session.reuses == 4
         assert distances == [distances[0]] * 6
+
+    def test_persistent_context_halves_translated_clauses(self):
+        """Six oscillating frozen-fm re-grounds onto one persistent
+        ``GroundingContext`` translate at most half the clauses that
+        six private per-ground CNFs do: after one round both variants'
+        structural hashes are hits."""
+        transformation = paper_transformation(2)
+        directions = _directions(transformation)
+        stream = [_frozen_fm(6, "ab"[i % 2]) for i in range(6)]
+
+        def translated(models, context):
+            """Clauses one ground() adds to its CNF."""
+            grounder = Grounder(
+                transformation,
+                models,
+                frozenset({"cf2"}),
+                directions,
+                scope=_SCOPE,
+                retarget=True,
+                context=context,
+            )
+            before = len(grounder.cnf)
+            grounder.ground()
+            return len(grounder.cnf) - before
+
+        private = sum(translated(models, None) for models in stream)
+        context = GroundingContext()
+        shared = sum(translated(models, context) for models in stream)
+        assert 2 * shared <= private
 
     def test_uncached_session_regrounds_every_drift(self):
         transformation = paper_transformation(2)

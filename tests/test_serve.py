@@ -65,6 +65,11 @@ MALFORMED_FIELDS = [
     ("weights", ["cf1"]),
     ("mode", "sideways"),
     ("mode", None),
+    ("scope", {"extra_objects": "2"}),
+    ("scope", {"extra_objects": True}),
+    ("scope", {"extra_ints": 5}),
+    ("scope", {"extra_ints": "ab"}),
+    ("scope", {"extra_ints": [1.5]}),
 ]
 
 
@@ -462,8 +467,16 @@ def _route_pool_to(monkeypatch, fn):
 
 class TestShardDeadline:
     def test_rejects_non_positive_deadline(self):
-        with pytest.raises(ServeError, match="deadline"):
-            serve_batch([paper_request()], workers=0, deadline=0)
+        for argument, value in (
+            ("deadline", 0),
+            ("deadline", float("nan")),
+            ("deadline", "5"),
+            ("workers", 2.5),
+            ("workers", True),
+        ):
+            arguments = {"workers": 0, argument: value}
+            with pytest.raises(ServeError, match=argument):
+                serve_batch([paper_request()], **arguments)
 
     def test_wedged_shard_times_out_rest_completes(self, monkeypatch):
         """One wedged shard -> typed error responses for it, real answers

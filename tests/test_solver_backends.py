@@ -6,7 +6,7 @@ production solver; the object-based legacy core
 rewritten from. This battery is what makes the rewrite — and any future
 change to the core — safe to trust:
 
-* the A8 generated-scenario corpus (the CI smoke seeds) replayed
+* the A8 generated-scenario corpus (seeds 0..24) replayed
   through full SAT enforcement on both cores must agree on verdict,
   optimal cost and the repaired model tuple;
 * random and phase-transition-hard CNFs with assumption streams must
@@ -42,7 +42,7 @@ LEGACY, FLAT = "legacy", "flat"
 CORES = {LEGACY: LegacySolver, FLAT: IncrementalSolver}
 BACKENDS = tuple(CORES)
 
-#: Same list as tests/test_differential_engines.py / the A8 smoke arm.
+#: Same list as tests/test_differential_engines.py.
 SMOKE_SEEDS = tuple(range(25))
 
 
@@ -167,7 +167,7 @@ def _enforce_verdict(backend: str, scenario, monkeypatch):
 
 
 class TestScenarioCorpus:
-    """The A8 smoke corpus, replayed through SAT enforcement per core."""
+    """The A8 corpus (seeds 0..24), replayed through SAT enforcement per core."""
 
     @pytest.mark.parametrize("seed", SMOKE_SEEDS)
     def test_backends_agree_on_scenario(self, seed, monkeypatch):

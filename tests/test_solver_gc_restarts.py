@@ -30,10 +30,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.engine import Checker
 from repro.errors import SolverError
+from repro.featuremodels import configuration, feature_model, paper_transformation
+from repro.solver import maxsat
+from repro.solver.bounded import Grounder, Scope
 from repro.solver.brute import brute_solve, check_assignment
 from repro.solver.cnf import CNF
 from repro.solver.legacy import LegacySolver
+from repro.solver.maxsat import MaxSatSession
 from repro.solver.sat import IncrementalSolver, luby
 
 LEGACY, FLAT = "legacy", "flat"
@@ -209,6 +214,48 @@ class TestEquivalenceUnderPressure:
         assert gc_on.stats.reductions > 0
         assert gc_on.stats.learnts_dropped > 0
         _check_database(gc_on)
+
+    def test_gc_keeps_the_optimum_of_a_reprobed_enforcement_session(
+        self, backend, monkeypatch
+    ):
+        """The paper's k=2 repair question at ``extra_objects=3``: the
+        optimum plus three re-probes at ``at_most(optimum)`` (the
+        streaming pattern of ``enumerate_optimal``) under constant
+        restarts and reductions equals the ``gc=False`` optimum."""
+        transformation = paper_transformation(2)
+        models = {
+            "fm": feature_model({"core": True, "secure": True, "log": False}),
+            "cf1": configuration([], name="cf1"),
+            "cf2": configuration([], name="cf2"),
+        }
+        checker = Checker(transformation)
+        # Smaller scopes learn only glue clauses, which no reduction
+        # drops, so the gc arm would pass without ever reducing.
+        grounding = Grounder(
+            transformation,
+            models,
+            frozenset({"cf1", "cf2"}),
+            [
+                (relation, dependency)
+                for relation in transformation.top_relations()
+                for dependency in checker.directions_of(relation)
+            ],
+            scope=Scope(extra_objects=3),
+        ).ground()
+        monkeypatch.setattr(maxsat, "IncrementalSolver", CORES[backend])
+        costs = {}
+        for gc in (False, True):
+            session = MaxSatSession(grounding.cnf, list(grounding.soft))
+            session.solver.gc = gc
+            if gc:
+                session.solver.LUBY_UNIT = 1  # restart after every conflict
+                session.solver.force_gc()
+            optimum = session.solve_optimal()
+            for _ in range(3):
+                assert session.solve(session.at_most(optimum.cost)).satisfiable
+            costs[gc] = optimum.cost
+        assert costs[True] == costs[False]
+        assert session.solver.stats.reductions > 0
 
     def test_forced_restart_fires_once_then_schedule_resumes(self, backend):
         cnf = _random_cnf(40, 170, seed=3)
