@@ -27,7 +27,12 @@
 #     its deadline while its siblings complete (tests/test_daemon.py);
 #   - delta sessions answer bit-for-bit like serve_batch and cut wire
 #     bytes per request >= 10x on a drift stream
-#     (tests/test_delta_protocol.py).
+#     (tests/test_delta_protocol.py);
+#   - the on-demand totalizer builds at most cap + 1 counter outputs
+#     and >= 3x fewer clauses than the complete counter after a capped
+#     optimum search, and a weight-25 request with cap 2 builds <= 3
+#     outputs while matching the brute engine
+#     (tests/test_solver_card_maxsat.py::TestOnDemandTotalizerGate).
 # a11 replays the generated workload under each injected fault class
 # (worker crash, stall, corrupt wire, connection drop, poison) and
 # asserts every request gets exactly one typed reply, successes stay
@@ -95,6 +100,8 @@ python scripts/check_docs.py
 echo "== public-surface doctests =="
 python -m doctest \
   src/repro/solver/sat.py \
+  src/repro/solver/card.py \
+  src/repro/solver/maxsat.py \
   src/repro/enforce/api.py \
   src/repro/enforce/session.py \
   src/repro/echo/tool.py

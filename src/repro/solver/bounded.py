@@ -51,7 +51,7 @@ counters the context has never seen; everything else is a cache hit.
 Soundness is split by clause kind:
 
 * **definitional and monotone clauses** (Tseitin definitions, totalizer
-  counters, value-implies-alive, reference-implies-alive, at-most
+  counters and their on-demand extensions, value-implies-alive, reference-implies-alive, at-most
   bounds, the retargetable ``diff <-> atom XOR origin`` wiring) are
   valid for every generation and are emitted once, deduplicated;
 * **generation-dependent assertions** (consistency implications,
@@ -512,11 +512,14 @@ class GroundingResult:
     def session(self) -> MaxSatSession:
         """A persistent MaxSAT session over this grounding.
 
-        The relaxation/totalizer encoding is translated exactly once and
-        one incremental solver serves every subsequent query (distance
-        bounds, repair enumeration blocking clauses), instead of the
-        historical full re-translation per SAT call. On context-backed
-        groundings every query must include :meth:`base_assumptions`.
+        The relaxation is translated once, the distance totalizer is
+        built on demand — only the counter outputs the distance bounds
+        asked so far read, extended in place on the session's solver
+        when a larger bound is asked — and one incremental solver
+        serves every subsequent query (distance bounds, repair
+        enumeration blocking clauses), instead of the historical full
+        re-translation per SAT call. On context-backed groundings every
+        query must include :meth:`base_assumptions`.
         """
         return MaxSatSession(self.cnf, list(self.soft))
 

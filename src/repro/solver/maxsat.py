@@ -12,14 +12,21 @@ Two strategies, mirroring the two realisations the paper cites:
   optimal.
 
 Weights are handled by replicating relaxation literals inside the
-totalizer (adequate for the small integer weights model distances use).
+totalizer. Because the totalizer is built on demand, a bound ``b`` only
+ever encodes the counter outputs ``o1..o(b+1)``, so a heavy weight costs
+leaves, not a quadratic counter.
 
 All queries of one optimisation run — and of any follow-up model
 enumeration — go through a single :class:`MaxSatSession`: the soft-clause
-relaxation and the totalizer are encoded exactly once, and one
+relaxation is encoded once, and one
 :class:`~repro.solver.sat.IncrementalSolver` persists across every bound
 probe and blocking clause, carrying its learnt clauses and heuristic
-state from call to call.
+state from call to call. The totalizer is the iterative one of Martins,
+Joshi, Manquinho & Lynce, "Incremental Cardinality Constraints for
+MaxSAT" (CP 2014): a probe at a bound above every bound asked so far
+extends it in place, and the session loads the extension's clauses —
+definitional over fresh variables — into the warm solver, the same way
+it loads blocking clauses.
 """
 
 from __future__ import annotations
@@ -62,10 +69,23 @@ class MaxSatResult:
 class MaxSatSession:
     """A persistent MaxSAT session over one hard CNF.
 
-    Encodes relaxation variables and the totalizer once at construction;
-    afterwards every query — optimum search, re-solves at a fixed bound,
-    enumeration with blocking clauses — is an assumption-based call on
-    the same incremental solver. The input ``hard`` CNF is never mutated.
+    Encodes the relaxation variables at construction and lays out the
+    totalizer tree without any of its outputs; afterwards every query —
+    optimum search, re-solves at a fixed bound, enumeration with
+    blocking clauses — is an assumption-based call on the same
+    incremental solver. :meth:`at_most` builds only the counter outputs
+    its bound reads, extending the totalizer (and the solver) in place
+    when a bound above every earlier one is asked. The input ``hard``
+    CNF is never mutated.
+
+    >>> session = MaxSatSession(CNF(3), [SoftClause((-v,)) for v in (1, 2, 3)])
+    >>> session.at_most(session.total_weight)  # no cap: builds nothing
+    []
+    >>> result = session.solve_optimal(max_cost=1, assumptions=[1])
+    >>> result.satisfiable, result.cost
+    (True, 1)
+    >>> session.solve(session.at_most(1) + [1, 2]).satisfiable
+    False
     """
 
     def __init__(self, hard: CNF, soft: Sequence[SoftClause]) -> None:
@@ -124,10 +144,24 @@ class MaxSatSession:
         return var
 
     def at_most(self, bound: int) -> list[Lit]:
-        """Assumption literals capping the violated weight at ``bound``."""
+        """Assumption literals capping the violated weight at ``bound``.
+
+        Extends the totalizer to the ``bound + 1`` outputs the cap reads
+        and loads the extension's clauses into the solver; a cap of at
+        least :attr:`total_weight` needs no assumption and builds nothing.
+        """
+        if bound < 0:
+            raise SolverError(f"negative cost bound {bound}")
         if self._totalizer is None:
             return []
-        return self._totalizer.at_most_assumption(bound)
+        working = self._working
+        loaded = len(working)
+        assumption = self._totalizer.at_most_assumption(bound)
+        if len(working) > loaded:
+            self._solver.ensure_vars(working.num_vars)
+            for clause in working.clauses[loaded:]:
+                self._solver.add_clause(clause)
+        return assumption
 
     def cost_of(self, result: SatResult) -> int:
         """The violated soft weight of a satisfiable ``result``."""

@@ -1,28 +1,57 @@
-"""Tests for the totalizer encoding and MaxSAT search strategies."""
+"""Tests for the totalizer encoding and MaxSAT search strategies.
 
+Also the home of the on-demand totalizer count gate: a capped optimum
+search on a generated scenario builds at most cap + 1 counter outputs
+and at least 3x fewer totalizer clauses than the complete counter, and
+a heavily weighted request builds no more outputs than its cap reads.
+"""
+
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.enforce.metrics import TupleMetric
 from repro.errors import SolverError
+from repro.gen import random_scenario
+from repro.gen.oracle import run_engine
+from repro.solver.bounded import Grounder
 from repro.solver.card import Totalizer, at_most_one_pairwise, exactly_one
 from repro.solver.cnf import CNF
 from repro.solver.maxsat import (
     DECREASING,
     INCREASING,
     MaxSatResult,
+    MaxSatSession,
     SoftClause,
     solve_maxsat,
     verify_soft_cost,
 )
-from repro.solver.sat import solve
+from repro.solver.sat import IncrementalSolver, solve
 
 
 def fresh_cnf(n):
     cnf = CNF()
     return cnf, [cnf.new_var() for _ in range(n)]
+
+
+@st.composite
+def counter_asks(draw):
+    """Up to 8 counter inputs (repeats and negations allowed) plus a
+    sequence of ``(kind, bound, input assignment)`` asks."""
+    num_vars = draw(st.integers(1, 4))
+    literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
+    inputs = draw(st.lists(literal, min_size=1, max_size=8))
+    n = len(inputs)
+    ask = st.one_of(
+        st.tuples(st.just("at_most"), st.integers(0, n + 1)),
+        st.tuples(st.just("at_least"), st.integers(0, n)),
+    )
+    bits = st.lists(st.booleans(), min_size=num_vars, max_size=num_vars)
+    asks = draw(st.lists(st.tuples(ask, bits), min_size=1, max_size=8))
+    return num_vars, inputs, [(kind, k, b) for (kind, k), b in asks]
 
 
 class TestTotalizer:
@@ -31,6 +60,8 @@ class TestTotalizer:
         """For every input assignment, output i is true iff count > i."""
         cnf, lits = fresh_cnf(n)
         totalizer = Totalizer(cnf, lits)
+        totalizer.at_least_assumption(n)  # outputs are built on demand
+        assert len(totalizer.outputs) == n
         for bits in itertools.product((False, True), repeat=n):
             assumptions = [v if b else -v for v, b in zip(lits, bits)]
             result = solve(cnf, assumptions=assumptions)
@@ -72,6 +103,41 @@ class TestTotalizer:
         with pytest.raises(SolverError):
             Totalizer(CNF(), [])
 
+    def test_construction_encodes_nothing(self):
+        cnf, lits = fresh_cnf(6)
+        totalizer = Totalizer(cnf, lits)
+        assert totalizer.outputs == [] and len(cnf) == 0
+        assert cnf.num_vars == 6
+
+    @given(case=counter_asks())
+    @settings(max_examples=120, deadline=None)
+    def test_interleaved_asks_on_one_solver_match_the_count(self, case):
+        """Asks extend the counter in place; a solver that already
+        answered queries loads only the new clauses and stays exact."""
+        num_vars, inputs, asks = case
+        cnf = CNF(num_vars)
+        totalizer = Totalizer(cnf, inputs)
+        solver = IncrementalSolver(cnf)
+        loaded = 0
+        for kind, k, bits in asks:
+            if kind == "at_most":
+                assumption = totalizer.at_most_assumption(k)
+            else:
+                assumption = totalizer.at_least_assumption(k)
+            solver.ensure_vars(cnf.num_vars)
+            for clause in cnf.clauses[loaded:]:
+                solver.add_clause(clause)
+            loaded = len(cnf)
+            count = sum(1 for lit in inputs if bits[abs(lit) - 1] == (lit > 0))
+            expected = count <= k if kind == "at_most" else count >= k
+            state = [v if bit else -v for v, bit in enumerate(bits, start=1)]
+            result = solver.solve(assumption + state)
+            assert result.satisfiable == expected
+            if result.satisfiable:
+                for i, out in enumerate(totalizer.outputs):
+                    holds = result.value(abs(out)) == (out > 0)
+                    assert holds == (count >= i + 1)
+
 
 class TestSmallCardinalityHelpers:
     def test_at_most_one_pairwise(self):
@@ -91,21 +157,21 @@ class TestSmallCardinalityHelpers:
             exactly_one(CNF(), [])
 
 
-def brute_optimum(hard: CNF, soft) -> int | None:
-    """Exhaustive optimal soft cost, None when hard is UNSAT."""
-    best = None
+def hard_models(hard: CNF):
+    """Every full assignment satisfying ``hard``, as ``(bits, dict)``."""
     for bits in itertools.product((False, True), repeat=hard.num_vars):
         assignment = dict(zip(range(1, hard.num_vars + 1), bits))
-        ok = all(
+        if all(
             any((assignment[abs(l)] if l > 0 else not assignment[abs(l)]) for l in c)
             for c in hard.clauses
-        )
-        if not ok:
-            continue
-        cost = verify_soft_cost(soft, assignment)
-        if best is None or cost < best:
-            best = cost
-    return best
+        ):
+            yield bits, assignment
+
+
+def brute_optimum(hard: CNF, soft) -> int | None:
+    """Exhaustive optimal soft cost, None when hard is UNSAT."""
+    costs = [verify_soft_cost(soft, a) for _bits, a in hard_models(hard)]
+    return min(costs, default=None)
 
 
 @st.composite
@@ -190,3 +256,164 @@ class TestMaxSat:
         assert inc.satisfiable == dec.satisfiable
         if inc.satisfiable:
             assert inc.cost == dec.cost
+
+
+def brute_optima(hard: CNF, soft, cost: int) -> set[tuple[bool, ...]]:
+    """Every full assignment of the hard clauses with soft cost ``cost``."""
+    return {
+        bits
+        for bits, assignment in hard_models(hard)
+        if verify_soft_cost(soft, assignment) == cost
+    }
+
+
+def counting_session(n: int) -> MaxSatSession:
+    """A session whose cost is the number of true variables among 1..n."""
+    return MaxSatSession(CNF(n), [SoftClause((-v,)) for v in range(1, n + 1)])
+
+
+class TestOnDemandSession:
+    """MaxSatSession asks build counter outputs only as bounds need them."""
+
+    @given(instance=maxsat_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_uncapped_ask_builds_up_to_the_optimum(self, instance):
+        hard, soft = instance
+        expected = brute_optimum(hard, soft)
+        session = MaxSatSession(hard, soft)
+        result = session.solve_optimal()
+        if expected is None:
+            assert not result.satisfiable
+            return
+        assert result.satisfiable and result.cost == expected
+        assert len(session._totalizer.outputs) <= max(expected + 1, 1)
+
+    @given(instance=maxsat_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_rising_caps_on_one_session(self, instance):
+        hard, soft = instance
+        expected = brute_optimum(hard, soft)
+        session = MaxSatSession(hard, soft)
+        for cap in (0, 1, 3, None):
+            result = session.solve_optimal(max_cost=cap)
+            if expected is None or (cap is not None and expected > cap):
+                assert not result.satisfiable
+            else:
+                assert result.satisfiable and result.cost == expected
+                assert verify_soft_cost(soft, result.assignment) == expected
+
+    @given(instance=maxsat_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_decreasing_mode_fresh_and_after_an_extension(self, instance):
+        hard, soft = instance
+        expected = brute_optimum(hard, soft)
+        session = MaxSatSession(hard, soft)
+        fresh = session.solve_optimal(mode=DECREASING)
+        session.solve_optimal(max_cost=1)
+        warm = session.solve_optimal(mode=DECREASING)
+        for result in (fresh, warm):
+            if expected is None:
+                assert not result.satisfiable
+            else:
+                assert result.satisfiable and result.cost == expected
+
+    @given(instance=maxsat_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_enumerate_optimal_after_an_extension(self, instance):
+        hard, soft = instance
+        expected = brute_optimum(hard, soft)
+        if expected is None:
+            return
+        session = MaxSatSession(hard, soft)
+        session.solve_optimal(max_cost=0)
+        session.at_most(2)
+        project = list(range(1, hard.num_vars + 1))
+        cost, solutions = session.enumerate_optimal(project)
+        assert cost == expected
+        found = {tuple(s[v] for v in project) for s in solutions}
+        assert len(found) == len(solutions)
+        assert found == brute_optima(hard, soft, expected)
+
+    def test_cap_above_the_current_output_count(self):
+        session = counting_session(5)
+        session.at_most(0)
+        assert len(session._totalizer.outputs) == 1
+        cap = session.at_most(2)
+        assert len(session._totalizer.outputs) == 3
+        assert not session.solve(cap + [1, 2, 3]).satisfiable
+        assert session.solve(cap + [1, 2, -3]).satisfiable
+        assert not session.solve(session.at_most(0) + [4]).satisfiable
+
+    def test_cap_at_or_above_total_weight_builds_nothing(self):
+        session = counting_session(4)
+        clauses, variables = len(session._working), session._working.num_vars
+        assert session.at_most(session.total_weight) == []
+        assert session.at_most(session.total_weight + 3) == []
+        assert session._totalizer.outputs == []
+        assert len(session._working) == clauses
+        assert session._working.num_vars == variables
+
+    @pytest.mark.parametrize("soft", [[], [SoftClause((1,))]])
+    def test_negative_cap_is_rejected(self, soft):
+        session = MaxSatSession(CNF(1), soft)
+        with pytest.raises(SolverError):
+            session.at_most(-1)
+
+
+def ground_scenario(scenario):
+    checker = scenario.checker()
+    transformation = scenario.transformation
+    directions = [
+        (relation, dependency)
+        for relation in transformation.top_relations()
+        for dependency in checker.directions_of(relation)
+    ]
+    return Grounder(
+        transformation,
+        scenario.models,
+        frozenset(scenario.targets.params),
+        directions,
+        scope=scenario.scope,
+        weights=dict(scenario.metric.weights),
+    ).ground()
+
+
+class TestOnDemandTotalizerGate:
+    """Count gates (not wall-clock) for the on-demand totalizer."""
+
+    def test_capped_solve_builds_a_fraction_of_the_counter(self):
+        scenario = random_scenario(2)  # a two-target repair at distance 2
+        cap = scenario.max_distance
+        session = ground_scenario(scenario).session()
+        built = len(session._working)
+        result = session.solve_optimal(max_cost=cap)
+        assert result.satisfiable and result.cost == 2
+        totalizer = session._totalizer
+        assert len(totalizer.outputs) <= cap + 1
+        on_demand = len(session._working) - built
+        totalizer.at_least_assumption(session.total_weight)
+        complete = len(session._working) - built
+        assert complete >= 3 * on_demand
+
+    @pytest.mark.parametrize("heavy", ["m1", "m2"])
+    def test_heavy_weight_builds_only_what_the_cap_reads(self, heavy, monkeypatch):
+        """Weight 25 replicates each relaxation literal 25 times; a cap
+        of 2 must still read (and build) at most 3 outputs."""
+        base = random_scenario(2)
+        weights = dict(base.metric.weights, **{heavy: 25})
+        scenario = dataclasses.replace(
+            base, metric=TupleMetric(weights), max_distance=2
+        )
+        sessions = []
+        construct = MaxSatSession.__init__
+
+        def recording(self, *args, **kwargs):
+            construct(self, *args, **kwargs)
+            sessions.append(self)
+
+        monkeypatch.setattr(MaxSatSession, "__init__", recording)
+        brute = run_engine("brute", scenario)
+        sat = run_engine("sat-unshared", scenario)
+        assert (sat.outcome, sat.distance) == (brute.outcome, brute.distance)
+        assert sessions and all(s.total_weight > 25 for s in sessions)
+        assert all(len(s._totalizer.outputs) <= 3 for s in sessions)
