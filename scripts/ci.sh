@@ -8,7 +8,10 @@
 #     learnt-clause GC under constant restarts keeps the optimum of a
 #     re-probed enforcement session (tests/test_solver_gc_restarts.py);
 #   - an Echo enforcement session answers like re-grounding per edit
-#     with one grounding (tests/test_enforce_session.py);
+#     with one grounding, and its monotone universe re-grounds a paper
+#     feature-model toggle stream at most once per new object id while
+#     answering like per-call SAT, ghosts capped per class
+#     (tests/test_enforce_session.py::TestMonotoneUniverse);
 #   - pruned grounding answers like the naive product with at most its
 #     bindings, and at least 2x fewer on frozen-dominated questions;
 #     re-grounds onto one persistent GroundingContext translate at most
@@ -44,15 +47,16 @@
 # the pooled batch service's worker slots (gen-batch: the batch
 # service's verdicts and costs on the whole corpus) and as delta
 # sessions on a daemon's worker slots (gen-delta), plus the paper's own
-# feature-model edits on one warm shape (paper-fm, the workload that
-# regrounds), and exit 1 on any answer that differs from its frozen
+# feature-model edits on one warm shape (paper-fm, the only workload
+# that re-grounds at all: once per feature id the session has not yet
+# grounded), and exit 1 on any answer that differs from its frozen
 # (outcome, distance) reference, computed by per-call SAT. One more
 # gen-cold run with the per-layer tracer on guards the names the
 # tracer patches: a refactor that renames one fails the stage instead
 # of silently breaking the per-layer numbers.
 # Docs can't rot silently: every example runs as a smoke stage, the
-# code blocks in README.md and docs/ are import-checked, and the
-# audited public modules' doctests execute.
+# code blocks in README.md and docs/ are import-checked, and every
+# module under src/ that carries a doctest runs it.
 #
 # Usage: scripts/ci.sh  (from anywhere; finishes in a few minutes)
 set -euo pipefail
@@ -97,13 +101,9 @@ done
 echo "== docs code-block import check =="
 python scripts/check_docs.py
 
-echo "== public-surface doctests =="
-python -m doctest \
-  src/repro/solver/sat.py \
-  src/repro/solver/card.py \
-  src/repro/solver/maxsat.py \
-  src/repro/enforce/api.py \
-  src/repro/enforce/session.py \
-  src/repro/echo/tool.py
+echo "== doctests =="
+mapfile -t doctest_modules < <(grep -rl --include='*.py' '>>> ' src | sort)
+echo "${#doctest_modules[@]} modules"
+python -m doctest "${doctest_modules[@]}"
 
 echo "CI OK"

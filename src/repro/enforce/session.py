@@ -24,6 +24,17 @@ universe, a new attribute value outside the candidate pools, a drifted
 frozen model — trigger a fresh grounding. Learnt clauses and heuristic
 state accumulated by earlier repairs keep accelerating later ones.
 
+A shape's universe is *monotone*: a re-ground keeps, as empty **ghost**
+objects, the object ids the replaced generation grounded that the new
+state lacks (at most ``scope.extra_objects`` per class, see
+:meth:`EnforcementSession._ghosts`), next to the usual fresh slots. An
+edit stream that toggles objects in and out — a configuration
+re-selecting a feature it dropped three edits ago — then escapes the
+universe once per object id, not once per toggle. A session grounding's
+universe is therefore a superset of a per-call grounding's: its optimum
+never exceeds the per-call one, and the tests hold the two equal on the
+paper's feature-model streams.
+
 Since the grounding fast path (PR 3) the session is also the *shared*
 grounding behind every SAT-fragment entry point:
 
@@ -69,7 +80,7 @@ set.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -122,12 +133,14 @@ class _Generation:
     grounder: object
     grounding: object
     frozen: dict[str, Model]
-    #: Fresh-slot object ids per target parameter. Symmetry breaking is
-    #: only sound while the anchoring state leaves every fresh slot
-    #: empty — fresh slots are then interchangeable, so the canonical
-    #: representative costs the same as any isomorph. A state that
-    #: *occupies* a fresh slot (a previously accepted repair evolved
-    #: further) breaks the interchangeability and must solve unchained.
+    #: Allocated fresh-slot object ids per target parameter — ghosts
+    #: excluded. Symmetry breaking is only sound while the anchoring
+    #: state leaves every fresh slot empty — fresh slots are then
+    #: interchangeable, so the canonical representative costs the same
+    #: as any isomorph. A state that *occupies* a fresh slot (a
+    #: previously accepted repair evolved further) breaks the
+    #: interchangeability and must solve unchained. Ghosts sit outside
+    #: the chain, so a state reviving one keeps it.
     fresh: dict[str, frozenset]
     maxsat: object = None
     oracle: ConsistencyOracle | None = None
@@ -181,6 +194,19 @@ class EnforcementSession:
     4
     >>> session.groundings, session.reuses
     (1, 1)
+
+    A never-seen object (``s_net``) escapes the universe and re-grounds;
+    the new generation keeps ``s_log`` as a ghost, so re-selecting it
+    next to ``s_net`` is patched again:
+
+    >>> session.enforce(dict(models,
+    ...     cf1=configuration(["core", "net"], name="cf1"))).distance
+    4
+    >>> session.enforce(dict(models,
+    ...     cf1=configuration(["core", "log", "net"], name="cf1"))).distance
+    4
+    >>> session.groundings, session.reuses
+    (2, 2)
     """
 
     def __init__(
@@ -619,6 +645,10 @@ class EnforcementSession:
         selector-guarded so optimum solves can assume them while oracle
         queries must not. Without a context the historical standalone
         grounding (no symmetry, plain assertions) is built.
+
+        Either way the new generation is grounded over ``models`` plus
+        the replaced generation's ghosts (:meth:`_ghosts`), so an object
+        id this shape has grounded before anchors the newest generation.
         """
         if self._fragment_error is not None:
             # This question shape can never ground; don't rebuild (and,
@@ -635,6 +665,7 @@ class EnforcementSession:
             retarget=True,
             prune=self.prune,
             context=self._context,
+            ghosts=self._ghosts(models, scope),
         )
         try:
             grounding = grounder.ground()
@@ -651,7 +682,7 @@ class EnforcementSession:
             },
             fresh={
                 param: frozenset(
-                    oid for oid in gm.universe if gm.is_fresh(oid)
+                    oid for slots in gm.fresh_slots.values() for oid in slots
                 )
                 for param, gm in grounding.ground_models.items()
                 if gm.symbolic
@@ -663,6 +694,37 @@ class EnforcementSession:
         del self._generations[:-limit]
         self._active = generation
         self.groundings += 1
+
+    def _ghosts(
+        self, models: Mapping[str, Model], scope: Scope
+    ) -> dict[str, dict[str, str]]:
+        """The ghost objects a re-ground of ``models`` carries over.
+
+        Per target parameter: every object id the active (about to be
+        replaced) generation grounded outside its fresh slots that
+        ``models`` lacks, with its class, at most
+        ``scope.extra_objects`` per class in id order. Fresh slots need
+        no carrying: every grounding allocates its own.
+        """
+        active = self._active
+        if active is None:
+            return {}
+        ghosts: dict[str, dict[str, str]] = {}
+        for param, fresh in active.fresh.items():
+            gm = active.grounding.ground_models[param]
+            present = set(models[param].object_ids())
+            concrete = set(models[param].metamodel.concrete_classes())
+            per_class: Counter[str] = Counter()
+            carried: dict[str, str] = {}
+            for oid in gm.universe:
+                cls = gm.class_of(oid)
+                if oid in fresh or oid in present or cls not in concrete:
+                    continue
+                if per_class[cls] < scope.extra_objects:
+                    per_class[cls] += 1
+                    carried[oid] = cls
+            ghosts[param] = carried
+        return ghosts
 
 
 #: The small grounding cache of the session/tool layer: live sessions

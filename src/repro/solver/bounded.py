@@ -5,7 +5,8 @@ parameters (the models enforcement may change) and the directional checks
 to maintain, it produces
 
 * a **universe** per target model — existing objects plus ``extra``
-  fresh ones per concrete class, and per-type value pools (the active
+  fresh ones per concrete class (plus an enforcement session's ghosts,
+  see :class:`GroundModel`), and per-type value pools (the active
   domain of the whole tuple plus fresh synthetic values: the analogue of
   Alloy scopes);
 * **structural constraints** — alive/attribute/reference variables wired
@@ -104,15 +105,35 @@ from repro.solver.tseitin import (
 
 @dataclass(frozen=True)
 class Scope:
-    """Bounds of the grounding universe (the Alloy-scope analogue)."""
+    """Bounds of the grounding universe (the Alloy-scope analogue).
+
+    Typed like the wire codec's ``scope`` object: the two counts are
+    ints >= 0 and ``extra_ints`` a tuple of ints, bools rejected
+    everywhere (``True`` would otherwise enter the Integer pool as 1).
+    """
 
     extra_objects: int = 1
     extra_strings: int = 1
     extra_ints: tuple[int, ...] = (0, 1)
 
     def __post_init__(self) -> None:
-        if self.extra_objects < 0 or self.extra_strings < 0:
-            raise SolverError("scope bounds must be non-negative")
+        for name in ("extra_objects", "extra_strings"):
+            count = getattr(self, name)
+            if not _is_int(count) or count < 0:
+                raise SolverError(
+                    f"scope {name} must be an integer >= 0, got {count!r}"
+                )
+        if not isinstance(self.extra_ints, tuple) or not all(
+            _is_int(value) for value in self.extra_ints
+        ):
+            raise SolverError(
+                "scope extra_ints must be a tuple of integers, "
+                f"got {self.extra_ints!r}"
+            )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def fresh_oid(class_name: str, index: int) -> str:
@@ -125,17 +146,23 @@ def fresh_string(index: int) -> str:
     return f"$new{index}"
 
 
-def fresh_slots_for(model: Model, scope: Scope) -> dict[str, tuple[str, ...]]:
+def fresh_slots_for(
+    model: Model, scope: Scope, ghosts: Mapping[str, str] | None = None
+) -> dict[str, tuple[str, ...]]:
     """The fresh-slot object ids a grounding of ``model`` allocates.
 
     Per concrete class: the first ``scope.extra_objects`` reserved ids
-    (:func:`fresh_oid`) the model does not already occupy — an accepted
-    repair's fresh object, evolved further by the user, legitimately
-    sits on a reserved id, and allocation simply takes the following
-    indices. Shared by :class:`GroundModel` and the search engine so
-    both explore the *same* bounded universe.
+    (:func:`fresh_oid`) that neither the model nor a ``ghosts`` id (see
+    :class:`GroundModel`) already occupies — an accepted repair's fresh
+    object, evolved further by the user, legitimately sits on a reserved
+    id, and allocation simply takes the following indices. So a grounding
+    always has exactly ``scope.extra_objects`` fresh slots per class,
+    ghosts or not. Shared by :class:`GroundModel` and the search engines,
+    so a per-call grounding and a search explore the *same* bounded
+    universe; an enforcement session's grounding adds its ghosts on top.
     """
     taken = set(model.object_ids())
+    taken.update(ghosts or ())
     slots: dict[str, tuple[str, ...]] = {}
     for class_name in model.metamodel.concrete_classes():
         allocated = []
@@ -194,7 +221,14 @@ class GroundModel:
     """One model's view in the grounding: symbolic or frozen.
 
     Frozen models answer atom queries with constants; target models
-    answer with propositional variables named by the atom.
+    answer with propositional variables named by the atom. A target's
+    universe is the model's objects, its fresh slots and its
+    ``ghosts``: absent object ids (id -> class) an enforcement session
+    carries over from an earlier grounding of the same shape, at most
+    ``scope.extra_objects`` per class, so a later state that brings one
+    back still anchors this grounding. A ghost is an empty object like
+    a fresh slot but sits outside the symmetry-breaking chain; a
+    grounding without ghosts is the one a per-call enforcement builds.
     """
 
     def __init__(
@@ -204,6 +238,7 @@ class GroundModel:
         symbolic: bool,
         scope: Scope,
         pools: ValuePools,
+        ghosts: Mapping[str, str] | None = None,
     ) -> None:
         self.param = param
         self.model = model
@@ -212,11 +247,15 @@ class GroundModel:
         self.metamodel: Metamodel = model.metamodel
         universe = list(model.object_ids())
         self._class_of = {o.oid: o.cls for o in model.objects}
+        #: Ghost object ids -> class (symbolic models only).
+        self.ghosts: dict[str, str] = dict(ghosts or {}) if symbolic else {}
+        universe.extend(self.ghosts)
+        self._class_of.update(self.ghosts)
         #: Allocated fresh-slot ids per concrete class, in chain order
         #: (the symmetry-breaking walk follows this order); see
         #: :func:`fresh_slots_for` for the skip-occupied allocation rule.
         self.fresh_slots: dict[str, tuple[str, ...]] = (
-            fresh_slots_for(model, scope) if symbolic else {}
+            fresh_slots_for(model, scope, self.ghosts) if symbolic else {}
         )
         for class_name, slots in self.fresh_slots.items():
             for oid in slots:
@@ -248,9 +287,6 @@ class GroundModel:
 
     def class_of(self, oid: str) -> str:
         return self._class_of[oid]
-
-    def is_fresh(self, oid: str) -> bool:
-        return not self.model.has(oid)
 
     # ------------------------------------------------------------------
     # Atom formulas
@@ -569,7 +605,11 @@ class GroundingResult:
 
 
 class Grounder:
-    """Grounds structure + consistency + distance for one repair problem."""
+    """Grounds structure + consistency + distance for one repair problem.
+
+    ``ghosts`` maps a target parameter to its ghost objects (id ->
+    class, see :class:`GroundModel`); only enforcement sessions pass it.
+    """
 
     #: Process-wide count of :meth:`ground` runs; the translation-count
     #: tests read deltas to pin "one grounding per enforcement question".
@@ -593,6 +633,7 @@ class Grounder:
         retarget: bool = False,
         prune: bool = True,
         context: GroundingContext | None = None,
+        ghosts: Mapping[str, Mapping[str, str]] | None = None,
     ) -> None:
         self.transformation = transformation
         self.models = dict(models)
@@ -631,6 +672,7 @@ class Grounder:
                 symbolic=param in self.targets,
                 scope=scope,
                 pools=self.pools,
+                ghosts=(ghosts or {}).get(param),
             )
             for param in transformation.param_names()
         }

@@ -9,6 +9,7 @@ models) must transparently re-ground, never mis-answer.
 """
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -237,6 +238,126 @@ class TestSessionReuse:
         repair = session.enforce(_tuple({"core": True}, ["core"], ["core"]))
         assert repair.engine == "none"
         assert session.groundings == 0
+
+
+def _answer(run):
+    """``(outcome, distance)`` of one enforcement call."""
+    try:
+        repair = run()
+    except NoRepairFound:
+        return ("no-repair", None)
+    return ("consistent" if repair.engine == "none" else "repaired", repair.distance)
+
+
+def _toggle_stream(features, requests, seed=2014):
+    """The paper's feature-model edit stream: a consistent base tuple
+    (half the features mandatory, the optional ones split between the
+    two configurations) plus 1-2 random selection toggles per request."""
+    names = [f"f{i}" for i in range(features)]
+    mandatory = {name: i < features // 2 for i, name in enumerate(names)}
+    optional = [name for name in names if not mandatory[name]]
+    core = [name for name in names if mandatory[name]]
+    half = len(optional) // 2
+    base = {"cf1": core + optional[:half], "cf2": core + optional[half:]}
+    fm = feature_model(mandatory)
+    positions = [(cf, name) for cf in ("cf1", "cf2") for name in names]
+    rng = random.Random(seed)
+    stream = []
+    for _ in range(requests):
+        selected = {cf: set(chosen) for cf, chosen in base.items()}
+        for cf, name in rng.sample(positions, rng.choice((1, 2))):
+            selected[cf] ^= {name}
+        stream.append(
+            {
+                "fm": fm,
+                **{
+                    cf: configuration(sorted(selected[cf]), name=cf)
+                    for cf in ("cf1", "cf2")
+                },
+            }
+        )
+    return stream
+
+
+class TestMonotoneUniverse:
+    """A re-ground keeps the object ids its shape already grounded.
+
+    The replaced generation's ids that the new state lacks come back as
+    empty ghost objects, at most ``scope.extra_objects`` per class, so a
+    toggle stream re-grounds once per new object id, not per toggle.
+    """
+
+    def test_toggle_stream_regrounds_once_per_new_id(self):
+        """The count gate. Four features, 48 toggles: every feature id
+        is known after the first grounding except one per configuration
+        (cf1 starts without s_f3, cf2 without s_f2), so three groundings
+        suffice. Measured: 3 with ghosts, 8 when a re-ground forgets the
+        ids it replaced."""
+        transformation = paper_transformation(k=2)
+        targets = TargetSelection(["cf1", "cf2"])
+        stream = _toggle_stream(features=4, requests=48)
+        session = EnforcementSession(transformation, targets)
+        answers = [_answer(lambda: session.enforce(models)) for models in stream]
+        assert session.groundings <= 3
+        references = [
+            _answer(
+                lambda: enforce(transformation, models, targets, share=False)
+            )
+            for models in stream
+        ]
+        assert answers == references
+        assert {outcome for outcome, _ in answers} == {"consistent", "repaired"}
+
+    def test_ghosts_stay_capped_on_a_stream_of_new_ids(self):
+        """Every step selects a never-seen feature id, so every step
+        re-grounds and the replaced ids pile up; the ghosts per class
+        stop at ``extra_objects`` and the answers stay per-call SAT's."""
+        transformation = paper_transformation(k=2)
+        targets = TargetSelection(["cf1", "cf2"])
+        features = {"core": True, **{f"f{i}": False for i in range(6)}}
+        session = EnforcementSession(transformation, targets, scope=SCOPE)
+        ghost_counts = []
+        for i in range(6):
+            models = _tuple(features, [f"f{i}"], ["core"])
+            answer = _answer(lambda: session.enforce(models))
+            reference = _answer(
+                lambda: enforce(
+                    transformation, models, targets, scope=SCOPE, share=False
+                )
+            )
+            assert answer == reference == ("repaired", 2)
+            assert session.groundings == i + 1
+            gm = session._active.grounding.ground_models["cf1"]
+            assert set(gm.ghosts.values()) <= {"Feature"}
+            assert len(gm.ghosts) <= SCOPE.extra_objects
+            assert f"s_f{i}" not in gm.ghosts
+            # Fresh slots never shrink: the count equals a fresh grounding's.
+            assert len(gm.fresh_slots["Feature"]) == SCOPE.extra_objects
+            ghost_counts.append(len(gm.ghosts))
+        assert ghost_counts == [0, 1, 2, 2, 2, 2]
+
+    def test_reviving_a_ghost_keeps_the_symmetry_chain(self):
+        """A state that brings a ghost id back occupies no fresh slot,
+        so it anchors the newest generation and the optimum solve may
+        still assume the symmetry chain, at per-call SAT's distance."""
+        transformation = paper_transformation(k=2)
+        targets = TargetSelection(["cf1", "cf2"])
+        features = {"core": True, "a": False, "b": False}
+        session = EnforcementSession(transformation, targets, scope=SCOPE)
+        session.enforce(_tuple(features, ["a"], ["core"]))
+        session.enforce(_tuple(features, ["b"], ["core"]))  # s_b is new
+        assert session.groundings == 2
+        assert set(session._active.grounding.ground_models["cf1"].ghosts) == {
+            "s_a"
+        }
+        revived = _tuple(features, ["a", "b"], ["core"])
+        _models, distance = session.solve_tuple(revived)
+        assert session.groundings == 2  # s_a was a ghost: patched
+        assert session._symmetry_ok(session._bound(revived))
+        reference = enforce(
+            transformation, revived, targets, scope=SCOPE, share=False
+        )
+        assert distance == reference.distance == 2
 
 
 class TestSharedSessionEviction:

@@ -15,10 +15,12 @@ from repro.metamodel.conformance import is_conformant
 from repro.metamodel.distance import distance
 from repro.objectdb import schema_transformation
 from repro.solver.bounded import (
+    GroundModel,
     Grounder,
     Scope,
     ValuePools,
     fresh_oid,
+    fresh_slots_for,
     fresh_string,
 )
 from repro.solver.maxsat import solve_maxsat
@@ -60,6 +62,33 @@ class TestScopeAndPools:
     def test_scope_validation(self):
         with pytest.raises(SolverError):
             Scope(extra_objects=-1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"extra_objects": True},
+            {"extra_objects": 1.5},
+            {"extra_objects": "2"},
+            {"extra_strings": False},
+            {"extra_strings": -1},
+            {"extra_strings": None},
+            {"extra_ints": (True, 0)},
+            {"extra_ints": (2.5, "x")},
+            {"extra_ints": [0, 1]},
+            {"extra_ints": 3},
+        ],
+    )
+    def test_scope_rejects_mistyped_fields(self, fields):
+        """Typed like the wire codec: bools are not counts or Integers,
+        and a malformed field is a SolverError, never a bare TypeError
+        from deep inside the value pools."""
+        with pytest.raises(SolverError):
+            Scope(**fields)
+
+    def test_scope_accepts_well_typed_fields(self):
+        scope = Scope(extra_objects=0, extra_strings=0, extra_ints=(-3, 7))
+        assert ValuePools({}, scope).candidates(INTEGER) == (-3, 7)
+        assert Scope(extra_ints=()).extra_ints == ()
 
     def test_fresh_names(self):
         assert fresh_oid("Feature", 2) == "new_feature_2"
@@ -125,6 +154,36 @@ class TestFragmentGuard:
         env = paper_env({"core": True}, ["core"], ["core"])
         with pytest.raises(SolverError, match="unknown target"):
             Grounder(t, env, frozenset({"zz"}), [])
+
+
+class TestGhosts:
+    """Ghost objects widen a target's universe without moving its fresh
+    slots' count (the enforcement session's monotone universe)."""
+
+    def test_fresh_slots_skip_ghost_ids(self):
+        cf = configuration(["core"], name="cf1")
+        ghosts = {"new_feature_1": "Feature", "s_log": "Feature"}
+        assert fresh_slots_for(cf, Scope(extra_objects=2), ghosts) == {
+            "Feature": ("new_feature_2", "new_feature_3")
+        }
+        assert fresh_slots_for(cf, Scope(extra_objects=2)) == {
+            "Feature": ("new_feature_1", "new_feature_2")
+        }
+
+    def test_ground_model_universe_holds_ghosts_once(self):
+        cf = configuration(["core"], name="cf1")
+        models = {"cf1": cf}
+        ghosts = {"new_feature_1": "Feature", "s_log": "Feature"}
+        scope = Scope(extra_objects=2)
+        gm = GroundModel("cf1", cf, True, scope, ValuePools(models, scope), ghosts)
+        assert gm.universe == (
+            "new_feature_1", "new_feature_2", "new_feature_3", "s_core", "s_log"
+        )
+        assert gm.ghosts == ghosts and gm.class_of("s_log") == "Feature"
+        frozen = GroundModel(
+            "cf1", cf, False, scope, ValuePools(models, scope), ghosts
+        )
+        assert frozen.universe == ("s_core",) and frozen.ghosts == {}
 
 
 class TestGroundingSolves:
