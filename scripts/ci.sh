@@ -4,7 +4,12 @@
 # tier-1 pytest holds the correctness gates of the fast paths, the serve
 # stack and the generated-workload oracle:
 #   - the flat CDCL core makes the legacy reference core's decisions,
-#     propagations and answers (tests/test_solver_backends.py), and
+#     propagations and answers, also on prefix-sharing assumption
+#     streams (tests/test_solver_backends.py); a solve keeps the
+#     assumption levels it shares with the previous one, answers like a
+#     fresh solver and propagates at most 80,000 literals on a paper
+#     feature-model toggle stream
+#     (tests/test_solver_incremental.py::TestAssumptionTrailReuse); and
 #     learnt-clause GC under constant restarts keeps the optimum of a
 #     re-probed enforcement session (tests/test_solver_gc_restarts.py);
 #   - an Echo enforcement session answers like re-grounding per edit

@@ -89,7 +89,7 @@ from repro.metamodel.types import (
 )
 from repro.qvtr.ast import Domain, Relation, Transformation
 from repro.solver.card import Totalizer, TotalizerCache, at_most_one_pairwise
-from repro.solver.cnf import CNF, Lit, VarPool
+from repro.solver.cnf import CNF, Lit, VarPool, is_int
 from repro.solver.maxsat import MaxSatSession, SoftClause
 from repro.solver.tseitin import (
     PFALSE,
@@ -119,21 +119,17 @@ class Scope:
     def __post_init__(self) -> None:
         for name in ("extra_objects", "extra_strings"):
             count = getattr(self, name)
-            if not _is_int(count) or count < 0:
+            if not is_int(count) or count < 0:
                 raise SolverError(
                     f"scope {name} must be an integer >= 0, got {count!r}"
                 )
         if not isinstance(self.extra_ints, tuple) or not all(
-            _is_int(value) for value in self.extra_ints
+            is_int(value) for value in self.extra_ints
         ):
             raise SolverError(
                 "scope extra_ints must be a tuple of integers, "
                 f"got {self.extra_ints!r}"
             )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def fresh_oid(class_name: str, index: int) -> str:

@@ -19,6 +19,11 @@ Lit = int
 Clause = tuple[Lit, ...]
 
 
+def is_int(value: object) -> bool:
+    """True for an ``int`` that is not a ``bool`` (``True`` is no literal)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class CNF:
     """A conjunction of clauses over variables ``1..num_vars``."""
@@ -35,6 +40,8 @@ class CNF:
         """Add one clause; validates literals against ``num_vars``."""
         clause = tuple(literals)
         for lit in clause:
+            if not isinstance(lit, int) or isinstance(lit, bool):
+                raise SolverError(f"literal {lit!r} is not an int")
             if lit == 0:
                 raise SolverError("0 is not a literal")
             if abs(lit) > self.num_vars:

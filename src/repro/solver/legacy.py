@@ -8,6 +8,9 @@ kept as the readable reference that the cross-core differential battery
 (``tests/test_solver_backends.py``) compares the production core
 against — the two are trace-identical:
 same decisions, same learnt clauses, same models, same per-call stats.
+That includes the one search-state rule of the flat core that is not
+data layout: a call keeps the assumption levels it shares with the
+previous call, so both cores propagate the same literals per call.
 
 Nothing in production constructs it. Tests build it directly, or
 substitute it for the production core by monkeypatching
@@ -29,7 +32,9 @@ class LegacySolver(IncrementalSolver):
 
     Inherits the public surface (``solve``, ``new_var``, the force
     hooks, the Luby schedule and every tuning constant) and replaces the
-    whole internal representation.
+    whole internal representation. ``_solve`` carries its own copy of
+    the assumption-prefix rule, written against signed literals, so the
+    cross-core battery checks the flat core's copy instead of sharing it.
     """
 
     def __init__(self, cnf: CNF | None = None, gc: bool = True) -> None:
@@ -99,6 +104,8 @@ class LegacySolver(IncrementalSolver):
         """
         clause = list(literals)
         for lit in clause:
+            if not isinstance(lit, int) or isinstance(lit, bool):
+                raise SolverError(f"literal {lit!r} is not an int")
             if lit == 0:
                 raise SolverError("0 is not a literal")
             if abs(lit) > self.num_vars:
@@ -447,7 +454,14 @@ class LegacySolver(IncrementalSolver):
     # Main loop
     # ------------------------------------------------------------------
     def _solve(self, assumptions: tuple[Lit, ...]) -> SatResult:
-        self._backtrack(0)
+        # The flat core's rule: keep the assumption levels shared with
+        # the previous call (add_clause has backtracked to 0 if needed).
+        previous = self._assumptions
+        limit = min(len(assumptions), len(previous), self._decision_level())
+        keep = 0
+        while keep < limit and assumptions[keep] == previous[keep]:
+            keep += 1
+        self._backtrack(keep)
         if not self._settle_root_level():
             return SatResult(False, core=())
         self._assumptions = assumptions
@@ -527,7 +541,8 @@ class LegacySolver(IncrementalSolver):
                 if value == 0:
                     self._assign(lit, None)
                 continue
-            decision = self._decide()
+            full = len(self.trail) == self.num_vars
+            decision = None if full else self._decide()
             if decision is None:
                 if not self._model:
                     return SatResult(True)

@@ -5,7 +5,10 @@ Two strategies, mirroring the two realisations the paper cites:
 * ``increasing`` — the Echo loop [Macedo & Cunha, FASE'13]: try total
   soft-violation weight 0, then 1, 2, ... until satisfiable. The first
   satisfiable bound is the optimum. Each step is one SAT call under a
-  single assumption literal (a totalizer output), so nothing is re-encoded.
+  single assumption literal (a totalizer output), so nothing is
+  re-encoded; nor is the caller's shared prefix of base assumptions
+  re-propagated, since the solver keeps the assumption levels two
+  consecutive calls share.
 * ``decreasing`` — linear SAT-UNSAT search as in target-oriented model
   finding [Cunha, Macedo & Guimarães, FASE'14]: find any model, then
   repeatedly assume "strictly cheaper" until UNSAT; the last model is
@@ -36,7 +39,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.errors import SolverError
 from repro.solver.card import Totalizer
-from repro.solver.cnf import CNF, Lit
+from repro.solver.cnf import CNF, Lit, is_int
 from repro.solver.sat import IncrementalSolver, SatResult
 
 INCREASING = "increasing"
@@ -53,8 +56,10 @@ class SoftClause:
     def __post_init__(self) -> None:
         if not self.literals:
             raise SolverError("soft clause needs at least one literal")
-        if self.weight < 0:
-            raise SolverError(f"soft clause weight must be >= 0, got {self.weight}")
+        if not is_int(self.weight) or self.weight < 0:
+            raise SolverError(
+                f"soft clause weight must be an int >= 0, got {self.weight!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,8 @@ class MaxSatSession:
         and loads the extension's clauses into the solver; a cap of at
         least :attr:`total_weight` needs no assumption and builds nothing.
         """
-        if bound < 0:
-            raise SolverError(f"negative cost bound {bound}")
+        if not is_int(bound) or bound < 0:
+            raise SolverError(f"cost bound must be an int >= 0, got {bound!r}")
         if self._totalizer is None:
             return []
         working = self._working
@@ -190,8 +195,10 @@ class MaxSatSession:
         """
         if mode not in (INCREASING, DECREASING):
             raise SolverError(f"unknown MaxSAT mode {mode!r}")
-        if max_cost is not None and max_cost < 0:
-            raise SolverError(f"max_cost must be >= 0 or None, got {max_cost}")
+        if max_cost is not None and (not is_int(max_cost) or max_cost < 0):
+            raise SolverError(
+                f"max_cost must be >= 0 (an int) or None, got {max_cost!r}"
+            )
         base = list(assumptions)
         if self.total_weight == 0:
             result = self.solve(base)
@@ -250,6 +257,8 @@ class MaxSatSession:
         optimum solve) that only this enumeration assumes, so the session
         stays reusable for every later query.
         """
+        if not is_int(limit) or limit < 0:
+            raise SolverError(f"limit must be an int >= 0, got {limit!r}")
         first = self.solve_optimal(mode=mode, assumptions=assumptions)
         if not first.satisfiable:
             raise SolverError("enumerate_optimal needs satisfiable hard clauses")

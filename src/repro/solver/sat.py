@@ -63,13 +63,14 @@ calls:
 
 The core is **trace-identical** to the reference core: same decisions
 in the same order, same learnt clauses, same models, same
-failed-assumption cores, same :class:`SolverStats` — all speed comes
-from data layout, none from search changes. (The classic "blocker
-literal" trick, for instance, is deliberately absent: skipping a
-satisfied clause without normalising its watch positions changes
-literal order inside clauses and hence downstream learnt clauses.) The
-cross-core differential battery in ``tests/test_solver_backends.py``
-holds the two to this standard.
+failed-assumption cores, same :class:`SolverStats`. Its speed over the
+reference comes from data layout; the one search-state change, keeping
+shared assumption levels between calls (below), is a rule both cores
+carry. (The classic "blocker literal" trick, for instance, is
+deliberately absent: skipping a satisfied clause without normalising
+its watch positions changes literal order inside clauses and hence
+downstream learnt clauses.) The cross-core differential battery in
+``tests/test_solver_backends.py`` holds the two to this standard.
 
 Incremental solving
 -------------------
@@ -85,6 +86,17 @@ as assumption sets, each probe profiting from everything learnt by the
 previous ones. UNSAT answers under assumptions carry a *failed core*
 (``SatResult.core``): a subset of the assumptions that is already
 unsatisfiable together with the clause database.
+
+Decision level ``i + 1`` always opens with assumption ``i``, so a
+call keeps the assumption levels it shares with the previous call: it
+backtracks only to the end of the common prefix of the two assumption
+sequences, not to level 0, and propagates just the new tail. MaxSAT
+bound probes differ from one another only in their last assumption, so
+their long shared prefix is propagated once (the assumption-reuse idea
+of Hickey & Bacchus, "Speeding Up Assumption-Based SAT", SAT 2019).
+:meth:`~IncrementalSolver.add_clause` still backtracks to level 0, so a
+kept level never meets a clause it has not propagated; pending unit
+clauses keep nothing either.
 
 ``gc=False`` disables learnt-clause reduction; the GC stress tests use
 that plain arm as their reference.
@@ -247,7 +259,21 @@ class IncrementalSolver:
 
     The public surface is signed DIMACS-style literals in,
     :class:`SatResult` out; literal codes (module docstring) are an
-    internal representation only.
+    internal representation only. A literal is an ``int`` other than 0
+    and not a ``bool``; anything else raises :class:`SolverError`.
+
+    A call keeps the assumption levels it shares with the previous call
+    (module docstring), so repeating a probe that failed on its last
+    assumption re-propagates nothing:
+
+    >>> chain = IncrementalSolver(CNF(num_vars=3, clauses=[(-1, 2), (-2, -3)]))
+    >>> first = chain.solve([1, 3])
+    >>> first.core, first.stats.propagations
+    ((1, 3), 3)
+    >>> chain.solve([1, 3]).stats.propagations
+    0
+
+    Clauses and assumptions can change between calls:
 
     >>> solver = IncrementalSolver(CNF(num_vars=2, clauses=[(1, 2)]))
     >>> solver.solve([-1]).value(2)
@@ -341,6 +367,8 @@ class IncrementalSolver:
         """
         assumed = tuple(assumptions)
         for lit in assumed:
+            if not isinstance(lit, int) or isinstance(lit, bool):
+                raise SolverError(f"assumption {lit!r} is not an int literal")
             if lit == 0:
                 raise SolverError("0 is not a literal")
             if abs(lit) > self.num_vars:
@@ -353,6 +381,11 @@ class IncrementalSolver:
             gc.disable()
         try:
             result = self._solve(assumed)
+        except BaseException:
+            # An interrupted search may leave its deepest level half
+            # propagated: the next call must keep no assumption level.
+            self._backtrack(0)
+            raise
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -440,6 +473,8 @@ class IncrementalSolver:
         """
         clause = list(literals)
         for lit in clause:
+            if not isinstance(lit, int) or isinstance(lit, bool):
+                raise SolverError(f"literal {lit!r} is not an int")
             if lit == 0:
                 raise SolverError("0 is not a literal")
             if abs(lit) > self.num_vars:
@@ -1007,10 +1042,19 @@ class IncrementalSolver:
     # Main loop
     # ------------------------------------------------------------------
     def _solve(self, assumptions: tuple[Lit, ...]) -> SatResult:
-        self._backtrack(0)
+        codes = tuple(_code(lit) for lit in assumptions)
+        # Keep the assumption levels shared with the previous call (level
+        # i + 1 opens with assumption i). add_clause backtracks to level
+        # 0, so after a new clause or a pending unit there is none to keep.
+        previous = self._assumption_codes
+        limit = min(len(codes), len(previous), len(self.trail_lim))
+        keep = 0
+        while keep < limit and codes[keep] == previous[keep]:
+            keep += 1
+        self._backtrack(keep)
         if not self._settle_root_level():
             return SatResult(False, core=())
-        self._assumption_codes = tuple(_code(lit) for lit in assumptions)
+        self._assumption_codes = codes
         restarts = 0
         while True:
             result = self._search(self._restart_budget(restarts))
@@ -1071,6 +1115,7 @@ class IncrementalSolver:
         stats = self.stats
         assumption_codes = self._assumption_codes
         n_assumptions = len(assumption_codes)
+        num_vars = self.num_vars
         conflicts = 0
         while True:
             # ---- unit propagation (inlined _propagate) ----
@@ -1245,24 +1290,26 @@ class IncrementalSolver:
                 continue
             # ---- decision (inlined _decide) ----
             decision = -1
-            if len(heap) > 4 * self.num_vars + 64:
-                self._rebuild_heap()
-                heap = self._heap
-            while heap:
-                negact, var = heappop(heap)
-                if heap_act[var] == -negact:
-                    heap_act[var] = None
-                c = var << 1
-                if vt[c] or vf[c]:
-                    continue
-                decision = phase_code[var]
-                break
+            # A full trail is a model: no need to drain the heap's stale
+            # entries to find that out (its pop order is canonical).
+            if len(trail) < num_vars:
+                if len(heap) > 4 * num_vars + 64:
+                    self._rebuild_heap()
+                    heap = self._heap
+                while heap:
+                    negact, var = heappop(heap)
+                    if heap_act[var] == -negact:
+                        heap_act[var] = None
+                    c = var << 1
+                    if vt[c] or vf[c]:
+                        continue
+                    decision = phase_code[var]
+                    break
             if decision < 0:
                 if not self._model:
                     return SatResult(True)
                 assignment = {
-                    var: vt[var << 1] == 1
-                    for var in range(1, self.num_vars + 1)
+                    var: vt[var << 1] == 1 for var in range(1, num_vars + 1)
                 }
                 return SatResult(True, assignment)
             stats.decisions += 1

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies for property-based tests.
+"""Shared hypothesis strategies and seeded streams for tests.
 
 Since PR 4 these strategies are thin bridges into the seeded generators
 of :mod:`repro.gen`: each strategy draws one integer seed and delegates,
@@ -12,8 +12,11 @@ runs (see the :mod:`repro.gen` package docstring).
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
+from repro.errors import NoRepairFound
 from repro.featuremodels.instances import configuration, feature_model
 from repro.gen.instances import random_model
 from repro.gen.workloads import (
@@ -121,3 +124,82 @@ def dependency_sets(draw, max_size: int = 6):
 def dependencies(draw):
     """A single random dependency."""
     return random_dependency(draw(_seeds), _DOMAINS)
+
+
+def enforce_answer(run):
+    """``(outcome, distance)`` of one enforcement call."""
+    try:
+        repair = run()
+    except NoRepairFound:
+        return ("no-repair", None)
+    return ("consistent" if repair.engine == "none" else "repaired", repair.distance)
+
+
+def toggle_stream(features, requests, seed=2014):
+    """The paper's feature-model edit stream: a consistent base tuple
+    (half the features mandatory, the optional ones split between the
+    two configurations) plus 1-2 random selection toggles per request."""
+    names = [f"f{i}" for i in range(features)]
+    mandatory = {name: i < features // 2 for i, name in enumerate(names)}
+    optional = [name for name in names if not mandatory[name]]
+    core = [name for name in names if mandatory[name]]
+    half = len(optional) // 2
+    base = {"cf1": core + optional[:half], "cf2": core + optional[half:]}
+    fm = feature_model(mandatory)
+    positions = [(cf, name) for cf in ("cf1", "cf2") for name in names]
+    rng = random.Random(seed)
+    stream = []
+    for _ in range(requests):
+        selected = {cf: set(chosen) for cf, chosen in base.items()}
+        for cf, name in rng.sample(positions, rng.choice((1, 2))):
+            selected[cf] ^= {name}
+        stream.append(
+            {
+                "fm": fm,
+                **{
+                    cf: configuration(sorted(selected[cf]), name=cf)
+                    for cf in ("cf1", "cf2")
+                },
+            }
+        )
+    return stream
+
+
+def probe_stream(rng, model, clause, unit):
+    """A solve stream shaped like MaxSAT bound probes, with ops between.
+
+    Steps are assumption tuples (one solve each), ``("add", clause)`` or
+    ``("new_var",)``. Consecutive solves share assumption prefixes the
+    way bound probes do: a fixed base of six ``model`` literals plus one
+    varying tail literal of either sign, a repeated call, a strict
+    prefix, an extension, a call that fails on its last assumption
+    (``x`` then ``-x``) and its repeat, and solves after adding
+    ``clause``, a fresh variable and the unit ``unit``. ``model`` holds
+    one literal per variable ``1..len(model)``.
+    """
+
+    def lit(var):
+        return var if rng.random() < 0.5 else -var
+
+    variables = range(1, len(model) + 1)
+    base = tuple(rng.sample(model, 6))
+    t1, t2, t3 = ((lit(rng.choice(variables)),) for _ in range(3))
+    x = lit(rng.choice(variables))
+    fresh = len(model) + 1
+    return [
+        base + t1,
+        base + t2,
+        base + t2,
+        base[:3],
+        base + t1 + t3,
+        base + (x, -x),
+        base + (x, -x),
+        ("add", clause),
+        base + t1,
+        ("new_var",),
+        base + (fresh,),
+        base + (-fresh,),
+        ("add", unit),
+        base + t2,
+        base[:-1] + t1,
+    ]

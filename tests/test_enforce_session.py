@@ -9,7 +9,6 @@ models) must transparently re-ground, never mis-answer.
 """
 
 import gc
-import random
 import weakref
 
 import pytest
@@ -36,6 +35,7 @@ from repro.metamodel.types import STRING
 from repro.qvtr.syntax.parser import parse_transformation
 from repro.solver.bounded import Grounder, Scope
 from repro.solver.sat import GLOBAL_STATS
+from tests.strategies import enforce_answer, toggle_stream
 
 
 def _tuple(fm_features, cf1_selected, cf2_selected):
@@ -240,45 +240,6 @@ class TestSessionReuse:
         assert session.groundings == 0
 
 
-def _answer(run):
-    """``(outcome, distance)`` of one enforcement call."""
-    try:
-        repair = run()
-    except NoRepairFound:
-        return ("no-repair", None)
-    return ("consistent" if repair.engine == "none" else "repaired", repair.distance)
-
-
-def _toggle_stream(features, requests, seed=2014):
-    """The paper's feature-model edit stream: a consistent base tuple
-    (half the features mandatory, the optional ones split between the
-    two configurations) plus 1-2 random selection toggles per request."""
-    names = [f"f{i}" for i in range(features)]
-    mandatory = {name: i < features // 2 for i, name in enumerate(names)}
-    optional = [name for name in names if not mandatory[name]]
-    core = [name for name in names if mandatory[name]]
-    half = len(optional) // 2
-    base = {"cf1": core + optional[:half], "cf2": core + optional[half:]}
-    fm = feature_model(mandatory)
-    positions = [(cf, name) for cf in ("cf1", "cf2") for name in names]
-    rng = random.Random(seed)
-    stream = []
-    for _ in range(requests):
-        selected = {cf: set(chosen) for cf, chosen in base.items()}
-        for cf, name in rng.sample(positions, rng.choice((1, 2))):
-            selected[cf] ^= {name}
-        stream.append(
-            {
-                "fm": fm,
-                **{
-                    cf: configuration(sorted(selected[cf]), name=cf)
-                    for cf in ("cf1", "cf2")
-                },
-            }
-        )
-    return stream
-
-
 class TestMonotoneUniverse:
     """A re-ground keeps the object ids its shape already grounded.
 
@@ -295,12 +256,12 @@ class TestMonotoneUniverse:
         ids it replaced."""
         transformation = paper_transformation(k=2)
         targets = TargetSelection(["cf1", "cf2"])
-        stream = _toggle_stream(features=4, requests=48)
+        stream = toggle_stream(features=4, requests=48)
         session = EnforcementSession(transformation, targets)
-        answers = [_answer(lambda: session.enforce(models)) for models in stream]
+        answers = [enforce_answer(lambda: session.enforce(models)) for models in stream]
         assert session.groundings <= 3
         references = [
-            _answer(
+            enforce_answer(
                 lambda: enforce(transformation, models, targets, share=False)
             )
             for models in stream
@@ -319,8 +280,8 @@ class TestMonotoneUniverse:
         ghost_counts = []
         for i in range(6):
             models = _tuple(features, [f"f{i}"], ["core"])
-            answer = _answer(lambda: session.enforce(models))
-            reference = _answer(
+            answer = enforce_answer(lambda: session.enforce(models))
+            reference = enforce_answer(
                 lambda: enforce(
                     transformation, models, targets, scope=SCOPE, share=False
                 )

@@ -195,6 +195,32 @@ class TestMaxSat:
         with pytest.raises(SolverError):
             SoftClause((1,), -1)
 
+    @pytest.mark.parametrize("weight", [1.5, "2", None, True, False, -1])
+    def test_soft_clause_weight_must_be_an_int(self, weight):
+        with pytest.raises(SolverError, match="weight must be an int >= 0"):
+            SoftClause((1,), weight)
+
+    @pytest.mark.parametrize("max_cost", [True, False, 1.5, "1", -1])
+    def test_max_cost_must_be_an_int(self, max_cost):
+        session = counting_session(2)
+        with pytest.raises(SolverError, match="max_cost must be >= 0"):
+            session.solve_optimal(max_cost=max_cost)
+        assert session.solve_optimal(max_cost=0).cost == 0
+
+    @pytest.mark.parametrize("bound", [True, False, 1.5, "1", None])
+    @pytest.mark.parametrize("soft", [False, True])
+    def test_cost_bound_must_be_an_int(self, bound, soft):
+        session = counting_session(2) if soft else MaxSatSession(CNF(2), [])
+        with pytest.raises(SolverError, match="cost bound must be an int"):
+            session.at_most(bound)
+
+    @pytest.mark.parametrize("limit", [-1, True, False, 1.5])
+    def test_enumeration_limit_must_be_an_int(self, limit):
+        session = counting_session(2)
+        with pytest.raises(SolverError, match="limit must be an int >= 0"):
+            session.enumerate_optimal([1, 2], limit=limit)
+        assert session.enumerate_optimal([1, 2], limit=0) == (0, [])
+
     def test_unknown_mode(self):
         with pytest.raises(SolverError):
             solve_maxsat(CNF(1), [], mode="magic")

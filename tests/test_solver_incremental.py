@@ -14,21 +14,32 @@ truth-table oracle. Checked invariants, per solve call of a sequence:
 
 Deterministic hand tests pin the between-solve API: clause addition
 after solving, variable growth, permanent-UNSAT latching, stats.
+
+``TestAssumptionTrailReuse`` is the count and soundness gate of
+assumption-trail reuse: a solve keeps the assumption levels it shares
+with the previous solve instead of re-propagating them.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.enforce import EnforcementSession, TargetSelection, enforce
 from repro.errors import SolverError
+from repro.featuremodels import paper_transformation
 from repro.solver.brute import brute_solve, check_assignment
 from repro.solver.cnf import CNF
+from repro.solver.legacy import LegacySolver
 from repro.solver.sat import (
     GLOBAL_STATS,
     IncrementalSolver,
     SolverStats,
+    global_stats,
     solve,
 )
+from tests.strategies import enforce_answer, probe_stream, toggle_stream
 
 
 @st.composite
@@ -253,3 +264,112 @@ class TestIncrementalApi:
         solver.add_clause([-1])
         solver.solve([2])
         assert cnf.clauses == clauses_before and cnf.num_vars == 2
+
+
+def _one_reason_stream(seed: int, num_vars: int = 12):
+    """Binary clauses in which every literal occurs at most once, plus a
+    :func:`~tests.strategies.probe_stream` whose added clause and unit
+    keep that property.
+
+    Each implied literal then has exactly one reason clause, and neither
+    propagation nor decisions can conflict (only an assumption can find
+    itself false), so a solve's verdict and failed core depend on the
+    clauses and the assumption order alone, not on solver history.
+    """
+    rng = random.Random(seed)
+    literals = [lit for var in range(1, num_vars + 1) for lit in (var, -var)]
+    rng.shuffle(literals)
+    pairs = [
+        tuple(literals[i : i + 2])
+        for i in range(0, len(literals), 2)
+        if literals[i] != -literals[i + 1]
+    ]
+    clauses, (clause, (unit, _)) = pairs[:-2], pairs[-2:]
+    result = IncrementalSolver(CNF(num_vars, clauses)).solve()
+    model = [var if result.value(var) else -var for var in range(1, num_vars + 1)]
+    return clauses, probe_stream(rng, model, clause, [unit])
+
+
+class TestAssumptionTrailReuse:
+    """A solve backtracks only to the end of the assumption prefix it
+    shares with the previous solve; answers stay those of a fresh
+    solver."""
+
+    @pytest.mark.parametrize(
+        "core", [IncrementalSolver, LegacySolver], ids=["flat", "legacy"]
+    )
+    def test_repeat_of_a_failed_probe_propagates_nothing(self, core):
+        # x1 -> x2 -> x3 -> -x4: assuming x1 then x4 fails on x4.
+        solver = core(CNF(4, [(-1, 2), (-2, 3), (-3, -4)]))
+        first = solver.solve([1, 4])
+        assert (first.satisfiable, first.core) == (False, (1, 4))
+        assert first.stats.propagations == 4
+        again = solver.solve([1, 4])
+        assert (again.satisfiable, again.core) == (False, (1, 4))
+        assert again.stats.propagations == 0
+        # A new tail keeps level 1; x4 is already false, so it is a model.
+        assert solver.solve([1, -4]).stats.propagations == 0
+
+    @pytest.mark.parametrize(
+        "core", [IncrementalSolver, LegacySolver], ids=["flat", "legacy"]
+    )
+    def test_an_interrupted_solve_leaves_no_level_behind(self, core):
+        """A search interrupted mid-conflict leaves its level half
+        propagated; the next solve under the same assumptions must not
+        keep it."""
+        solver = core(CNF(3, [(-1, -2, 3), (-1, -2, -3)]))
+
+        def interrupt(conflict):
+            raise KeyboardInterrupt
+
+        solver._analyze = interrupt
+        with pytest.raises(KeyboardInterrupt):
+            solver.solve([1, 2])
+        del solver._analyze
+        result = solver.solve([1, 2])
+        assert (result.satisfiable, result.core) == (False, (1, 2))
+        assert solver.solve([1]).satisfiable
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mixed_stream_answers_like_a_fresh_solver(self, seed):
+        clauses, stream = _one_reason_stream(seed)
+        mirror = CNF(12, clauses)
+        solver = IncrementalSolver(mirror)  # copies the clauses
+        for step in stream:
+            if step[:1] == ("add",):
+                solver.add_clause(step[1])
+                mirror.add_clause(step[1])
+                continue
+            if step == ("new_var",):
+                solver.new_var()
+                mirror.new_var()
+                continue
+            result = solver.solve(step)
+            expected = IncrementalSolver(mirror).solve(step)
+            assert result.satisfiable == expected.satisfiable, step
+            assert result.core == expected.core, step
+            if result.satisfiable:
+                assert check_assignment(mirror, result.assignment)
+                assert all(result.value(abs(l)) == (l > 0) for l in step)
+
+    def test_paper_toggle_stream_propagation_gate(self):
+        """The count gate: the paper feature-model toggle stream (four
+        features, 48 requests) on one session. Measured 78,919
+        propagations; 126,331 when every solve re-propagates its
+        assumptions from level 0. Decisions (1,204) and conflicts (205)
+        are the same either way."""
+        transformation = paper_transformation(k=2)
+        targets = TargetSelection(["cf1", "cf2"])
+        stream = toggle_stream(features=4, requests=48)
+        session = EnforcementSession(transformation, targets)
+        before = global_stats()
+        answers = [enforce_answer(lambda: session.enforce(models)) for models in stream]
+        work = global_stats() - before
+        assert work.propagations <= 80_000
+        references = [
+            enforce_answer(
+                lambda: enforce(transformation, models, targets, share=False)
+            )
+            for models in stream
+        ]
+        assert answers == references
