@@ -17,6 +17,14 @@
 #     feature-model toggle stream at most once per new object id while
 #     answering like per-call SAT, ghosts capped per class
 #     (tests/test_enforce_session.py::TestMonotoneUniverse);
+#   - the request path is cycle-free: a paper feature-model toggle
+#     stream on one session and generated requests through
+#     serve_request leave 0 objects for the cyclic collector, and a
+#     re-ground builds with the collector paused
+#     (tests/test_enforce_session.py::TestNoCyclicGarbage); an evicted
+#     shared session dies by reference counting alone, and eviction,
+#     clear_shared_sessions and a forked worker's start leave nothing
+#     frozen (tests/test_enforce_session.py::TestSharedSessionEviction);
 #   - pruned grounding answers like the naive product with at most its
 #     bindings, and at least 2x fewer on frozen-dominated questions;
 #     re-grounds onto one persistent GroundingContext translate at most
@@ -41,6 +49,11 @@
 #     optimum search, and a weight-25 request with cap 2 builds <= 3
 #     outputs while matching the brute engine
 #     (tests/test_solver_card_maxsat.py::TestOnDemandTotalizerGate).
+# The paper's own claims (multidirectional repairs where every
+# single-target transformation fails, distances growing as 2k, Horn
+# entailment of compound dependencies, ...) are the 27 tests of
+# benchmarks/bench_{a1..a4,e1..e8,f1}_*.py, run with pytest-benchmark's
+# timing off; the claim tables they write are git-ignored.
 # a11 replays the generated workload under each injected fault class
 # (worker crash, stall, corrupt wire, connection drop, poison) and
 # asserts every request gets exactly one typed reply, successes stay
@@ -70,6 +83,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo "== paper-claim tests (benchmarks a1-a4, e1-e8, f1) =="
+python -m pytest -x -q --benchmark-disable \
+  benchmarks/bench_{a1,a2,a3,a4,e1,e2,e3,e4,e5,e6,e7,e8,f1}_*.py
 
 # The fault-injection and robustness suites (tests/test_faults.py,
 # tests/test_daemon.py) already run inside the tier-1 pytest above;

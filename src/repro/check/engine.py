@@ -197,34 +197,58 @@ class Checker:
     def _context(
         self, models: Mapping[str, Model], direction: Dependency
     ) -> EvalContext:
-        memo: dict[tuple, bool | None] = {}
+        """A fresh evaluation context whose relation calls run through a
+        :class:`_CallHook` with its own memo table (one per check run)."""
+        return EvalContext(models, {}, _CallHook(self, models, direction))
 
-        def call_hook(name: str, args: tuple[RuntimeValue, ...]) -> bool:
-            callee = self.transformation.relation(name)
-            try:
-                induced = restrict_direction(direction, callee.domain_params())
-            except DependencyError as exc:
-                raise CheckError(
-                    f"call to {name!r} in direction [{direction}]: {exc}"
-                ) from exc
-            if len(args) != len(callee.domains):
-                raise CheckError(
-                    f"call to {name!r} with {len(args)} arguments, expected "
-                    f"{len(callee.domains)}"
-                )
-            key = (name, induced, args)
-            if key in memo:
-                cached = memo[key]
-                # An in-progress call (None) is assumed to hold: greatest
-                # fixpoint reading of recursive invocation chains.
-                return True if cached is None else cached
-            memo[key] = None
-            roots = dict(zip(callee.domain_params(), args))
-            ctx = EvalContext(models, {}, call_hook)
-            result = holds_for_roots(
-                callee, induced, ctx, roots, transformation=self.transformation
+
+class _CallHook:
+    """The relation-call hook of one check run, memoised per run.
+
+    An object, not a closure: a nested function that names itself (to
+    hand nested calls a context with the same hook) is a reference cycle
+    through its own cell, which would pin the checker, its models and
+    the transformation until a full collection. This hook hands nested
+    calls a context with *itself*, so a check run allocates no cycles
+    and reference counting frees its state at once.
+    """
+
+    __slots__ = ("checker", "models", "direction", "memo")
+
+    def __init__(
+        self, checker: Checker, models: Mapping[str, Model], direction: Dependency
+    ) -> None:
+        self.checker = checker
+        self.models = models
+        self.direction = direction
+        self.memo: dict[tuple, bool | None] = {}
+
+    def __call__(self, name: str, args: tuple[RuntimeValue, ...]) -> bool:
+        transformation = self.checker.transformation
+        callee = transformation.relation(name)
+        try:
+            induced = restrict_direction(self.direction, callee.domain_params())
+        except DependencyError as exc:
+            raise CheckError(
+                f"call to {name!r} in direction [{self.direction}]: {exc}"
+            ) from exc
+        if len(args) != len(callee.domains):
+            raise CheckError(
+                f"call to {name!r} with {len(args)} arguments, expected "
+                f"{len(callee.domains)}"
             )
-            memo[key] = result
-            return result
-
-        return EvalContext(models, {}, call_hook)
+        memo = self.memo
+        key = (name, induced, args)
+        if key in memo:
+            cached = memo[key]
+            # An in-progress call (None) is assumed to hold: greatest
+            # fixpoint reading of recursive invocation chains.
+            return True if cached is None else cached
+        memo[key] = None
+        roots = dict(zip(callee.domain_params(), args))
+        ctx = EvalContext(self.models, {}, self)
+        result = holds_for_roots(
+            callee, induced, ctx, roots, transformation=transformation
+        )
+        memo[key] = result
+        return result

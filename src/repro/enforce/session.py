@@ -80,8 +80,10 @@ set.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter, OrderedDict
 from collections.abc import Iterable, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.check.engine import CheckConfig, Checker, EXTENDED
@@ -124,6 +126,33 @@ def _value_in_pool_domain(value, attr_type) -> bool:
     if attr_type is PrimitiveType.INTEGER:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, str)
+
+
+@contextmanager
+def _out_of_collector_reach():
+    """Build long-lived shape state where the cyclic collector won't walk it.
+
+    A generation's grounding, solver and tables live as long as their
+    shape, and the request path allocates no reference cycles (the
+    tier-1 gate ``tests/test_enforce_session.py::TestNoCyclicGarbage``),
+    so a collection that walks them reclaims nothing: a full one can
+    outlast a request. The body runs with the collector paused, like a
+    solve (:meth:`~repro.solver.sat.IncrementalSolver.solve`), and the
+    heap is frozen (``gc.freeze``) once it returns. Frozen objects are
+    still freed by reference counting the moment they die, so a freeze
+    never pins an evicted session. Only a cycle made elsewhere stays
+    frozen, until :meth:`EnforcementSession.close` or
+    :func:`clear_shared_sessions` unfreezes the heap; a forked worker
+    clears first, so it never keeps its parent's frozen heap.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+    gc.freeze()
 
 
 @dataclass
@@ -286,12 +315,17 @@ class EnforcementSession:
         that retained it (the Echo tool does) transparently re-grounds
         on its next call, onto a fresh context — the documented cost of
         holding an evicted shape, instead of a silent memory leak.
+
+        Reference counting frees all of it here, frozen or not; the heap
+        is then unfrozen so that any cycle a re-ground froze
+        (:func:`_out_of_collector_reach`) is collectable again.
         """
         self._generations.clear()
         self._active = None
         if self._context is not None:
             self._context = GroundingContext()
         self.closes += 1
+        gc.unfreeze()
 
     def compatible(
         self,
@@ -649,11 +683,26 @@ class EnforcementSession:
         Either way the new generation is grounded over ``models`` plus
         the replaced generation's ghosts (:meth:`_ghosts`), so an object
         id this shape has grounded before anchors the newest generation.
+
+        The generation is long-lived shape state, so it is built out of
+        the collector's reach (:func:`_out_of_collector_reach`): no
+        collection runs while it is built, and none walks it afterwards
+        until :meth:`close` unfreezes the heap.
         """
         if self._fragment_error is not None:
             # This question shape can never ground; don't rebuild (and,
             # on a shared context, re-leak) anything per call.
             raise self._fragment_error
+        with _out_of_collector_reach():
+            generation = self._generation(models)
+        limit = self.GENERATION_LIMIT if self._context is not None else 1
+        self._generations.append(generation)
+        del self._generations[:-limit]
+        self._active = generation
+        self.groundings += 1
+
+    def _generation(self, models: Mapping[str, Model]) -> _Generation:
+        """Ground ``models`` and attach a MaxSAT session and oracle."""
         scope = self._scope_for(models)
         grounder = _ground(
             self.checker,
@@ -689,11 +738,7 @@ class EnforcementSession:
             },
         )
         generation.attach(frozenset(self.targets.params))
-        limit = self.GENERATION_LIMIT if self._context is not None else 1
-        self._generations.append(generation)
-        del self._generations[:-limit]
-        self._active = generation
-        self.groundings += 1
+        return generation
 
     def _ghosts(
         self, models: Mapping[str, Model], scope: Scope
@@ -809,5 +854,12 @@ def shared_session_counters() -> list[dict]:
 
 
 def clear_shared_sessions() -> None:
-    """Drop every cached shared session (test isolation hook)."""
+    """Drop every cached shared session (test isolation hook).
+
+    Also unfreezes the heap (see :func:`_out_of_collector_reach`): the
+    dropped sessions die by reference counting, and a forked worker,
+    which clears first, does not keep a frozen copy of its parent's heap
+    that it could never release.
+    """
     _shared_sessions.clear()
+    gc.unfreeze()

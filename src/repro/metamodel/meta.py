@@ -124,24 +124,30 @@ class Metamodel:
         self._compute_feature_tables()
 
     def _compute_ancestors(self) -> None:
-        """Topologically flatten the inheritance DAG, rejecting cycles."""
+        """Topologically flatten the inheritance DAG, rejecting cycles.
+
+        The depth-first walk is a method (:meth:`_visit_ancestors`), not
+        a nested function recursing through its own cell: such a closure
+        is a reference cycle, which would keep every metamodel a request
+        builds alive until a full collection."""
         state: dict[str, int] = {}  # 0 = visiting, 1 = done
-
-        def visit(name: str, trail: tuple[str, ...]) -> set[str]:
-            if state.get(name) == 0:
-                raise MetamodelError(f"inheritance cycle through {name!r}: {' -> '.join(trail)}")
-            if state.get(name) == 1:
-                return self._ancestors[name]
-            state[name] = 0
-            result = {name}
-            for sup in self._by_name[name].supertypes:
-                result |= visit(sup, trail + (sup,))
-            state[name] = 1
-            self._ancestors[name] = result
-            return result
-
         for cls in self.classes:
-            visit(cls.name, (cls.name,))
+            self._visit_ancestors(cls.name, (cls.name,), state)
+
+    def _visit_ancestors(
+        self, name: str, trail: tuple[str, ...], state: dict[str, int]
+    ) -> set[str]:
+        if state.get(name) == 0:
+            raise MetamodelError(f"inheritance cycle through {name!r}: {' -> '.join(trail)}")
+        if state.get(name) == 1:
+            return self._ancestors[name]
+        state[name] = 0
+        result = {name}
+        for sup in self._by_name[name].supertypes:
+            result |= self._visit_ancestors(sup, trail + (sup,), state)
+        state[name] = 1
+        self._ancestors[name] = result
+        return result
 
     def _compute_feature_tables(self) -> None:
         """Flatten attribute/reference declarations along inheritance."""
