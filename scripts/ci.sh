@@ -3,12 +3,17 @@
 #
 # tier-1 pytest holds the correctness gates of the fast paths, the serve
 # stack and the generated-workload oracle:
-#   - the flat CDCL core makes the legacy reference core's decisions,
-#     propagations and answers, also on prefix-sharing assumption
-#     streams (tests/test_solver_backends.py); a solve keeps the
-#     assumption levels it shares with the previous one, answers like a
-#     fresh solver and propagates at most 80,000 literals on a paper
-#     feature-model toggle stream
+#   - the solver gate is the certified battery
+#     (tests/test_solver_backends.py): an independent reverse-unit-
+#     propagation checker certifies every learnt clause, model and
+#     failed-assumption core of the CDCL core on the A8 seeds 0..59 and
+#     the paper feature-model toggle stream (TestCertifiedEnforcement)
+#     and on random, hard and prefix-sharing probe streams
+#     (TestCertifiedCnfStreams); TestRupChecker shows the checker
+#     rejects bad certificates. A solve keeps the assumption levels it
+#     shares with the previous one, answers like a fresh solver and
+#     propagates at most 80,000 literals on a paper feature-model
+#     toggle stream
 #     (tests/test_solver_incremental.py::TestAssumptionTrailReuse); and
 #     learnt-clause GC under constant restarts keeps the optimum of a
 #     re-probed enforcement session (tests/test_solver_gc_restarts.py);

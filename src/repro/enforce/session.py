@@ -31,9 +31,13 @@ state lacks (at most ``scope.extra_objects`` per class, see
 edit stream that toggles objects in and out — a configuration
 re-selecting a feature it dropped three edits ago — then escapes the
 universe once per object id, not once per toggle. A session grounding's
-universe is therefore a superset of a per-call grounding's: its optimum
-never exceeds the per-call one, and the tests hold the two equal on the
-paper's feature-model streams.
+universe is therefore a superset of a per-call grounding's, and it can
+hold more ids a state lacks than the state's fresh slots (ghosts, or
+objects dropped since the grounding). Every solve assumes the state's
+creation budget
+(:meth:`~repro.solver.bounded.GroundingResult.origin_assumptions`): per
+class, only ``scope.extra_objects`` absent ids stay creatable, so a
+session repairs exactly what per-call enforcement repairs within scope.
 
 Since the grounding fast path (PR 3) the session is also the *shared*
 grounding behind every SAT-fragment entry point:

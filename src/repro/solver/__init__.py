@@ -5,12 +5,11 @@ consistent models at increasing distance from the originals (later via a
 PMax-SAT solver). This package supplies the same machinery from scratch:
 
 * :mod:`repro.solver.cnf` — literals, clauses, DIMACS;
-* :mod:`repro.solver.sat` — the CDCL SAT solver (flat-array core:
+* :mod:`repro.solver.sat` — the one CDCL SAT core (flat arrays:
   watched literals, VSIDS heap, first-UIP learning, Luby restarts) with
   a persistent incremental interface (assumption solving, between-call
-  clause addition, failed cores);
-* :mod:`repro.solver.legacy` — the object-based reference core the
-  differential tests compare the solver against;
+  clause addition, failed cores); the tests certify each of its answers
+  by reverse unit propagation;
 * :mod:`repro.solver.brute` — a truth-table reference solver (test oracle);
 * :mod:`repro.solver.tseitin` — propositional formulas to CNF;
 * :mod:`repro.solver.card` — totalizer cardinality encoding;

@@ -223,8 +223,10 @@ class GroundModel:
     carries over from an earlier grounding of the same shape, at most
     ``scope.extra_objects`` per class, so a later state that brings one
     back still anchors this grounding. A ghost is an empty object like
-    a fresh slot but sits outside the symmetry-breaking chain; a
-    grounding without ghosts is the one a per-call enforcement builds.
+    a fresh slot but sits outside the symmetry-breaking chain, and a
+    solve may create it only within the state's creation budget (see
+    :meth:`GroundingResult.origin_assumptions`); a grounding without
+    ghosts is the one a per-call enforcement builds.
     """
 
     def __init__(
@@ -592,12 +594,54 @@ class GroundingResult:
         with ``ConsistencyOracle`` by construction) — in which case the
         caller must re-ground. The tables are precomputed once per
         grounding, so per-solve retargeting is a table walk with no
-        pool lookups.
+        pool lookups. The literals end with ``state``'s creation budget
+        (:meth:`_creation_budget`).
         """
         tables = self.origin_tables()
         if tables is None:
             return None
-        return encode_state(tables, sorted(self.origins), state)
+        lits = encode_state(tables, sorted(self.origins), state)
+        if lits is not None:
+            lits.extend(self._creation_budget(state))
+        return lits
+
+    def _creation_budget(self, state: Mapping[str, Model]) -> list[Lit]:
+        """Literals keeping ``state``'s repairs inside a per-call scope.
+
+        A retargetable grounding serves every state its universe
+        anchors, and the universe can hold more ids a state lacks than
+        one class's fresh slots: an enforcement session's ghosts, or
+        objects the state dropped since the grounding was built. A
+        per-call grounding of the state may create exactly
+        ``scope.extra_objects`` objects per class (its fresh slots), so
+        only that many absent ids per class stay creatable here: the
+        fresh slots first, in chain order, then the other absent ids in
+        universe order. Every absent id past them is assumed dead, so
+        the repairs of the two groundings agree up to renaming the
+        created objects.
+        """
+        if "budget" not in self._tables:
+            budget = []
+            for param in sorted(self.ground_models):
+                gm = self.ground_models[param]
+                for class_name, slots in sorted(gm.fresh_slots.items()):
+                    others = [
+                        oid
+                        for oid in gm.universe
+                        if gm.class_of(oid) == class_name and oid not in slots
+                    ]
+                    ids = slots + tuple(others)
+                    alive = {
+                        oid: self.pool.var(("obj", param, oid)) for oid in ids
+                    }
+                    budget.append((param, len(slots), ids, alive))
+            self._tables["budget"] = budget
+        lits: list[Lit] = []
+        for param, creatable, ids, alive in self._tables["budget"]:
+            present = set(state[param].object_ids())
+            absent = [oid for oid in ids if oid not in present]
+            lits.extend(-alive[oid] for oid in absent[creatable:])
+        return lits
 
 
 class Grounder:

@@ -22,8 +22,8 @@ Conflict-driven clause learning with the standard modern ingredients:
 It is the engine behind bounded model finding for *model
 transformation* instances, whose CNFs are thousands, not millions, of
 clauses. Correctness is property-tested against the truth-table oracle
-in :mod:`repro.solver.brute` and, decision for decision, against the
-object-based reference core :class:`~repro.solver.legacy.LegacySolver`.
+in :mod:`repro.solver.brute`, and every answer of the test batteries is
+certified (below).
 
 Flat layout
 -----------
@@ -61,16 +61,24 @@ calls:
   variable any pop returns, only how much stale traffic the heap
   carries.
 
-The core is **trace-identical** to the reference core: same decisions
-in the same order, same learnt clauses, same models, same
-failed-assumption cores, same :class:`SolverStats`. Its speed over the
-reference comes from data layout; the one search-state change, keeping
-shared assumption levels between calls (below), is a rule both cores
-carry. (The classic "blocker literal" trick, for instance, is
-deliberately absent: skipping a satisfied clause without normalising
-its watch positions changes literal order inside clauses and hence
-downstream learnt clauses.) The cross-core differential battery in
-``tests/test_solver_backends.py`` holds the two to this standard.
+The search trajectory is part of the contract: perfbench's per-pass
+work counts and the bytes of a reply (which of several optimal repairs
+it names) follow it, so a speed change must keep every decision, learnt
+clause, model and failed-assumption core. (The classic "blocker
+literal" trick, for instance, is deliberately absent: skipping a
+satisfied clause without normalising its watch positions changes
+literal order inside clauses and hence downstream learnt clauses.)
+
+**Certified answers.** There is one core, and its answers are checked,
+not compared with a twin's. ``tests/test_solver_backends.py`` runs a
+recording subclass that logs every input clause, every learnt clause
+and every answer, and a reverse-unit-propagation (RUP) checker on plain
+occurrence lists, sharing no code with this module, certifies the log:
+each learnt clause follows by unit propagation from the clauses before
+it, each model satisfies every clause and assumption, and each
+failed-assumption core is a subset of the assumptions whose negation
+follows by unit propagation. A refuted MaxSAT bound is thereby a
+checked refutation, not trust in a search trajectory.
 
 Incremental solving
 -------------------
@@ -197,7 +205,8 @@ class SatResult:
     """Outcome of a solve call.
 
     ``assignment`` maps every variable ``1..num_vars`` to a boolean when
-    satisfiable, and is ``None`` otherwise.
+    satisfiable, and is ``None`` otherwise — or when the answer was
+    solved with ``model=False``.
 
     ``core`` is only set on UNSAT answers: a subset of the assumption
     literals whose conjunction with the clause database is already
@@ -214,7 +223,10 @@ class SatResult:
 
     def value(self, var: int) -> bool:
         if self.assignment is None:
-            raise SolverError("UNSAT result has no assignment")
+            raise SolverError(
+                f"{'SAT' if self.satisfiable else 'UNSAT'} result has no "
+                "assignment (only a SAT answer solved with model=True has one)"
+            )
         return self.assignment[var]
 
 
@@ -416,7 +428,7 @@ class IncrementalSolver:
         and the Luby schedule resumes, so forcing restarts cannot
         livelock the search (a standing one-conflict budget plus
         :meth:`force_gc` would revisit the same conflicts forever on
-        hard instances). Stress suites drive either core to its restart
+        hard instances). Stress suites drive the core to its restart
         edge cases through this hook without reaching into scheduler
         internals.
         """
@@ -622,9 +634,6 @@ class IncrementalSolver:
         self.phase_code[var] = code
         self.trail.append(code)
 
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
-
     def _backtrack(self, level: int) -> None:
         if len(self.trail_lim) <= level:
             return
@@ -651,153 +660,6 @@ class IncrementalSolver:
         del self.trail_lim[level:]
         if self.propagated > len(trail):
             self.propagated = len(trail)
-
-    # ------------------------------------------------------------------
-    # Unit propagation (two watched literals)
-    # ------------------------------------------------------------------
-    def _propagate(self) -> int | None:
-        """Propagate queued assignments; return the conflicting cref.
-
-        The flat hot loop: every name is a local, truth lookups are bare
-        truthiness tests by literal code, and the implied assignment is
-        inlined. Each watch list is walked with zero bookkeeping until
-        the first clause moves away (phase one — the common case is
-        that none does and the list needs no mutation at all); from that
-        point the remainder is compacted in place behind a write index
-        (phase two).
-        """
-        vt = self.vt
-        vf = self.vf
-        watches = self.watches
-        arena = self.arena
-        trail = self.trail
-        trail_append = trail.append
-        levels = self.levels
-        reasons = self.reasons
-        phase_code = self.phase_code
-        level = len(self.trail_lim)
-        start = self.propagated
-        propagated = start
-        # ``pending`` mirrors len(trail) so the dequeue loop costs one
-        # compare, not a len() call, per drained code.
-        pending = len(trail)
-        while propagated < pending:
-            code = trail[propagated]
-            propagated += 1
-            false_code = code ^ 1
-            wl = watches[false_code]
-            moved = -1
-            for cref in wl:
-                # Normalise: watched literals live at offsets 0 and 1.
-                first = arena[cref]
-                if first == false_code:
-                    other = arena[cref + 1]
-                    arena[cref] = other
-                    arena[cref + 1] = false_code
-                else:
-                    other = first
-                if vt[other]:
-                    continue
-                size = arena[cref - 1]
-                if size == 3:
-                    q = arena[cref + 2]
-                    if not vf[q]:
-                        arena[cref + 1] = q
-                        arena[cref + 2] = false_code
-                        watches[q].append(cref)
-                        moved = cref
-                        break
-                else:
-                    j = cref + 2
-                    end = cref + size
-                    while j < end:
-                        q = arena[j]
-                        if not vf[q]:
-                            arena[cref + 1] = q
-                            arena[j] = false_code
-                            watches[q].append(cref)
-                            moved = cref
-                            break
-                        j += 1
-                    if moved >= 0:
-                        break
-                if vf[other]:
-                    # Conflict with the list untouched: nothing to fix.
-                    self.propagated = propagated
-                    self.stats.propagations += propagated - start
-                    return cref
-                var = other >> 1
-                vt[other] = 1
-                vf[other ^ 1] = 1
-                levels[var] = level
-                reasons[var] = cref
-                phase_code[var] = other
-                trail_append(other)
-                pending += 1
-            else:
-                continue  # no clause left the list: next trail code
-            # Phase two: a clause moved away at ``moved`` — compact the
-            # remainder in place (crefs are unique within a list).
-            w = wl.index(moved)
-            i = w + 1
-            n = len(wl)
-            while i < n:
-                cref = wl[i]
-                i += 1
-                first = arena[cref]
-                if first == false_code:
-                    other = arena[cref + 1]
-                    arena[cref] = other
-                    arena[cref + 1] = false_code
-                else:
-                    other = first
-                if vt[other]:
-                    wl[w] = cref
-                    w += 1
-                    continue
-                size = arena[cref - 1]
-                if size == 3:
-                    q = arena[cref + 2]
-                    if not vf[q]:
-                        arena[cref + 1] = q
-                        arena[cref + 2] = false_code
-                        watches[q].append(cref)
-                        continue
-                else:
-                    j = cref + 2
-                    end = cref + size
-                    moved_here = False
-                    while j < end:
-                        q = arena[j]
-                        if not vf[q]:
-                            arena[cref + 1] = q
-                            arena[j] = false_code
-                            watches[q].append(cref)
-                            moved_here = True
-                            break
-                        j += 1
-                    if moved_here:
-                        continue
-                wl[w] = cref
-                w += 1
-                if vf[other]:
-                    # Conflict: keep the unprocessed tail, then bail.
-                    wl[w:] = wl[i:n]
-                    self.propagated = propagated
-                    self.stats.propagations += propagated - start
-                    return cref
-                var = other >> 1
-                vt[other] = 1
-                vf[other ^ 1] = 1
-                levels[var] = level
-                reasons[var] = cref
-                phase_code[var] = other
-                trail_append(other)
-                pending += 1
-            del wl[w:]
-        self.propagated = propagated
-        self.stats.propagations += propagated - start
-        return None
 
     # ------------------------------------------------------------------
     # Conflict analysis (first UIP)
@@ -1011,34 +873,6 @@ class IncrementalSolver:
         self._heap = heap
 
     # ------------------------------------------------------------------
-    # Decisions
-    # ------------------------------------------------------------------
-    def _decide(self) -> int | None:
-        """Pop the unassigned variable of maximal activity (lazy heap).
-
-        Stale entries (superseded activity, or assigned variables) are
-        discarded on the way; ties break towards the lowest variable
-        index because entries compare as ``(-activity, var)``. Returns
-        the decision as a literal code.
-        """
-        heap = self._heap
-        if len(heap) > 4 * self.num_vars + 64:
-            self._rebuild_heap()
-            heap = self._heap
-        vt = self.vt
-        vf = self.vf
-        heap_act = self.heap_act
-        while heap:
-            negact, var = heappop(heap)
-            if heap_act[var] == -negact:
-                heap_act[var] = None
-            c = var << 1
-            if vt[c] or vf[c]:
-                continue
-            return self.phase_code[var]
-        return None
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def _solve(self, assumptions: tuple[Lit, ...]) -> SatResult:
@@ -1057,7 +891,7 @@ class IncrementalSolver:
         self._assumption_codes = codes
         restarts = 0
         while True:
-            result = self._search(self._restart_budget(restarts))
+            result = self._search(self._restart_budget(restarts), restarts == 0)
             if result is not None:
                 return result
             self.stats.restarts += 1
@@ -1067,7 +901,12 @@ class IncrementalSolver:
                 self._reduce_learnts()
 
     def _settle_root_level(self) -> bool:
-        """Apply pending unit clauses and propagate at level 0."""
+        """Assign pending unit clauses at level 0.
+
+        False when the database is already refuted: an empty clause, or
+        a unit whose literal is false. :meth:`_search`'s opening pass
+        propagates the units.
+        """
         if self.empty_clause:
             return False
         vt = self.vt
@@ -1080,25 +919,32 @@ class IncrementalSolver:
                 return False
             if not vt[code]:
                 self._assign_code(code, 0)
-        if self._propagate() is not None:
-            self.empty_clause = True
-            return False
         return True
 
-    def _search(self, conflict_budget: int) -> SatResult | None:
+    def _search(self, conflict_budget: int, first: bool) -> SatResult | None:
         """Search until SAT, UNSAT, or budget exhaustion (restart).
 
-        This is the consolidated hot loop: unit propagation, the heap
-        decision and the decision assignment are inlined bodily (the
-        standalone :meth:`_propagate` / :meth:`_decide` remain the
-        cold-path/reference copies) so every hot name is bound to a
-        local exactly once per :meth:`_solve` round instead of once per
-        propagation pass — at ~20 passes per decision the rebinding
-        preambles and call frames are a measurable slice of a solve.
-        Locals are re-fetched at the two points the underlying objects
-        are replaced rather than mutated: the arena after a
-        learnt-database reduction, the heap after an activity-rescale
-        rebuild.
+        This is the one hot loop: unit propagation, the heap decision
+        and the decision assignment are written out in it, so every hot
+        name is bound to a local exactly once per :meth:`_solve` round
+        instead of once per propagation pass — at ~20 passes per
+        decision the rebinding preambles and call frames are a
+        measurable slice of a solve. Locals are re-fetched at the two
+        points the underlying objects are replaced rather than mutated:
+        the arena after a learnt-database reduction, the heap after an
+        activity-rescale rebuild.
+
+        Propagation walks each watch list with zero bookkeeping until
+        the first clause moves away (phase one — the common case is that
+        none does and the list needs no mutation at all); from that
+        point the remainder is compacted in place behind a write index
+        (phase two).
+
+        ``first`` marks a call's first round. Its opening pass
+        propagates the unit clauses :meth:`_settle_root_level` assigned,
+        and a conflict there is the database refuting itself at level
+        0, not search work: ``stats.conflicts`` does not count it.
+        (Later level-0 conflicts follow a learnt unit, and count.)
         """
         vt = self.vt
         vf = self.vf
@@ -1118,7 +964,7 @@ class IncrementalSolver:
         num_vars = self.num_vars
         conflicts = 0
         while True:
-            # ---- unit propagation (inlined _propagate) ----
+            # ---- unit propagation (two watched literals) ----
             conflict = -1
             level = len(trail_lim)
             start = self.propagated
@@ -1242,11 +1088,15 @@ class IncrementalSolver:
             stats.propagations += propagated - start
             # ---- conflict handling ----
             if conflict >= 0:
-                stats.conflicts += 1
-                conflicts += 1
                 if not trail_lim:
+                    # Before any conflict of a call's first round, a
+                    # level-0 conflict is the settling pass's.
+                    if conflicts or not first:
+                        stats.conflicts += 1
                     self.empty_clause = True
                     return SatResult(False, core=())
+                stats.conflicts += 1
+                conflicts += 1
                 learnt, backjump = self._analyze(conflict)
                 heap = self._heap  # an activity rescale rebuilds it
                 # LBD before backtracking, while levels are still live.
@@ -1288,7 +1138,7 @@ class IncrementalSolver:
                 if not vt[code]:
                     self._assign_code(code, 0)
                 continue
-            # ---- decision (inlined _decide) ----
+            # ---- decision: the unassigned variable of maximal activity ----
             decision = -1
             # A full trail is a model: no need to drain the heap's stale
             # entries to find that out (its pop order is canonical).
@@ -1314,8 +1164,8 @@ class IncrementalSolver:
                 return SatResult(True, assignment)
             stats.decisions += 1
             trail_lim.append(len(trail))
-            # Inlined _assign_code; phase_code[var] already holds the
-            # decision literal itself, so no phase write is needed.
+            # _assign_code, written out; phase_code[var] already holds
+            # the decision literal itself, so no phase write is needed.
             var = decision >> 1
             vt[decision] = 1
             vf[decision ^ 1] = 1

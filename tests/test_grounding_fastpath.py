@@ -9,6 +9,10 @@ The PR 3 fast path may change *how much* work grounding does, never
 * a cached (``GroundingContext``-backed) session must answer every
   question like the naive ``prune=False, cache=False`` arm, including
   across forced re-grounds and generation switches;
+* a session must answer like per-call enforcement even where its
+  universe holds more ids a state lacks than a per-call grounding's
+  fresh slots (ghosts, dropped objects): it creates at most
+  ``scope.extra_objects`` objects per class;
 * ``enforce_sat``/``enumerate_repairs``/``ConsistencyOracle.try_build``
   must ride one shared grounding per question shape (grounding count
   asserted);
@@ -17,6 +21,8 @@ The PR 3 fast path may change *how much* work grounding does, never
 * learnt-clause binary self-subsuming resolution must fire and stay
   answer-preserving against the truth-table oracle.
 """
+
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -44,9 +50,10 @@ from repro.solver.bounded import Grounder, GroundingContext, Scope
 from repro.solver.cnf import CNF
 from repro.solver.maxsat import MaxSatSession
 from repro.solver.sat import IncrementalSolver
-from tests.strategies import model_tuples
+from tests.strategies import enforce_answer, model_tuples
 
 _SCOPE = Scope(extra_objects=2)
+_FEATURES = ("core", "log", "ui", "net")
 
 
 def _directions(transformation):
@@ -76,6 +83,30 @@ def _ground_and_solve(transformation, models, targets, prune):
 
 def _small(models) -> bool:
     return sum(m.size() for m in models.values()) <= 5
+
+
+def _session_and_per_call(stream):
+    """One paper k=2 session over ``stream`` (targets cf1 and cf2), its
+    answers and per-call SAT enforcement's, as ``enforce_answer`` pairs."""
+    transformation = paper_transformation(2)
+    targets = TargetSelection(["cf1", "cf2"])
+    session = EnforcementSession(transformation, targets, scope=_SCOPE)
+    answers, references = [], []
+    for models in stream:
+        answers.append(enforce_answer(lambda: session.enforce(models)))
+        references.append(
+            enforce_answer(
+                lambda: enforce(
+                    transformation,
+                    models,
+                    targets,
+                    engine="sat",
+                    scope=_SCOPE,
+                    share=False,
+                )
+            )
+        )
+    return session, answers, references
 
 
 def _frozen_fm(features: int, variant: str = "a"):
@@ -192,6 +223,68 @@ class TestPrunedGroundingEquivalence:
                 assert from_session is None and reference is None
             else:
                 assert from_session.distance == reference.distance
+
+    def test_ghost_widened_session_answers_like_per_call(self):
+        """The first hypothesis counterexample to the stream property
+        above, pinned. The re-ground keeps cf2's ``s_net`` as a ghost,
+        so the session's cf2 universe holds 3 absent ids to the per-call
+        grounding's 2 fresh slots; the creation budget keeps the session
+        from repairing (at distance 10) a tuple per-call enforcement
+        cannot repair within scope."""
+        session, answers, references = _session_and_per_call([
+            {
+                "fm": feature_model({"net": True, "ui": True}),
+                "cf1": configuration(["net"], name="cf1"),
+                "cf2": configuration(["net"], name="cf2"),
+            },
+            {
+                "fm": feature_model({"log": True, "net": True, "ui": True}),
+                "cf1": configuration(["net"], name="cf1"),
+                "cf2": configuration([], name="cf2"),
+            },
+        ])
+        assert references[1] == ("no-repair", None)
+        assert answers == references
+
+    def test_patched_state_creates_no_more_objects_than_per_call(self):
+        """The same widening without a re-ground: the second state keeps
+        fm, so the session patches its grounding, whose cf2 universe
+        still holds the dropped ``s_net`` next to 2 fresh slots. cf2
+        needs 3 created features and per-call enforcement has room for
+        2, so both must answer ``no-repair``."""
+        fm = feature_model({"log": True, "net": True, "ui": True})
+        cf1 = configuration(["log", "net", "ui"], name="cf1")
+        session, answers, references = _session_and_per_call([
+            {"fm": fm, "cf1": cf1, "cf2": configuration(["net"], name="cf2")},
+            {"fm": fm, "cf1": cf1, "cf2": configuration([], name="cf2")},
+        ])
+        assert (session.groundings, session.reuses) == (1, 1)
+        assert references == [("repaired", 4), ("no-repair", None)]
+        assert answers == references
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_session_answers_like_per_call_on_seeded_streams(self, seed):
+        """Seeded four-tuple edit streams that keep fm half the time
+        (patched states) and otherwise drift it (re-grounds with
+        ghosts), over mostly mandatory features: the session answers
+        every tuple like per-call enforcement. Without the creation
+        budget, seeds 1, 3 and 7 repair a tuple per-call enforcement
+        cannot."""
+        rng = random.Random(seed)
+        stream = []
+        fm = None
+        for _ in range(4):
+            if fm is None or rng.random() < 0.5:
+                fm = feature_model(
+                    {f: rng.random() < 0.8 for f in _FEATURES if rng.random() < 0.7}
+                )
+            models = {"fm": fm}
+            for param in ("cf1", "cf2"):
+                selected = [f for f in _FEATURES if rng.random() < 0.5]
+                models[param] = configuration(selected, name=param)
+            stream.append(models)
+        _session, answers, references = _session_and_per_call(stream)
+        assert answers == references
 
 
 class TestSharedGrounding:

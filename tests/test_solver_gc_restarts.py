@@ -1,7 +1,6 @@
 """Hot-loop overhaul lockdown: VSIDS heap, Luby restarts, learnt GC.
 
-Three layers of guarantees, each asserted on **both CDCL cores** (the
-flat production core and the legacy reference core):
+Three layers of guarantees on the CDCL core:
 
 * **Equivalence under pressure** — with a restart forced into every
   query and learnt-clause reduction forced at every opportunity (via
@@ -18,12 +17,10 @@ flat production core and the legacy reference core):
 
 Stress is applied through the hooks only — ``force_restart()``
 (one-shot: the next restart fires after one conflict) and
-``force_gc()`` (reduction at every chance) — so the same tests drive
-either core without reaching into scheduler internals. The few
-genuinely *structural* checks that must read a core's clause database
-go through the per-core helpers ``_check_database`` /
-``_mark_all_weak`` / ``_locked_reasons`` below, which dispatch on the
-core's representation (clause list vs int arena).
+``force_gc()`` (reduction at every chance) — so the tests do not reach
+into scheduler internals. The few genuinely *structural* checks that
+must read the clause database go through the helpers
+``_check_database`` / ``_mark_all_weak`` / ``_locked_reasons`` below.
 """
 
 import pytest
@@ -33,17 +30,11 @@ from hypothesis import strategies as st
 from repro.check.engine import Checker
 from repro.errors import SolverError
 from repro.featuremodels import configuration, feature_model, paper_transformation
-from repro.solver import maxsat
 from repro.solver.bounded import Grounder, Scope
 from repro.solver.brute import brute_solve, check_assignment
 from repro.solver.cnf import CNF
-from repro.solver.legacy import LegacySolver
 from repro.solver.maxsat import MaxSatSession
 from repro.solver.sat import IncrementalSolver, luby
-
-LEGACY, FLAT = "legacy", "flat"
-CORES = {LEGACY: LegacySolver, FLAT: IncrementalSolver}
-BACKENDS = tuple(CORES)
 
 
 @st.composite
@@ -75,9 +66,9 @@ def _random_cnf(num_vars: int, num_clauses: int, seed: int) -> CNF:
     return cnf
 
 
-def _stressed(cnf: CNF, backend: str) -> IncrementalSolver:
+def _stressed(cnf: CNF) -> IncrementalSolver:
     """A solver with GC forced constantly, via the hook."""
-    solver = CORES[backend](cnf)
+    solver = IncrementalSolver(cnf)
     solver.force_gc()  # reduce the learnt database at every chance
     return solver
 
@@ -103,79 +94,55 @@ def _check_solve(mirror: CNF, result, assumptions) -> None:
 
 
 # ----------------------------------------------------------------------
-# Per-core structural helpers (the only representation-aware code).
+# Structural helpers (the only representation-aware code).
 # ----------------------------------------------------------------------
 def _check_database(solver: IncrementalSolver) -> None:
     """Internal invariants that a buggy GC sweep would break."""
-    if not isinstance(solver, LegacySolver):
-        arena, crefs = solver.arena, solver.cref_list
-        live = set(crefs)
-        assert solver.num_learnts == sum(1 for c in crefs if arena[c - 2] > 0)
-        watch_entries = 0
-        for watch_list in solver.watches:
-            for cref in watch_list:
-                assert cref in live
-            watch_entries += len(watch_list)
-        # every arena clause is watched on exactly its two watch slots
-        assert watch_entries == 2 * len(crefs)
-        for code in solver.trail:
-            cref = solver.reasons[code >> 1]
-            if cref:
-                size = arena[cref - 1]
-                assert (
-                    code in arena[cref : cref + size]
-                ), "reason clause lost its literal"
-        return
-    assert len(solver.clauses) == len(solver.clause_lbd) == len(solver.clause_act)
-    assert solver.num_learnts == sum(1 for lbd in solver.clause_lbd if lbd > 0)
-    for lit, indices in solver.watches.items():
-        for index in indices:
-            assert 0 <= index < len(solver.clauses)
-    for lit in solver.trail:
-        reason = solver.reasons[abs(lit)]
-        if reason is not None:
-            assert lit in solver.clauses[reason], "reason clause lost its literal"
+    arena, crefs = solver.arena, solver.cref_list
+    live = set(crefs)
+    assert solver.num_learnts == sum(1 for c in crefs if arena[c - 2] > 0)
+    watch_entries = 0
+    for watch_list in solver.watches:
+        for cref in watch_list:
+            assert cref in live
+        watch_entries += len(watch_list)
+    # every arena clause is watched on exactly its two watch slots
+    assert watch_entries == 2 * len(crefs)
+    for code in solver.trail:
+        cref = solver.reasons[code >> 1]
+        if cref:
+            size = arena[cref - 1]
+            assert (
+                code in arena[cref : cref + size]
+            ), "reason clause lost its literal"
 
 
 def _mark_all_weak(solver: IncrementalSolver) -> None:
     """Relabel every clause as a weak learnt the GC would love to drop."""
-    if not isinstance(solver, LegacySolver):
-        for cref in solver.cref_list:
-            solver.arena[cref - 2] = 9
-            solver.clause_act[cref] = 0.0
-        solver.num_learnts = len(solver.cref_list)
-        return
-    for index in range(len(solver.clauses)):
-        solver.clause_lbd[index] = 9
-        solver.clause_act[index] = 0.0
-    solver.num_learnts = len(solver.clauses)
+    for cref in solver.cref_list:
+        solver.arena[cref - 2] = 9
+        solver.clause_act[cref] = 0.0
+    solver.num_learnts = len(solver.cref_list)
 
 
 def _locked_reasons(solver: IncrementalSolver) -> set:
     """The reason clauses of the live trail, as comparable literal sets."""
-    if not isinstance(solver, LegacySolver):
-        locked = set()
-        for code in solver.trail:
-            cref = solver.reasons[code >> 1]
-            if cref:
-                size = solver.arena[cref - 1]
-                locked.add(frozenset(solver.arena[cref : cref + size]))
-        return locked
-    return {
-        frozenset(solver.clauses[solver.reasons[abs(lit)]])
-        for lit in solver.trail
-        if solver.reasons[abs(lit)] is not None
-    }
+    locked = set()
+    for code in solver.trail:
+        cref = solver.reasons[code >> 1]
+        if cref:
+            size = solver.arena[cref - 1]
+            locked.add(frozenset(solver.arena[cref : cref + size]))
+    return locked
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestEquivalenceUnderPressure:
     @given(script=solver_scripts())
     @settings(max_examples=100, deadline=None)
-    def test_stressed_solver_matches_oracle(self, backend, script):
+    def test_stressed_solver_matches_oracle(self, script):
         num_vars, ops = script
         mirror = CNF(num_vars)
-        solver = _stressed(CNF(num_vars), backend)
+        solver = _stressed(CNF(num_vars))
         for op, payload in ops:
             if op == "add":
                 mirror.add_clause(payload)
@@ -187,11 +154,11 @@ class TestEquivalenceUnderPressure:
 
     @given(script=solver_scripts())
     @settings(max_examples=75, deadline=None)
-    def test_stressed_solver_matches_plain_solver(self, backend, script):
+    def test_stressed_solver_matches_plain_solver(self, script):
         """GC + forced restarts vs the plain GC-off arm: same verdicts."""
         num_vars, ops = script
-        stressed = _stressed(CNF(num_vars), backend)
-        plain = CORES[backend](CNF(num_vars), gc=False)
+        stressed = _stressed(CNF(num_vars))
+        plain = IncrementalSolver(CNF(num_vars), gc=False)
         for op, payload in ops:
             if op == "add":
                 stressed.add_clause(payload)
@@ -203,11 +170,11 @@ class TestEquivalenceUnderPressure:
                     == plain.solve(payload).satisfiable
                 )
 
-    def test_gc_actually_drops_and_verdicts_agree(self, backend):
+    def test_gc_actually_drops_and_verdicts_agree(self):
         cnf = _random_cnf(60, 255, seed=11)
-        gc_on = CORES[backend](cnf)
+        gc_on = IncrementalSolver(cnf)
         gc_on.force_gc()
-        gc_off = CORES[backend](cnf, gc=False)
+        gc_off = IncrementalSolver(cnf, gc=False)
         verdict_on = gc_on.solve().satisfiable
         verdict_off = gc_off.solve().satisfiable
         assert verdict_on == verdict_off
@@ -215,9 +182,7 @@ class TestEquivalenceUnderPressure:
         assert gc_on.stats.learnts_dropped > 0
         _check_database(gc_on)
 
-    def test_gc_keeps_the_optimum_of_a_reprobed_enforcement_session(
-        self, backend, monkeypatch
-    ):
+    def test_gc_keeps_the_optimum_of_a_reprobed_enforcement_session(self):
         """The paper's k=2 repair question at ``extra_objects=3``: the
         optimum plus three re-probes at ``at_most(optimum)`` (the
         streaming pattern of ``enumerate_optimal``) under constant
@@ -242,7 +207,6 @@ class TestEquivalenceUnderPressure:
             ],
             scope=Scope(extra_objects=3),
         ).ground()
-        monkeypatch.setattr(maxsat, "IncrementalSolver", CORES[backend])
         costs = {}
         for gc in (False, True):
             session = MaxSatSession(grounding.cnf, list(grounding.soft))
@@ -257,13 +221,13 @@ class TestEquivalenceUnderPressure:
         assert costs[True] == costs[False]
         assert session.solver.stats.reductions > 0
 
-    def test_forced_restart_fires_once_then_schedule_resumes(self, backend):
+    def test_forced_restart_fires_once_then_schedule_resumes(self):
         cnf = _random_cnf(40, 170, seed=3)
-        solver = CORES[backend](cnf)
+        solver = IncrementalSolver(cnf)
         solver.force_restart()
         forced = solver.solve()
         assert solver.stats.restarts > 0
-        assert forced.satisfiable == CORES[backend](cnf).solve().satisfiable
+        assert forced.satisfiable == IncrementalSolver(cnf).solve().satisfiable
 
 
 class TestTieBreaking:
@@ -279,34 +243,35 @@ class TestTieBreaking:
     ):
         """Equal-activity ties break towards the lowest variable index.
 
-        White-box on the production core's ``activity`` and truth
-        columns; the expected pick is a linear scan computed here.
+        White-box on the core's ``activity`` column; the "taken"
+        variables are unit clauses, so they are assigned at level 0
+        before the search loop pops its first decision off the heap.
+        The expected pick is a linear scan computed here.
         """
         n = len(activities)
         solver = IncrementalSolver(CNF(n))
-        for var, activity in enumerate(activities, start=1):
-            solver.activity[var] = activity
         taken = {var for var, a in enumerate(assigned[:n], start=1) if a}
         for var in taken:
-            solver.vt[var << 1] = solver.vf[var << 1 | 1] = 1
+            solver.add_clause([var])
+        for var, activity in enumerate(activities, start=1):
+            solver.activity[var] = activity
         solver._rebuild_heap()
         expected = None
         best = -1.0
         for var in range(1, n + 1):
             if var not in taken and activities[var - 1] > best:
                 expected, best = var, activities[var - 1]
-        pick = solver._decide()
+        assert solver.solve().satisfiable
         if expected is None:
-            assert pick is None
+            assert solver.trail_lim == []
         else:
-            assert pick >> 1 == expected
+            assert solver.trail[solver.trail_lim[0]] >> 1 == expected
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_runs_are_deterministic(self, backend):
+    def test_runs_are_deterministic(self):
         cnf = _random_cnf(50, 210, seed=5)
         runs = []
         for _ in range(2):
-            solver = CORES[backend](cnf)
+            solver = IncrementalSolver(cnf)
             result = solver.solve()
             runs.append(
                 (result.satisfiable, result.assignment, solver.stats.snapshot())
@@ -314,7 +279,6 @@ class TestTieBreaking:
         assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestMidSearchGc:
     """Assumption-aware mid-search reduction (the PR-3 open follow-up).
 
@@ -337,13 +301,13 @@ class TestMidSearchGc:
         ]
         return cnf, queries
 
-    def test_forced_midsearch_reductions_change_no_verdicts(self, backend):
+    def test_forced_midsearch_reductions_change_no_verdicts(self):
         fired = 0
         for seed in range(10):
             cnf, queries = self._generated_workload(seed)
-            stressed = CORES[backend](cnf)
+            stressed = IncrementalSolver(cnf)
             stressed.force_gc()
-            plain = CORES[backend](cnf, gc=False)
+            plain = IncrementalSolver(cnf, gc=False)
             mirror = cnf.copy()
             for assumptions in queries:
                 result = stressed.solve(assumptions)
@@ -362,7 +326,7 @@ class TestMidSearchGc:
             fired += stressed.stats.midsearch_reductions
         assert fired > 0, "the stress settings must actually reduce mid-search"
 
-    def test_midsearch_reduction_keeps_nonroot_locked_reasons(self, backend):
+    def test_midsearch_reduction_keeps_nonroot_locked_reasons(self):
         """Reduce at a non-root decision level directly: every reason
         clause of the live trail — including assumption-implied
         assignments above level 0 — survives."""
@@ -372,12 +336,12 @@ class TestMidSearchGc:
         cnf.add_clause([3, 4])    # filler the GC may drop
         cnf.add_clause([4, 5])
         cnf.add_clause([-4, 5, 6])
-        solver = CORES[backend](cnf)
+        solver = IncrementalSolver(cnf)
         # A SAT answer leaves the trail at its final (non-root) levels,
         # with clause [-1, 2] locked as the reason of the assumption-
         # implied literal 2.
         assert solver.solve([1]).satisfiable
-        assert solver._decision_level() > 0
+        assert len(solver.trail_lim) > 0
         _mark_all_weak(solver)
         locked_before = _locked_reasons(solver)
         assert locked_before, "scenario must lock a non-root reason"
@@ -389,9 +353,8 @@ class TestMidSearchGc:
         assert solver.solve([1]).satisfiable
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestGcSafety:
-    def test_locked_reason_clauses_survive_reduction(self, backend):
+    def test_locked_reason_clauses_survive_reduction(self):
         """A mid-solve reduction never deletes a clause that is the
         reason of a current (root) assignment."""
         cnf = CNF(5)
@@ -403,7 +366,7 @@ class TestGcSafety:
         cnf.add_clause([2, 5])
         cnf.add_clause([4, 5])
         cnf.add_clause([-4, 3, 5])
-        solver = CORES[backend](cnf)
+        solver = IncrementalSolver(cnf)
         assert solver.solve().satisfiable
         # Mark every clause as a weak learnt so the GC would love to drop
         # them; only the locked ones (reasons of the root trail) may not
@@ -418,16 +381,16 @@ class TestGcSafety:
         _check_database(solver)
         assert solver.solve().satisfiable  # still answers correctly
 
-    def test_glue_clauses_survive_reduction(self, backend):
+    def test_glue_clauses_survive_reduction(self):
         cnf = _random_cnf(60, 255, seed=11)
-        solver = CORES[backend](cnf)
+        solver = IncrementalSolver(cnf)
         solver.force_gc()
         solver.solve()
         assert solver.stats.reductions > 0
         _check_database(solver)
 
-    def test_input_validation(self, backend):
-        solver = CORES[backend](CNF(1))
+    def test_input_validation(self):
+        solver = IncrementalSolver(CNF(1))
         with pytest.raises(SolverError):
             solver.solve([0])
         with pytest.raises(SolverError):
@@ -435,9 +398,9 @@ class TestGcSafety:
         with pytest.raises(SolverError):
             luby(0)
 
-    def test_per_solve_stats_attached(self, backend):
+    def test_per_solve_stats_attached(self):
         cnf = _random_cnf(20, 60, seed=2)
-        solver = CORES[backend](cnf)
+        solver = IncrementalSolver(cnf)
         result = solver.solve()
         assert result.stats is not None
         assert result.stats.solves == 1

@@ -13,12 +13,10 @@ one-shot :func:`~repro.solver.sat.solve`:
   (stale trail entries, mis-scoped learnt clauses, phase corruption)
   flips a verdict.
 
-``TestBackendMetamorphicLaws`` runs the semantic-invariance laws —
-clause permutation, literal renaming, assumption-order invariance —
-against both CDCL cores, so the flat production core is held to the
-same laws as the legacy reference core it replaced (see
-``tests/test_solver_backends.py`` for the cross-core differential
-battery proper).
+``TestMetamorphicLaws`` holds the CDCL core to the semantic-invariance
+laws: clause permutation, literal renaming and assumption-order
+invariance. (The certified battery in ``tests/test_solver_backends.py``
+checks the core's answers themselves by reverse unit propagation.)
 """
 
 import random
@@ -27,7 +25,6 @@ import pytest
 
 from repro.solver.brute import check_assignment
 from repro.solver.cnf import CNF, Lit
-from repro.solver.legacy import LegacySolver
 from repro.solver.sat import IncrementalSolver, solve
 
 
@@ -133,10 +130,6 @@ class TestMetamorphicAgreement:
         assert after.satisfiable == fresh.satisfiable
 
 
-LEGACY, FLAT = "legacy", "flat"
-CORES = {LEGACY: LegacySolver, FLAT: IncrementalSolver}
-BACKENDS = tuple(CORES)
-
 #: The nontrivial hand cases (empty formulas teach a permutation law
 #: nothing) plus seeded random 3-CNFs near the solvable/unsolvable mix.
 _LAW_CASES: list[tuple[str, CNF, tuple[Lit, ...]]] = [
@@ -159,8 +152,8 @@ for _seed in range(4):
 _LAW_IDS = [name for name, _, _ in _LAW_CASES]
 
 
-def _solve_on(backend: str, cnf: CNF, assumptions) -> "tuple":
-    result = CORES[backend](cnf).solve(assumptions)
+def _solve_on(cnf: CNF, assumptions) -> "tuple":
+    result = IncrementalSolver(cnf).solve(assumptions)
     core = None if result.core is None else frozenset(result.core)
     return result.satisfiable, result.assignment, core
 
@@ -177,15 +170,14 @@ def _renamed(cnf: CNF, mapping: dict[int, int]) -> CNF:
     return out
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name,cnf,assumptions", _LAW_CASES, ids=_LAW_IDS)
-class TestBackendMetamorphicLaws:
-    """Semantic invariances both cores must satisfy."""
+class TestMetamorphicLaws:
+    """Semantic invariances the core must satisfy."""
 
-    def test_clause_permutation_invariance(self, backend, name, cnf, assumptions):
+    def test_clause_permutation_invariance(self, name, cnf, assumptions):
         """Permuting clause order never flips the verdict; models stay
         models, cores stay subsets of the assumptions."""
-        base_sat, _, _ = _solve_on(backend, cnf, assumptions)
+        base_sat, _, _ = _solve_on(cnf, assumptions)
         rng = random.Random(sum(name.encode()))
         for _ in range(2):
             clauses = list(cnf.clauses)
@@ -193,16 +185,16 @@ class TestBackendMetamorphicLaws:
             permuted = CNF(cnf.num_vars)
             for clause in clauses:
                 permuted.add_clause(list(clause))
-            sat, model, core = _solve_on(backend, permuted, assumptions)
+            sat, model, core = _solve_on(permuted, assumptions)
             assert sat == base_sat, name
             if sat:
                 assert check_assignment(permuted, model)
             else:
                 assert core <= frozenset(assumptions)
 
-    def test_literal_renaming_invariance(self, backend, name, cnf, assumptions):
+    def test_literal_renaming_invariance(self, name, cnf, assumptions):
         """A variable permutation relabels the question, not the answer."""
-        base_sat, _, _ = _solve_on(backend, cnf, assumptions)
+        base_sat, _, _ = _solve_on(cnf, assumptions)
         rng = random.Random(sum(name.encode()))
         variables = list(range(1, cnf.num_vars + 1))
         shuffled = variables[:]
@@ -212,20 +204,20 @@ class TestBackendMetamorphicLaws:
         renamed_assumptions = tuple(
             mapping[lit] if lit > 0 else -mapping[-lit] for lit in assumptions
         )
-        sat, model, core = _solve_on(backend, renamed, renamed_assumptions)
+        sat, model, core = _solve_on(renamed, renamed_assumptions)
         assert sat == base_sat, name
         if sat:
             assert check_assignment(renamed, model)
         else:
             assert core <= frozenset(renamed_assumptions)
 
-    def test_assumption_order_invariance(self, backend, name, cnf, assumptions):
+    def test_assumption_order_invariance(self, name, cnf, assumptions):
         """Assumptions are a set to the semantics: any order gives the
         same verdict and the same failed core (as a set)."""
         orderings = [assumptions, tuple(reversed(assumptions))]
         outcomes = []
         for ordering in orderings:
-            sat, model, core = _solve_on(backend, cnf, ordering)
+            sat, model, core = _solve_on(cnf, ordering)
             outcomes.append((sat, core))
             if sat:
                 assert check_assignment(cnf, model)
@@ -235,12 +227,3 @@ class TestBackendMetamorphicLaws:
             cores = {core for _, core in outcomes}
             for core in cores:
                 assert core <= frozenset(assumptions)
-
-    def test_backends_agree_on_the_law_case(self, backend, name, cnf, assumptions):
-        """Anchor: whatever this core answers matches the other one."""
-        mine = _solve_on(backend, cnf, assumptions)
-        other = LEGACY if backend == FLAT else FLAT
-        theirs = _solve_on(other, cnf, assumptions)
-        assert mine[0] == theirs[0], name
-        assert mine[1] == theirs[1], name  # trace-identical cores decode alike
-        assert mine[2] == theirs[2], name

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from repro.errors import SolverError
 from repro.solver.brute import brute_solve, check_assignment, count_models
 from repro.solver.cnf import CNF, VarPool
-from repro.solver.sat import solve
+from repro.solver.sat import IncrementalSolver, solve
 from tests.strategies import cnfs
 
 
@@ -94,6 +94,12 @@ class TestHandCases:
     def test_unsat_result_has_no_assignment(self):
         result = solve(cnf_of(1, [[1], [-1]]))
         with pytest.raises(SolverError):
+            result.value(1)
+
+    def test_model_free_sat_result_says_why_it_has_no_assignment(self):
+        result = IncrementalSolver(cnf_of(1, [[1]])).solve(model=False)
+        assert result.satisfiable and result.assignment is None
+        with pytest.raises(SolverError, match=r"^SAT result .* model=True"):
             result.value(1)
 
 
