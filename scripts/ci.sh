@@ -14,14 +14,22 @@
 #     shares with the previous one, answers like a fresh solver and
 #     propagates at most 80,000 literals on a paper feature-model
 #     toggle stream
-#     (tests/test_solver_incremental.py::TestAssumptionTrailReuse); and
+#     (tests/test_solver_incremental.py::TestAssumptionTrailReuse);
 #     learnt-clause GC under constant restarts keeps the optimum of a
 #     re-probed enforcement session (tests/test_solver_gc_restarts.py);
+#     and the increasing search's disjoint-core bound never exceeds the
+#     brute-force optimum, refutes a question with no repair in scope
+#     in one solve and keeps the paper feature-model toggle stream at
+#     <= 170 solves, <= 60 conflicts and <= 30 at_most calls
+#     (tests/test_solver_card_maxsat.py::TestDisjointCores);
 #   - an Echo enforcement session answers like re-grounding per edit
 #     with one grounding, and its monotone universe re-grounds a paper
 #     feature-model toggle stream at most once per new object id while
 #     answering like per-call SAT, ghosts capped per class
-#     (tests/test_enforce_session.py::TestMonotoneUniverse);
+#     (tests/test_enforce_session.py::TestMonotoneUniverse); its
+#     cost-0 optimum doubles as the hippocratic check, except for
+#     weight-0 targets, where it answers like per-call enforcement
+#     (TestSessionReuse::test_weight_zero_target_answers_like_per_call);
 #   - the request path is cycle-free: a paper feature-model toggle
 #     stream on one session and generated requests through
 #     serve_request leave 0 objects for the cyclic collector, and a
@@ -36,7 +44,9 @@
 #     half the clauses of private CNFs; the SAT entry points share one
 #     grounding (tests/test_grounding_fastpath.py);
 #   - every engine agrees on verdict and optimal cost over the fixed
-#     generated seeds 0..24, generation is bit-for-bit deterministic and
+#     generated seeds 0..24, generation is bit-for-bit deterministic,
+#     its corpus text is pinned by a sha256 digest
+#     (tests/test_gen_generators.py::TestScenarioGenerator) and
 #     oscillating drift is absorbed (tests/test_differential_engines.py;
 #     benchmarks/bench_a8_generated_workloads.py sweeps 200 seeds
 #     outside CI);

@@ -4,9 +4,9 @@ The checking semantics is grounded over a bounded universe
 (:mod:`repro.solver.bounded`), distance-to-original becomes soft clauses,
 and the optimum is found either by
 
-* ``increasing`` — one SAT call per distance bound 0, 1, 2, ...: the
-  FASE'13 Echo loop (*"an iterative process of searching for all
-  consistent models at increasing distance from the original"*), or
+* ``increasing`` — the FASE'13 Echo loop (*"an iterative process of
+  searching for all consistent models at increasing distance from the
+  original"*), core-boosted (see :mod:`repro.solver.maxsat`), or
 * ``decreasing`` — PMax-SAT-style linear search from a first solution
   downwards (the FASE'14 target-oriented model finding realisation).
 

@@ -73,10 +73,13 @@ Semantic note: every SAT-engine optimum — this session's :meth:`enforce`
 and :meth:`solve_tuple`, and the per-call ``enforce_sat(share=False)`` —
 is found and decoded by the one step ``satengine._solve_optimum``; only
 the symmetry policy differs. The session's own :meth:`enforce` verb
-solves *without* the symmetry assumption and uses the oracle as a
-hippocratic fast *accept* — a state the oracle accepts is consistent and
-returned unrepaired at distance 0; any other verdict defers to the real
-checker, exactly like :func:`~repro.enforce.enforce`. Optimal repair
+solves *without* the symmetry assumption, and that solve doubles as its
+hippocratic check (:meth:`EnforcementSession._hippocratic_fold`): a
+cost-0 optimum is the state itself, consistent with conformant targets,
+and is returned unrepaired at distance 0. Where a cost-0 optimum cannot
+prove that (a weight-0 target, a non-conformant target, or a tuple no
+retained grounding anchors) the real checker decides first, exactly
+like :func:`~repro.enforce.enforce`. Optimal repair
 distances are identical to :func:`~repro.enforce.satengine.enforce_sat`;
 the chosen optimum may be a different member of the same minimum-distance
 set.
@@ -357,25 +360,25 @@ class EnforcementSession:
         """Repair ``models`` (the tuple's current state), least change first.
 
         Hippocratic: a consistent state comes back untouched at distance
-        0 (engine ``"none"``). Raises
-        :class:`~repro.errors.NoRepairFound` when no consistent tuple
-        exists within the scope (or the distance cap).
+        0 (engine ``"none"``), decided by a cost-0 optimum or, where that
+        proves nothing, by the checker (:meth:`_hippocratic_fold`).
+        Raises :class:`~repro.errors.NoRepairFound` when no consistent
+        tuple exists within the scope (or the distance cap).
         """
         self.calls += 1
         original = self._bound(models)
-
         assumptions = self._activate(original)
-        if assumptions is not None:
-            if self._consistent_fast(original):
-                return self._untouched(original)
-        else:
+        fold = assumptions is not None and self._hippocratic_fold(original)
+        if not fold and self.checker.is_consistent(original):
+            return self._untouched(original)
+        if assumptions is None:
             # The edit escaped every retained grounding (or none exists yet).
-            if self.checker.is_consistent(original):
-                return self._untouched(original)
             assumptions = self._ground_fresh(original)
         repaired, cost = self._solve(
             original, assumptions, max_distance, symmetry=False
         )
+        if fold and cost == 0:
+            return self._untouched(original)
         return verify_repair(
             self.checker,
             SAT_ENGINE,
@@ -638,31 +641,22 @@ class EnforcementSession:
             targets=frozenset(self.targets.params),
         )
 
-    def _consistent_fast(self, original: Mapping[str, Model]) -> bool:
-        """Hippocratic pre-check, oracle-accelerated when possible.
+    def _hippocratic_fold(self, original: Mapping[str, Model]) -> bool:
+        """Whether the optimum solve may decide hippocraticness itself.
 
-        The oracle decides "consistent AND conformant targets", the
-        checker decides "consistent" — and
-        :func:`~repro.enforce.api.enforce` leaves *consistent* states
-        untouched, conformant or not. So: oracle ``True`` is trusted
-        (implies the checker's verdict); oracle ``False`` is exact
-        exactly when every target is conformant, because then the
-        structure constraints are satisfied by the state itself and only
-        consistency can have failed; otherwise — nonconformant target,
-        or oracle ``None`` — the real checker decides, so answers never
-        depend on whether a grounding happens to be cached.
+        A cost-0 optimum keeps every distance atom at its origin, so it
+        proves the state itself consistent with conformant targets — the
+        question :func:`~repro.enforce.api.enforce` asks before it
+        repairs, and the first solve of the increasing search. That
+        holds only when every target has distance atoms (weight > 0).
+        A non-conformant target can never cost 0, yet
+        :func:`~repro.enforce.api.enforce` leaves a *consistent* state
+        untouched, conformant or not; there the checker decides first.
         """
-        oracle = self._active.oracle
-        if oracle is not None:
-            verdict = oracle.query(original)
-            if verdict:
-                return True
-            if verdict is False and all(
-                is_conformant(original[param])
-                for param in sorted(self.targets.params)
-            ):
-                return False
-        return self.checker.is_consistent(original)
+        return all(
+            self.metric.weight(param) > 0 and is_conformant(original[param])
+            for param in sorted(self.targets.params)
+        )
 
     def _frozen_matches(
         self, frozen: Mapping[str, Model], original: Mapping[str, Model]

@@ -14,8 +14,8 @@ and the optimal weighted distance:
 * ``sat-unshared`` — per-call grounding (``share=False``).
 * ``sat-noprune`` — an :class:`~repro.enforce.session.EnforcementSession`
   with binding-space pruning and translation caching both disabled (the
-  fully naive grounding arm, including the session's own
-  oracle-accelerated hippocratic pre-check).
+  fully naive grounding arm, including the session's own hippocratic
+  check, which its first optimum solve decides).
 
 The ``guided`` engine is heuristic, not least-change: it is run for
 *correctness* (any repair it returns has already been re-verified by

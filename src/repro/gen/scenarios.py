@@ -26,10 +26,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.check.engine import EXTENDED, STANDARD, CheckConfig, Checker
-from repro.enforce.api import enforce
 from repro.enforce.metrics import TupleMetric
+from repro.enforce.satengine import enumerate_repairs
 from repro.enforce.targets import TargetSelection
-from repro.errors import NoRepairFound
+from repro.errors import GenerationError, SatFragmentError, SolverError
 from repro.gen.edits import perturb
 from repro.gen.instances import INT_POOL, STRING_POOL, random_model
 from repro.gen.metamodels import random_metamodel
@@ -44,6 +44,9 @@ MAX_CAP = 3
 
 #: The scenario scope: one fresh object per class, one fresh string.
 SCENARIO_SCOPE = Scope(extra_objects=1, extra_strings=1)
+
+#: Optimal base repairs enumerated at most (A8's 200 seeds need <= 22).
+REPAIR_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -118,39 +121,43 @@ def _consistent_base(
 ) -> dict[str, Model]:
     """A consistent, checker-verified starting tuple.
 
-    The random tuple is repaired towards all parameters with the SAT
-    engine when inconsistent (the result is re-verified by the real
-    checker inside :func:`~repro.enforce.api.enforce`); if no repair
-    exists within the scope, the empty tuple — vacuously consistent for
-    the template fragment — is the fallback. Fresh objects the repair
-    created are renamed off the grounder's reserved id namespace.
+    An inconsistent random tuple is repaired towards all parameters:
+    of every distance-minimal repair within the scope, the first in
+    canonical-text order (:func:`~repro.enforce.satengine.enumerate_repairs`
+    orders them), so the corpus does not depend on which optimum a
+    search happens to meet first. If no repair exists within the scope,
+    the empty tuple — vacuously consistent for the template fragment —
+    is the fallback. Fresh objects the repair created are renamed off
+    the grounder's reserved id namespace.
     """
     checker = Checker(transformation, config=CheckConfig(semantics=semantics))
     if checker.is_consistent(models):
         return models
     try:
-        repair = enforce(
-            transformation,
+        _cost, repairs = enumerate_repairs(
+            checker,
             models,
             TargetSelection(transformation.param_names()),
-            engine="sat",
-            semantics=semantics,
             scope=SCENARIO_SCOPE,
+            limit=REPAIR_LIMIT,
             share=False,
         )
-        consistent = {
-            param: _release_fresh_ids(model)
-            for param, model in repair.models.items()
-        }
-        assert checker.is_consistent(consistent), "renaming must preserve consistency"
-        return consistent
-    except NoRepairFound:
+    except SatFragmentError:
+        raise
+    except SolverError:  # the hard clauses are UNSAT: no repair in scope
         empty = {
             param: Model(models[param].metamodel, (), name=param)
             for param in models
         }
         assert checker.is_consistent(empty), "empty tuple must be consistent"
         return empty
+    if len(repairs) >= REPAIR_LIMIT:
+        raise GenerationError(f"{REPAIR_LIMIT} or more optimal base repairs")
+    consistent = {
+        param: _release_fresh_ids(model) for param, model in repairs[0].items()
+    }
+    assert checker.is_consistent(consistent), "renaming must preserve consistency"
+    return consistent
 
 
 def random_scenario(

@@ -2,13 +2,14 @@
 
 Two strategies, mirroring the two realisations the paper cites:
 
-* ``increasing`` — the Echo loop [Macedo & Cunha, FASE'13]: try total
-  soft-violation weight 0, then 1, 2, ... until satisfiable. The first
-  satisfiable bound is the optimum. Each step is one SAT call under a
-  single assumption literal (a totalizer output), so nothing is
-  re-encoded; nor is the caller's shared prefix of base assumptions
-  re-propagated, since the solver keeps the assumption levels two
-  consecutive calls share.
+* ``increasing`` — the Echo loop [Macedo & Cunha, FASE'13], core-boosted
+  [Berg, Demirović & Stuckey, CPAIOR'19]: disjoint unsatisfiable cores
+  [Davies & Bacchus, CP'11] prove a lower bound, then one SAT call per
+  distance bound from it upwards finds the optimum, unless the cores'
+  first model already meets the bound. Every call runs under
+  assumptions, so nothing is re-encoded; nor is the caller's shared
+  prefix of base assumptions re-propagated, since the solver keeps the
+  assumption levels two consecutive calls share.
 * ``decreasing`` — linear SAT-UNSAT search as in target-oriented model
   finding [Cunha, Macedo & Guimarães, FASE'14]: find any model, then
   repeatedly assume "strictly cheaper" until UNSAT; the last model is
@@ -96,7 +97,8 @@ class MaxSatSession:
     def __init__(self, hard: CNF, soft: Sequence[SoftClause]) -> None:
         self._working = hard.copy()
         originals = self._working.num_vars
-        relax_weighted: list[Lit] = []
+        #: Relaxation variable -> its soft clause's weight.
+        self._weights: dict[int, int] = {}
         for clause in soft:
             if clause.weight == 0:
                 continue
@@ -105,7 +107,8 @@ class MaxSatSession:
                     raise SolverError("soft clause references unknown variable")
             relax = self._working.new_var()
             self._working.add_clause(list(clause.literals) + [relax])
-            relax_weighted.extend([relax] * clause.weight)
+            self._weights[relax] = clause.weight
+        relax_weighted = [r for r, w in self._weights.items() for _ in range(w)]
         self.total_weight = len(relax_weighted)
         self._totalizer = (
             Totalizer(self._working, relax_weighted) if relax_weighted else None
@@ -168,6 +171,11 @@ class MaxSatSession:
                 self._solver.add_clause(clause)
         return assumption
 
+    def relaxation_core(self, result: SatResult) -> list[int]:
+        """The relaxation variables assumed false in the UNSAT
+        ``result``'s core (none: the other assumptions alone fail)."""
+        return [-lit for lit in result.core if -lit in self._weights]
+
     def cost_of(self, result: SatResult) -> int:
         """The violated soft weight of a satisfiable ``result``."""
         if self._totalizer is None:
@@ -213,11 +221,41 @@ class MaxSatSession:
         return self._decreasing(ceiling, base)
 
     def _increasing(self, ceiling: int, base: list[Lit]) -> MaxSatResult:
-        for bound in range(ceiling + 1):
-            result = self.solve(base + self.at_most(bound))
+        lower, result = self._disjoint_cores(ceiling, base)
+        if result is None:
+            return MaxSatResult(False)
+        if self.cost_of(result) > lower:
+            for bound in range(lower, ceiling + 1):
+                result = self.solve(base + self.at_most(bound))
+                if result.satisfiable:
+                    break
+            else:
+                return MaxSatResult(False)
+        return MaxSatResult(True, self.cost_of(result), result.assignment)
+
+    def _disjoint_cores(
+        self, ceiling: int, base: list[Lit]
+    ) -> tuple[int, SatResult | None]:
+        """A lower bound on the optimum, and the first satisfiable answer
+        (``None`` if no model within ``ceiling`` exists). Each solve
+        assumes every relaxation variable not yet freed false; a core
+        costs at least its least weight, and is disjoint from the
+        earlier ones, so the sum never exceeds the optimum."""
+        lower = 0
+        free: set[int] = set()
+        while True:
+            result = self.solve(
+                base + [-relax for relax in self._weights if relax not in free]
+            )
             if result.satisfiable:
-                return MaxSatResult(True, self.cost_of(result), result.assignment)
-        return MaxSatResult(False)
+                return lower, result
+            core = self.relaxation_core(result)
+            if not core:
+                return lower, None
+            lower += min(self._weights[relax] for relax in core)
+            if lower > ceiling:
+                return lower, None
+            free.update(core)
 
     def _decreasing(self, ceiling: int, base: list[Lit]) -> MaxSatResult:
         best: SatResult | None = None

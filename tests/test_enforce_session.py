@@ -16,7 +16,7 @@ import pytest
 
 from repro.echo.tool import Echo
 from repro.echo.workspace import Workspace
-from repro.enforce import EnforcementSession, TargetSelection, enforce
+from repro.enforce import EnforcementSession, TargetSelection, TupleMetric, enforce
 from repro.enforce.session import (
     SHARED_SESSION_LIMIT,
     clear_shared_sessions,
@@ -252,6 +252,30 @@ class TestSessionReuse:
         # ... and re-ask the original question: same answer as before.
         again = session.enforce({"a": conformant_a, "b": nonconformant_b})
         assert again.engine == "none" and again.distance == 0
+
+    @pytest.mark.parametrize("targets", [["cf2"], ["cf1", "cf2"]])
+    def test_weight_zero_target_answers_like_per_call(self, targets):
+        """A weight-0 target has no distance atoms, so a cost-0 optimum
+        may change it: the tuple below is inconsistent, and per-call
+        enforcement repairs it at distance 0 by selecting ``log`` in
+        ``cf2``. The patched second call must not read that cost-0
+        optimum as "already consistent"."""
+        transformation = paper_transformation(k=2)
+        selection = TargetSelection(targets)
+        metric = TupleMetric({"cf2": 0})
+        models = _tuple({"core": True, "log": True}, ["core", "log"], ["core"])
+        reference = enforce_answer(
+            lambda: enforce(
+                transformation, models, selection, metric=metric, share=False
+            )
+        )
+        assert reference == ("repaired", 0)
+        session = EnforcementSession(transformation, selection, metric=metric)
+        answers = [
+            enforce_answer(lambda: session.enforce(models)) for _ in range(2)
+        ]
+        assert answers == [reference, reference]
+        assert (session.groundings, session.reuses) == (1, 1)
 
     def test_consistent_input_needs_no_grounding(self):
         session = EnforcementSession(

@@ -11,8 +11,11 @@ Two properties carry the whole generative-workload story:
   any failure anywhere reproduces from one integer.
 """
 
+import hashlib
+
 import pytest
 
+from repro.errors import GenerationError
 from repro.expr import ast as e
 from repro.gen import (
     GeneratedScenario,
@@ -258,6 +261,34 @@ class TestScenarioGenerator:
                     assert not any(
                         oid.startswith("new_") for oid in model.object_ids()
                     )
+
+    def test_corpus_digest_is_pinned(self):
+        """The smoke corpus (seeds 0..24) is fixed text: a change to the
+        optimum search may not shift it. The base state of a repaired
+        random tuple is the least optimal repair in canonical-text
+        order, not whichever optimum the search meets first."""
+        digest = hashlib.sha256()
+        for seed in range(25):
+            scenario = random_scenario(seed)
+            for param in scenario.params():
+                for tuple_ in (scenario.before, scenario.models):
+                    digest.update(canonical_text(tuple_[param]).encode())
+                    digest.update(b"\0")
+        assert digest.hexdigest() == CORPUS_DIGEST
+
+    def test_base_repair_enumeration_limit_fails_loudly(self, monkeypatch):
+        # Seed 0's random tuple has 8 optimal base repairs.
+        monkeypatch.setattr("repro.gen.scenarios.REPAIR_LIMIT", 9)
+        random_scenario(0)
+        monkeypatch.setattr("repro.gen.scenarios.REPAIR_LIMIT", 8)
+        with pytest.raises(GenerationError, match="8 or more"):
+            random_scenario(0)
+
+
+#: sha256 of the canonical texts of ``random_scenario(0..24)``.
+CORPUS_DIGEST = (
+    "2ff6a424ff444e41bffae6797bbfec52bb1b4d66e423a94f9e6f686fd524c712"
+)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,6 +4,10 @@ Also the home of the on-demand totalizer count gate: a capped optimum
 search on a generated scenario builds at most cap + 1 counter outputs
 and at least 3x fewer totalizer clauses than the complete counter, and
 a heavily weighted request builds no more outputs than its cap reads.
+And of the disjoint-core gates: the core bound never exceeds the
+optimum, a question with no repair in scope takes one solve, and the
+paper toggle stream stays under its solve, conflict and ``at_most``
+counts.
 """
 
 import dataclasses
@@ -13,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.enforce import EnforcementSession, TargetSelection, enforce
 from repro.enforce.metrics import TupleMetric
-from repro.errors import SolverError
+from repro.errors import NoRepairFound, SolverError
+from repro.featuremodels import configuration, feature_model, paper_transformation
 from repro.gen import random_scenario
 from repro.gen.oracle import run_engine
-from repro.solver.bounded import Grounder
+from repro.solver.bounded import Grounder, Scope
 from repro.solver.card import Totalizer, at_most_one_pairwise, exactly_one
 from repro.solver.cnf import CNF
 from repro.solver.maxsat import (
@@ -29,7 +35,8 @@ from repro.solver.maxsat import (
     solve_maxsat,
     verify_soft_cost,
 )
-from repro.solver.sat import IncrementalSolver, solve
+from repro.solver.sat import IncrementalSolver, global_stats, solve
+from tests.strategies import toggle_stream
 
 
 def fresh_cnf(n):
@@ -175,7 +182,7 @@ def brute_optimum(hard: CNF, soft) -> int | None:
 
 
 @st.composite
-def maxsat_instances(draw):
+def maxsat_instances(draw, min_weight=1):
     num_vars = draw(st.integers(1, 5))
     hard = CNF(num_vars)
     literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
@@ -184,7 +191,7 @@ def maxsat_instances(draw):
     soft = []
     for _ in range(draw(st.integers(1, 5))):
         lits = tuple(draw(st.lists(literal, min_size=1, max_size=2)))
-        soft.append(SoftClause(lits, weight=draw(st.integers(1, 3))))
+        soft.append(SoftClause(lits, weight=draw(st.integers(min_weight, 3))))
     return hard, soft
 
 
@@ -443,3 +450,85 @@ class TestOnDemandTotalizerGate:
         assert (sat.outcome, sat.distance) == (brute.outcome, brute.distance)
         assert sessions and all(s.total_weight > 25 for s in sessions)
         assert all(len(s._totalizer.outputs) <= 3 for s in sessions)
+
+
+class TestDisjointCores:
+    """The core phase of the increasing search (``_disjoint_cores``)."""
+
+    @given(instance=maxsat_instances(min_weight=0), cap=st.integers(0, 16))
+    @settings(max_examples=150, deadline=None)
+    def test_core_bound_never_exceeds_the_optimum(self, instance, cap):
+        hard, soft = instance
+        expected = brute_optimum(hard, soft)
+        session = MaxSatSession(hard, soft)
+        lower, result = session._disjoint_cores(session.total_weight, [])
+        if expected is None:
+            assert result is None
+            assert not session.solve_optimal().satisfiable
+            return
+        assert lower <= expected
+        assert result.satisfiable and session.cost_of(result) >= expected
+        optimum = session.solve_optimal()
+        assert optimum.satisfiable and optimum.cost == expected
+        assert verify_soft_cost(soft, optimum.assignment) == expected
+        capped = session.solve_optimal(max_cost=cap)
+        assert capped.satisfiable == (expected <= cap)
+        if capped.satisfiable:
+            assert capped.cost == expected
+
+    def test_a_core_adds_its_least_weight(self):
+        """x1 and x2 are mutually exclusive, and the soft clauses want
+        both: the one core costs its lighter member."""
+        hard = CNF(2)
+        hard.add_clause([-1, -2])
+        session = MaxSatSession(hard, [SoftClause((1,), 3), SoftClause((2,), 2)])
+        lower, result = session._disjoint_cores(session.total_weight, [])
+        assert lower == 2 and session.cost_of(result) == 2
+        assert session.solve_optimal().cost == 2
+
+    def test_no_repair_in_scope_answers_after_one_solve(self):
+        """An uncapped question with no repair in scope: ``fm`` makes
+        ``log`` mandatory, and ``cf2`` has no fresh slot for it. The
+        linear sweep refuted each of the 13 bounds 0..12 (13 solves);
+        the core phase finds the hard clauses UNSAT in its first solve."""
+        transformation = paper_transformation(k=2)
+        models = {
+            "fm": feature_model({"core": True, "log": True}),
+            "cf1": configuration(["core", "log"], name="cf1"),
+            "cf2": configuration(["core"], name="cf2"),
+        }
+        for share in (False, True):
+            before = global_stats()
+            with pytest.raises(NoRepairFound):
+                enforce(
+                    transformation,
+                    models,
+                    TargetSelection(["cf1", "cf2"]),
+                    scope=Scope(extra_objects=0),
+                    share=share,
+                )
+            assert (global_stats() - before).solves == 1
+
+    def test_paper_toggle_stream_count_gate(self, monkeypatch):
+        """The paper feature-model toggle stream (four features, 48
+        requests) on one session. Measured 162 solves, 43 conflicts and
+        19 ``at_most`` calls; the linear sweep alone, with the oracle
+        pre-check, took 191, 163 and 147."""
+        asks = []
+        at_most = MaxSatSession.at_most
+
+        def counting(self, bound):
+            asks.append(bound)
+            return at_most(self, bound)
+
+        monkeypatch.setattr(MaxSatSession, "at_most", counting)
+        session = EnforcementSession(
+            paper_transformation(k=2), TargetSelection(["cf1", "cf2"])
+        )
+        before = global_stats()
+        for models in toggle_stream(features=4, requests=48):
+            session.enforce(models)
+        work = global_stats() - before
+        assert work.solves <= 170
+        assert work.conflicts <= 60
+        assert len(asks) <= 30

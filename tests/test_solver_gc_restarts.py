@@ -184,9 +184,14 @@ class TestEquivalenceUnderPressure:
 
     def test_gc_keeps_the_optimum_of_a_reprobed_enforcement_session(self):
         """The paper's k=2 repair question at ``extra_objects=3``: the
-        optimum plus three re-probes at ``at_most(optimum)`` (the
-        streaming pattern of ``enumerate_optimal``) under constant
-        restarts and reductions equals the ``gc=False`` optimum."""
+        optimum plus three re-probes under constant restarts and
+        reductions equals the ``gc=False`` optimum. Each re-probe
+        refutes ``at_most(optimum - 1)`` and then solves
+        ``at_most(optimum)`` (the streaming pattern of
+        ``enumerate_optimal``). The optimum search itself proves the
+        optimum from disjoint cores in 4 conflicts, too few to learn a
+        deletable clause; the refutations below the optimum give the
+        reductions something to drop."""
         transformation = paper_transformation(2)
         models = {
             "fm": feature_model({"core": True, "secure": True, "log": False}),
@@ -215,7 +220,10 @@ class TestEquivalenceUnderPressure:
                 session.solver.LUBY_UNIT = 1  # restart after every conflict
                 session.solver.force_gc()
             optimum = session.solve_optimal()
+            assert optimum.cost > 0
             for _ in range(3):
+                below = session.at_most(optimum.cost - 1)
+                assert not session.solve(below).satisfiable
                 assert session.solve(session.at_most(optimum.cost)).satisfiable
             costs[gc] = optimum.cost
         assert costs[True] == costs[False]
