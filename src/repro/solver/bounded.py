@@ -546,9 +546,11 @@ class GroundingResult:
     def session(self) -> MaxSatSession:
         """A persistent MaxSAT session over this grounding.
 
-        The relaxation is translated once, the distance totalizer is
-        built on demand — only the counter outputs the distance bounds
-        asked so far read, extended in place on the session's solver
+        Each distance atom's unit soft clause is relaxed by its own
+        negated literal (no variable or clause is added for it); the
+        distance totalizer is built on demand — only the counter outputs
+        the distance bounds asked so far read, extended in place on the
+        session's solver
         when a larger bound is asked — and one incremental solver
         serves every subsequent query (distance bounds, repair
         enumeration blocking clauses), instead of the historical full

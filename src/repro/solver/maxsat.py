@@ -15,6 +15,11 @@ Two strategies, mirroring the two realisations the paper cites:
   repeatedly assume "strictly cheaper" until UNSAT; the last model is
   optimal.
 
+Each soft clause has a relaxation literal, true when the clause may be
+violated: a unit soft clause ``(l)`` is relaxed by ``-l`` itself, as in
+RC2 [Ignatiev, Morgado & Marques-Silva, JSAT 2019], and only a longer
+one gets a fresh variable ``r`` and the clause ``(C | r)``. A literal
+relaxing several soft clauses carries their summed weight.
 Weights are handled by replicating relaxation literals inside the
 totalizer. Because the totalizer is built on demand, a bound ``b`` only
 ever encodes the counter outputs ``o1..o(b+1)``, so a heavy weight costs
@@ -22,7 +27,7 @@ leaves, not a quadratic counter.
 
 All queries of one optimisation run — and of any follow-up model
 enumeration — go through a single :class:`MaxSatSession`: the soft-clause
-relaxation is encoded once, and one
+relaxation is set up once, and one
 :class:`~repro.solver.sat.IncrementalSolver` persists across every bound
 probe and blocking clause, carrying its learnt clauses and heuristic
 state from call to call. The totalizer is the iterative one of Martins,
@@ -30,7 +35,9 @@ Joshi, Manquinho & Lynce, "Incremental Cardinality Constraints for
 MaxSAT" (CP 2014): a probe at a bound above every bound asked so far
 extends it in place, and the session loads the extension's clauses —
 definitional over fresh variables — into the warm solver, the same way
-it loads blocking clauses.
+it loads blocking clauses: through
+:meth:`~repro.solver.sat.IncrementalSolver.load`, which trusts the
+session CNF's validation and backtracks once per batch.
 """
 
 from __future__ import annotations
@@ -75,8 +82,11 @@ class MaxSatResult:
 class MaxSatSession:
     """A persistent MaxSAT session over one hard CNF.
 
-    Encodes the relaxation variables at construction and lays out the
-    totalizer tree without any of its outputs; afterwards every query —
+    Picks the relaxation literals at construction (a unit soft clause's
+    negated literal; a fresh variable and one clause only for a longer
+    soft clause) and lays out the totalizer tree without any of its
+    outputs, so a session over unit soft clauses allocates nothing
+    beyond its hard CNF until a bound is asked; afterwards every query —
     optimum search, re-solves at a fixed bound, enumeration with
     blocking clauses — is an assumption-based call on the same
     incremental solver. :meth:`at_most` builds only the counter outputs
@@ -97,17 +107,23 @@ class MaxSatSession:
     def __init__(self, hard: CNF, soft: Sequence[SoftClause]) -> None:
         self._working = hard.copy()
         originals = self._working.num_vars
-        #: Relaxation variable -> its soft clause's weight.
-        self._weights: dict[int, int] = {}
+        #: Relaxation literal (true: its soft clause may be violated) ->
+        #: the summed weight of the soft clauses it relaxes.
+        self._weights: dict[Lit, int] = {}
         for clause in soft:
             if clause.weight == 0:
                 continue
             for lit in clause.literals:
+                if not is_int(lit) or lit == 0:
+                    raise SolverError(f"soft literal {lit!r} is not a nonzero int")
                 if abs(lit) > originals:
                     raise SolverError("soft clause references unknown variable")
-            relax = self._working.new_var()
-            self._working.add_clause(list(clause.literals) + [relax])
-            self._weights[relax] = clause.weight
+            if len(clause.literals) == 1:
+                relax = -clause.literals[0]
+            else:
+                relax = self._working.new_var()
+                self._working.add_clause(list(clause.literals) + [relax])
+            self._weights[relax] = self._weights.get(relax, 0) + clause.weight
         relax_weighted = [r for r, w in self._weights.items() for _ in range(w)]
         self.total_weight = len(relax_weighted)
         self._totalizer = (
@@ -134,9 +150,8 @@ class MaxSatSession:
 
     def add_clause(self, literals: Iterable[Lit]) -> None:
         """Permanently add a clause (e.g. an enumeration blocking clause)."""
-        clause = list(literals)
-        self._working.add_clause(clause)
-        self._solver.add_clause(clause)
+        self._working.add_clause(literals)
+        self._solver.load(self._working, len(self._working) - 1)
 
     def new_var(self) -> int:
         """Allocate a fresh session variable (e.g. a retraction selector).
@@ -162,17 +177,13 @@ class MaxSatSession:
             raise SolverError(f"cost bound must be an int >= 0, got {bound!r}")
         if self._totalizer is None:
             return []
-        working = self._working
-        loaded = len(working)
+        loaded = len(self._working)
         assumption = self._totalizer.at_most_assumption(bound)
-        if len(working) > loaded:
-            self._solver.ensure_vars(working.num_vars)
-            for clause in working.clauses[loaded:]:
-                self._solver.add_clause(clause)
+        self._solver.load(self._working, loaded)
         return assumption
 
-    def relaxation_core(self, result: SatResult) -> list[int]:
-        """The relaxation variables assumed false in the UNSAT
+    def relaxation_core(self, result: SatResult) -> list[Lit]:
+        """The relaxation literals assumed false in the UNSAT
         ``result``'s core (none: the other assumptions alone fail)."""
         return [-lit for lit in result.core if -lit in self._weights]
 
@@ -238,9 +249,12 @@ class MaxSatSession:
     ) -> tuple[int, SatResult | None]:
         """A lower bound on the optimum, and the first satisfiable answer
         (``None`` if no model within ``ceiling`` exists). Each solve
-        assumes every relaxation variable not yet freed false; a core
+        assumes every relaxation literal not yet freed false; a core
         costs at least its least weight, and is disjoint from the
-        earlier ones, so the sum never exceeds the optimum."""
+        earlier ones, so the sum never exceeds the optimum. A core
+        member the base assumes too is never violated, but the other
+        members still hold a violation, and the least weight over all
+        of them is no more than over those."""
         lower = 0
         free: set[int] = set()
         while True:

@@ -102,9 +102,10 @@ sequences, not to level 0, and propagates just the new tail. MaxSAT
 bound probes differ from one another only in their last assumption, so
 their long shared prefix is propagated once (the assumption-reuse idea
 of Hickey & Bacchus, "Speeding Up Assumption-Based SAT", SAT 2019).
-:meth:`~IncrementalSolver.add_clause` still backtracks to level 0, so a
-kept level never meets a clause it has not propagated; pending unit
-clauses keep nothing either.
+:meth:`~IncrementalSolver.add_clause` and the bulk loader
+:meth:`~IncrementalSolver.load` still backtrack to level 0, so a kept
+level never meets a clause it has not propagated; pending unit clauses
+keep nothing either.
 
 ``gc=False`` disables learnt-clause reduction; the GC stress tests use
 that plain arm as their reference.
@@ -139,7 +140,7 @@ from __future__ import annotations
 
 import gc
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from collections.abc import Iterable
 
@@ -179,15 +180,17 @@ class SolverStats:
     solver_builds: int = 0
 
     def snapshot(self) -> "SolverStats":
-        return SolverStats(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return SolverStats(**vars(self))
 
     def __sub__(self, other: "SolverStats") -> "SolverStats":
-        return SolverStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
+        theirs = vars(other)
+        return SolverStats(**{k: v - theirs[k] for k, v in vars(self).items()})
+
+    def add(self, other: "SolverStats") -> None:
+        """Add ``other``'s counters into this one."""
+        mine = vars(self)
+        for k, v in vars(other).items():
+            mine[k] += v
 
 
 #: Aggregate counters across every solver instance in the process; the
@@ -245,11 +248,6 @@ def solve(cnf: CNF, assumptions: Iterable[Lit] = ()) -> SatResult:
     (False, (-1, -2))
     """
     return IncrementalSolver(cnf).solve(assumptions)
-
-
-def _code(lit: Lit) -> int:
-    """The literal code of a signed literal (sign bit in bit 0)."""
-    return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
 
 
 def _signed(code: int) -> Lit:
@@ -350,9 +348,7 @@ class IncrementalSolver:
         self._units_applied = 0
         self._assumption_codes: tuple[int, ...] = ()
         if cnf is not None:
-            self.ensure_vars(cnf.num_vars)
-            for clause in cnf.clauses:
-                self._add_codes([_code(lit) for lit in clause])
+            self.load(cnf)
 
     # ------------------------------------------------------------------
     # Public surface
@@ -378,7 +374,10 @@ class IncrementalSolver:
         The caller's collector state is restored on exit either way.
         """
         assumed = tuple(assumptions)
+        top = self.num_vars
         for lit in assumed:
+            if type(lit) is int and lit and -top <= lit <= top:
+                continue  # the common case: a plain in-range int
             if not isinstance(lit, int) or isinstance(lit, bool):
                 raise SolverError(f"assumption {lit!r} is not an int literal")
             if lit == 0:
@@ -402,14 +401,9 @@ class IncrementalSolver:
             if gc_was_enabled:
                 gc.enable()
             delta = self.stats - before
-            for f in fields(SolverStats):
-                setattr(
-                    GLOBAL_STATS,
-                    f.name,
-                    getattr(GLOBAL_STATS, f.name) + getattr(delta, f.name),
-                )
+            GLOBAL_STATS.add(delta)
         self._last_core = None if result.satisfiable else result.core
-        return replace(result, stats=delta)
+        return SatResult(result.satisfiable, result.assignment, result.core, delta)
 
     def failed_assumptions(self) -> tuple[Lit, ...] | None:
         """The failed-assumption core of the most recent :meth:`solve`.
@@ -497,6 +491,21 @@ class IncrementalSolver:
         self._add_codes(
             [(l << 1) if l > 0 else ((-l) << 1) | 1 for l in clause]
         )
+
+    def load(self, cnf: CNF, start: int = 0) -> None:
+        """Attach ``cnf.clauses[start:]``, which ``cnf`` validated.
+
+        The bulk path: no literal is checked again. Grows the variables
+        to ``cnf.num_vars`` and, when there is a clause to attach,
+        backtracks to the root level once for the whole batch.
+        """
+        self.ensure_vars(cnf.num_vars)
+        clauses = cnf.clauses[start:]
+        if clauses:
+            self._backtrack(0)
+            add = self._add_codes
+            for clause in clauses:
+                add([(l << 1) if l > 0 else ((-l) << 1) | 1 for l in clause])
 
     def _add_codes(self, codes: list[int], lbd: int = 0) -> int | None:
         """Attach a clause of literal codes; returns its cref or None.
@@ -876,7 +885,9 @@ class IncrementalSolver:
     # Main loop
     # ------------------------------------------------------------------
     def _solve(self, assumptions: tuple[Lit, ...]) -> SatResult:
-        codes = tuple(_code(lit) for lit in assumptions)
+        codes = tuple(
+            (l << 1) if l > 0 else ((-l) << 1) | 1 for l in assumptions
+        )
         # Keep the assumption levels shared with the previous call (level
         # i + 1 opens with assumption i). add_clause backtracks to level
         # 0, so after a new clause or a pending unit there is none to keep.

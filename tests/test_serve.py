@@ -419,6 +419,12 @@ class TestInUniverseStream:
 
 _WEDGE_WEIGHTS = {"cf1": 7}
 
+#: The deadline of the wedged-shard tests, which the real shards next to
+#: the wedge must meet. A cold paper shard takes ~20 ms on a 2-vCPU host
+#: (~50 ms with three CPU-bound processes beside it), but a heavily
+#: loaded host missed 1 s; the wedge sleeps 120 s, so it still times out.
+WEDGE_DEADLINE = 5.0
+
 # Captured at import, before any monkeypatching: looking process_shard up
 # through the module at call time would find the wedging wrapper itself.
 _REAL_PROCESS_SHARD = worker_module.process_shard
@@ -490,7 +496,7 @@ class TestShardDeadline:
             paper_request(targets=["fm"]),
         ]
         started = _time.perf_counter()
-        result = serve_batch(requests, workers=2, deadline=1.0)
+        result = serve_batch(requests, workers=2, deadline=WEDGE_DEADLINE)
         assert _time.perf_counter() - started < 60
         assert not result.interrupted
         assert result.responses[0].outcome == REPAIRED
@@ -517,7 +523,7 @@ class TestShardDeadline:
             paper_request(weights={"cf1": 3}),
         ]
         started = _time.perf_counter()
-        result = serve_batch(requests, workers=1, deadline=1.0)
+        result = serve_batch(requests, workers=1, deadline=WEDGE_DEADLINE)
         assert _time.perf_counter() - started < 60  # the wedge sleeps 120 s
         assert not result.interrupted
         assert "deadline" in result.responses[0].error

@@ -6,7 +6,9 @@ by reverse unit propagation (RUP), so a bug cannot pass by being made
 twice:
 
 * :class:`RecordingSolver` is the core with a log. In order, it records
-  every input clause (the constructor's CNF and each ``add_clause``),
+  every input clause (each ``add_clause``, and every clause of the bulk
+  path ``load``, which the constructor's CNF and a MaxSAT session's
+  totalizer extensions and blocking clauses take),
   every learnt clause (``_analyze``'s return value, learnt units
   included) and every answer: the assumptions plus the model or the
   failed-assumption core. It changes no decision.
@@ -66,13 +68,17 @@ class RecordingSolver(IncrementalSolver):
     """The core, logging what each of its answers rests on (``log``)."""
 
     def __init__(self, cnf: CNF | None = None, gc: bool = True) -> None:
-        self.log = [("input", tuple(c)) for c in (cnf.clauses if cnf else ())]
+        self.log = []
         super().__init__(cnf, gc)
 
     def add_clause(self, literals) -> None:
         clause = tuple(literals)
         super().add_clause(clause)
         self.log.append(("input", clause))
+
+    def load(self, cnf: CNF, start: int = 0) -> None:
+        super().load(cnf, start)
+        self.log.extend(("input", tuple(c)) for c in cnf.clauses[start:])
 
     def _analyze(self, conflict):
         learnt, backjump = super()._analyze(conflict)

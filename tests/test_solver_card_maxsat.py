@@ -7,7 +7,10 @@ a heavily weighted request builds no more outputs than its cap reads.
 And of the disjoint-core gates: the core bound never exceeds the
 optimum, a question with no repair in scope takes one solve, and the
 paper toggle stream stays under its solve, conflict and ``at_most``
-counts.
+counts. And of the relaxation-literal gates: a unit soft clause is
+relaxed by its own negated literal, so a session over unit soft clauses
+allocates nothing beyond its hard CNF, and repeated or complementary
+soft literals and base assumptions on them keep every search exact.
 """
 
 import dataclasses
@@ -201,6 +204,11 @@ class TestMaxSat:
             SoftClause((), 1)
         with pytest.raises(SolverError):
             SoftClause((1,), -1)
+
+    @pytest.mark.parametrize("lit", [0, True, 1.0])
+    def test_soft_literal_must_be_a_nonzero_int(self, lit):
+        with pytest.raises(SolverError, match="is not a nonzero int"):
+            MaxSatSession(CNF(2), [SoftClause((lit,))])
 
     @pytest.mark.parametrize("weight", [1.5, "2", None, True, False, -1])
     def test_soft_clause_weight_must_be_an_int(self, weight):
@@ -532,3 +540,89 @@ class TestDisjointCores:
         assert work.solves <= 170
         assert work.conflicts <= 60
         assert len(asks) <= 30
+
+
+@st.composite
+def hostile_soft_sets(draw):
+    """A random hard CNF, unit soft clauses over a few literals (so they
+    repeat, complemented too), some longer soft clauses, weights 1-3,
+    and base assumptions drawn from the unit soft literals and their
+    negations."""
+    num_vars = draw(st.integers(1, 5))
+    hard = CNF(num_vars)
+    literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
+    for _ in range(draw(st.integers(0, 4))):
+        hard.add_clause(draw(st.lists(literal, min_size=1, max_size=3)))
+    pool = draw(st.lists(literal, min_size=1, max_size=3))
+    signed = st.sampled_from(pool).flatmap(lambda l: st.sampled_from([l, -l]))
+    weight = st.integers(1, 3)
+    soft = [
+        SoftClause((lit,), draw(weight))
+        for lit in draw(st.lists(signed, min_size=1, max_size=6))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        longer = SoftClause(
+            tuple(draw(st.lists(literal, min_size=2, max_size=3))), draw(weight)
+        )
+        soft.insert(draw(st.integers(0, len(soft))), longer)
+    base = draw(st.lists(signed, max_size=3))
+    return hard, soft, base
+
+
+class TestRelaxationLiterals:
+    """A unit soft clause ``(l)`` is relaxed by ``-l`` itself."""
+
+    @given(instance=hostile_soft_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_hostile_soft_sets_keep_every_search_exact(self, instance):
+        hard, soft, base = instance
+        pinned = hard.copy()
+        for lit in base:
+            pinned.add_clause([lit])
+        expected = brute_optimum(pinned, soft)
+        session = MaxSatSession(hard, soft)
+        lower, first = session._disjoint_cores(session.total_weight, base)
+        if expected is None:
+            assert first is None
+        else:
+            assert lower <= expected <= session.cost_of(first)
+        for mode in (INCREASING, DECREASING):
+            result = session.solve_optimal(mode, assumptions=base)
+            assert result.satisfiable == (expected is not None)
+            if result.satisfiable:
+                assert result.cost == expected
+                assert verify_soft_cost(soft, result.assignment) == expected
+                assert all(result.assignment[abs(l)] == (l > 0) for l in base)
+        project = list(range(1, hard.num_vars + 1))
+        if expected is None:
+            with pytest.raises(SolverError):
+                session.enumerate_optimal(project, assumptions=base, retract=True)
+            return
+        cost, solutions = session.enumerate_optimal(
+            project, assumptions=base, retract=True
+        )
+        assert cost == expected
+        found = {tuple(s[v] for v in project) for s in solutions}
+        assert found == brute_optima(pinned, soft, expected)
+
+    def test_unit_soft_clauses_allocate_nothing_before_a_bound(self):
+        """n unit soft clauses (a repeated and a complementary one among
+        them) add no variable and no clause to the hard CNF until the
+        first ``at_most``; one relaxation variable per soft clause
+        would add n of each."""
+        hard = CNF(4)
+        hard.add_clause([1, 2])
+        soft = [SoftClause((-v,)) for v in (1, 2, 3, 4)]
+        soft += [SoftClause((-2,), 2), SoftClause((3,), 3)]
+        session = MaxSatSession(hard, soft)
+        assert (session._working.num_vars, len(session._working)) == (4, 1)
+        assert session.solver.num_vars == 4
+        assert session.total_weight == 9
+        result = session.solve_optimal()
+        assert result.cost == verify_soft_cost(soft, result.assignment) == 2
+        assert session._working.num_vars > 4  # the bound built outputs
+
+    def test_a_longer_soft_clause_keeps_one_fresh_variable(self):
+        session = MaxSatSession(CNF(2), [SoftClause((1, 2)), SoftClause((-1,))])
+        assert session._working.clauses == [(1, 2, 3)]
+        assert session.solve_optimal(assumptions=[-2]).cost == 1
