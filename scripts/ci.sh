@@ -27,10 +27,12 @@
 #     or complementary soft literals under base assumptions keep every
 #     search at the brute-force optimum (TestRelaxationLiterals);
 #   - an Echo enforcement session answers like re-grounding per edit
-#     with one grounding, and its monotone universe re-grounds a paper
-#     feature-model toggle stream at most once per new object id while
-#     answering like per-call SAT, ghosts capped per class
-#     (tests/test_enforce_session.py::TestMonotoneUniverse); its
+#     with one grounding, and renames never-grounded object ids onto
+#     its warm grounding, so a paper feature-model toggle stream
+#     re-grounds at most once per new object id while answering like
+#     per-call SAT (tests/test_enforce_session.py::TestMonotoneUniverse);
+#     a renamed answer is kept only when certified exact, and every
+#     fallback re-grounds and answers like per-call SAT (TestRenaming); its
 #     cost-0 optimum doubles as the hippocratic check, except for
 #     weight-0 targets, where it answers like per-call enforcement
 #     (TestSessionReuse::test_weight_zero_target_answers_like_per_call);
@@ -84,9 +86,10 @@
 # the pooled batch service's worker slots (gen-batch: the batch
 # service's verdicts and costs on the whole corpus) and as delta
 # sessions on a daemon's worker slots (gen-delta), plus the paper's own
-# feature-model edits on one warm shape (paper-fm, the only workload
-# that re-grounds at all: once per feature id the session has not yet
-# grounded), and exit 1 on any answer that differs from its frozen
+# feature-model edits on one warm shape (paper-fm: feature ids the
+# session has not grounded are renamed onto its warm grounding, so no
+# workload re-grounds after its shapes' first groundings), and exit 1
+# on any answer that differs from its frozen
 # (outcome, distance) reference, computed by per-call SAT. One more
 # gen-cold run with the per-layer tracer on guards the names the
 # tracer patches: a refactor that renames one fails the stage instead

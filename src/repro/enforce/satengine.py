@@ -77,7 +77,6 @@ def _ground(
     retarget: bool = False,
     prune: bool = True,
     context: GroundingContext | None = None,
-    ghosts: Mapping[str, Mapping[str, str]] | None = None,
 ) -> Grounder:
     """The shared grounding preamble of every SAT-engine entry point.
 
@@ -91,9 +90,7 @@ def _ground(
     *guarded* symmetry clauses — optimum solves assume them, oracle
     queries do not — and sets ``retarget`` so the distance origin is
     chosen per solve via assumptions (see
-    :meth:`~repro.solver.bounded.GroundingResult.origin_assumptions`),
-    and passes the ``ghosts`` that keep its universe monotone (see
-    :class:`~repro.solver.bounded.GroundModel`).
+    :meth:`~repro.solver.bounded.GroundingResult.origin_assumptions`).
     """
     transformation = checker.transformation
     targets.validate(transformation)
@@ -114,7 +111,6 @@ def _ground(
         retarget=retarget,
         prune=prune,
         context=context,
-        ghosts=ghosts,
     )
 
 

@@ -19,25 +19,22 @@ keeps the :class:`~repro.solver.bounded.GroundingResult`, the
 sharing one incremental solver. Each :meth:`EnforcementSession.enforce`
 call then *re-validates* the cached grounding against the edited tuple
 and *patches* the query (new origin assumptions) instead of re-grounding;
-only edits that escape the grounding — an object outside the bounded
-universe, a new attribute value outside the candidate pools, a drifted
-frozen model — trigger a fresh grounding. Learnt clauses and heuristic
+only edits that escape the grounding — a new attribute value outside
+the candidate pools, a drifted frozen model, an object id renaming
+cannot place — trigger a fresh grounding. Learnt clauses and heuristic
 state accumulated by earlier repairs keep accelerating later ones.
 
-A shape's universe is *monotone*: a re-ground keeps, as empty **ghost**
-objects, the object ids the replaced generation grounded that the new
-state lacks (at most ``scope.extra_objects`` per class, see
-:meth:`EnforcementSession._ghosts`), next to the usual fresh slots. An
-edit stream that toggles objects in and out — a configuration
-re-selecting a feature it dropped three edits ago — then escapes the
-universe once per object id, not once per toggle. A session grounding's
-universe is therefore a superset of a per-call grounding's, and it can
-hold more ids a state lacks than the state's fresh slots (ghosts, or
-objects dropped since the grounding). Every solve assumes the state's
-creation budget
+Object ids are anchored by *renaming*: graph-edit distance is keyed by
+object id, so a bijective renaming of a state and of its repair keeps
+every distance. Target-model ids the grounding lacks (a configuration
+selecting a feature the shape never grounded) are renamed onto absent
+ids of the same class (:meth:`EnforcementSession._renaming`); frozen
+models never are. Every solve assumes the state's creation budget
 (:meth:`~repro.solver.bounded.GroundingResult.origin_assumptions`): per
-class, only ``scope.extra_objects`` absent ids stay creatable, so a
-session repairs exactly what per-call enforcement repairs within scope.
+class, at most ``scope.extra_objects`` absent ids stay creatable, so a
+session repairs exactly what per-call enforcement repairs within scope
+— a renamed state under the certificate of
+:meth:`EnforcementSession._optimum`, re-grounding where it fails.
 
 Since the grounding fast path (PR 3) the session is also the *shared*
 grounding behind every SAT-fragment entry point:
@@ -88,7 +85,8 @@ set.
 from __future__ import annotations
 
 import gc
-from collections import Counter, OrderedDict
+import math
+from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -110,9 +108,9 @@ from repro.enforce.satengine import (
     enumerate_repairs,
 )
 from repro.enforce.targets import TargetSelection
-from repro.errors import EnforcementError, SatFragmentError
+from repro.errors import EnforcementError, NoRepairFound, SatFragmentError
 from repro.metamodel.conformance import is_conformant
-from repro.metamodel.model import Model
+from repro.metamodel.model import Model, ModelObject
 from repro.metamodel.types import EnumType, PrimitiveType
 from repro.solver.bounded import GroundingContext, Scope, _same_value
 from repro.solver.cnf import Lit
@@ -133,6 +131,24 @@ def _value_in_pool_domain(value, attr_type) -> bool:
     if attr_type is PrimitiveType.INTEGER:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, str)
+
+
+def _rename_ids(model: Model, mapping: Mapping[str, str]) -> Model:
+    """``model`` with object ids, and references to them, renamed by ``mapping``."""
+
+    def rename(oid: str) -> str:
+        return mapping.get(oid, oid)
+
+    return Model(
+        model.metamodel,
+        tuple(
+            ModelObject(rename(o.oid), o.cls, o.attrs, tuple(
+                (ref, tuple(map(rename, targets))) for ref, targets in o.refs
+            ))
+            for o in model.objects
+        ),
+        model.name,
+    )
 
 
 @contextmanager
@@ -169,15 +185,6 @@ class _Generation:
     grounder: object
     grounding: object
     frozen: dict[str, Model]
-    #: Allocated fresh-slot object ids per target parameter — ghosts
-    #: excluded. Symmetry breaking is only sound while the anchoring
-    #: state leaves every fresh slot empty — fresh slots are then
-    #: interchangeable, so the canonical representative costs the same
-    #: as any isomorph. A state that *occupies* a fresh slot (a
-    #: previously accepted repair evolved further) breaks the
-    #: interchangeability and must solve unchained. Ghosts sit outside
-    #: the chain, so a state reviving one keeps it.
-    fresh: dict[str, frozenset]
     maxsat: object = None
     oracle: ConsistencyOracle | None = None
     #: Dead (selector-retired) enumeration blocking clauses accumulated
@@ -213,13 +220,15 @@ class EnforcementSession:
 
     Counters: ``calls`` (enforce calls), ``groundings`` (full grounding
     builds), ``reuses`` (queries served by patching the cached
-    grounding).
+    grounding), ``renames`` (the reuses among them that renamed object
+    ids).
 
     >>> from repro.featuremodels import (paper_transformation,
     ...     feature_model, configuration)
     >>> session = EnforcementSession(paper_transformation(k=2),
     ...                              ["cf1", "cf2"])
-    >>> models = {"fm": feature_model({"core": True, "log": True}),
+    >>> models = {"fm": feature_model({"core": True, "log": True,
+    ...                                "net": False}),
     ...           "cf1": configuration(["core", "log"], name="cf1"),
     ...           "cf2": configuration(["core"], name="cf2")}
     >>> session.enforce(models).distance        # grounds once, repairs
@@ -231,18 +240,15 @@ class EnforcementSession:
     >>> session.groundings, session.reuses
     (1, 1)
 
-    A never-seen object (``s_net``) escapes the universe and re-grounds;
-    the new generation keeps ``s_log`` as a ghost, so re-selecting it
-    next to ``s_net`` is patched again:
+    A never-grounded object id (``s_net``) is renamed onto an absent
+    ``Feature`` id, and the repair comes back under its own id:
 
-    >>> session.enforce(dict(models,
-    ...     cf1=configuration(["core", "net"], name="cf1"))).distance
-    4
-    >>> session.enforce(dict(models,
-    ...     cf1=configuration(["core", "log", "net"], name="cf1"))).distance
-    4
-    >>> session.groundings, session.reuses
-    (2, 2)
+    >>> repair = session.enforce(dict(models,
+    ...     cf1=configuration(["core", "net"], name="cf1")))
+    >>> repair.distance, repair.models["cf1"].object_ids()
+    (4, ['s_core', 's_log', 's_net'])
+    >>> session.groundings, session.reuses, session.renames
+    (1, 2, 1)
     """
 
     def __init__(
@@ -285,6 +291,7 @@ class EnforcementSession:
         self.calls = 0
         self.groundings = 0
         self.reuses = 0
+        self.renames = 0
         self.closes = 0
 
     #: How many grounding generations a cached session retains.
@@ -306,6 +313,7 @@ class EnforcementSession:
             "calls": self.calls,
             "groundings": self.groundings,
             "reuses": self.reuses,
+            "renames": self.renames,
             "generations": len(self._generations),
             "closes": self.closes,
         }
@@ -367,15 +375,12 @@ class EnforcementSession:
         """
         self.calls += 1
         original = self._bound(models)
-        assumptions = self._activate(original)
-        fold = assumptions is not None and self._hippocratic_fold(original)
+        anchor = self._activate(original) or self._activate(original, True)
+        fold = anchor is not None and self._hippocratic_fold(original)
         if not fold and self.checker.is_consistent(original):
             return self._untouched(original)
-        if assumptions is None:
-            # The edit escaped every retained grounding (or none exists yet).
-            assumptions = self._ground_fresh(original)
-        repaired, cost = self._solve(
-            original, assumptions, max_distance, symmetry=False
+        repaired, cost = self._optimum(
+            original, anchor, max_distance, symmetry=False
         )
         if fold and cost == 0:
             return self._untouched(original)
@@ -406,8 +411,8 @@ class EnforcementSession:
         weighted distance)`` or raises :class:`NoRepairFound`.
         """
         original = self._bound(models)
-        assumptions = self._ensure(original)
-        return self._solve(original, assumptions, max_distance, symmetry=True)
+        anchor = self._activate(original) or self._activate(original, True)
+        return self._optimum(original, anchor, max_distance, symmetry=True)
 
     def enumerate_tuple(
         self,
@@ -508,10 +513,8 @@ class EnforcementSession:
         anchorability pre-check runs *before* re-grounding so
         unanchorable tuples never pollute the shared context.
         """
-        assumptions = self._activate(original)
-        if assumptions is not None:
-            return assumptions
-        return self._ground_fresh(original)
+        anchor = self._activate(original)
+        return self._ground_fresh(original) if anchor is None else anchor[1]
 
     def _ground_fresh(self, original: Mapping[str, Model]) -> list[Lit] | None:
         """Ground a new generation for ``original`` (no retained
@@ -601,36 +604,124 @@ class EnforcementSession:
             self.targets,
         )
 
-    def _activate(self, original: Mapping[str, Model]) -> list[Lit] | None:
-        """Origin assumptions from the first retained generation able to
-        express ``original`` (most recent first), or ``None``.
-
-        A hit makes that generation the active one — oscillating frozen
-        drifts switch between retained groundings instead of paying a
-        re-ground per flip."""
+    def _activate(self, original: Mapping[str, Model], rename: bool = False):
+        """``(state, origin assumptions, inverse renaming)`` from the
+        first retained generation able to express ``original`` (most
+        recent first) — renamed onto its universe if ``rename``
+        (:meth:`_renaming`) — or ``None``. A hit makes that generation the
+        active one: oscillating frozen drifts switch between retained
+        groundings instead of paying a re-ground per flip."""
         for generation in reversed(self._generations):
             if not self._frozen_matches(generation.frozen, original):
                 continue
-            assumptions = generation.grounding.origin_assumptions(original)
+            renamed = self._renaming(generation, original) if rename else (original, {})
+            if renamed is None:
+                continue
+            assumptions = generation.grounding.origin_assumptions(renamed[0])
             if assumptions is None:
                 continue
-            self.reuses += 1
-            if generation is not self._generations[-1]:
-                self._generations.remove(generation)
-                self._generations.append(generation)
+            if not rename:
+                self.reuses += 1  # a renamed state counts once certified
+            self._generations.remove(generation)
+            self._generations.append(generation)
             self._active = generation
-            return assumptions
+            return renamed[0], assumptions, renamed[1]
         return None
+
+    def _renaming(self, generation: _Generation, original: Mapping[str, Model]):
+        """``(original renamed, inverse maps per target)``: each target
+        object id the generation's universe lacks moves onto an absent id
+        of its class — fresh slots from the chain's end first, then ids
+        the state dropped, in universe order. ``None`` when no id needs
+        renaming or a class runs out of absent ids."""
+        state, inverse = dict(original), {}
+        for param in sorted(self.targets.params):
+            gm = generation.grounding.ground_models[param]
+            present = set(original[param].object_ids())
+            spare: dict[str, list[str]] = {}
+            mapping = {}
+            for obj in original[param].objects:
+                if obj.oid in gm.universe:
+                    continue
+                if obj.cls not in spare:
+                    order = gm.fresh_slots.get(obj.cls, ())[::-1] + gm.universe
+                    spare[obj.cls] = [
+                        oid
+                        for oid in dict.fromkeys(order)
+                        if gm.class_of(oid) == obj.cls and oid not in present
+                    ]
+                if not spare[obj.cls]:
+                    return None
+                mapping[obj.oid] = spare[obj.cls].pop(0)
+            if mapping:
+                state[param] = _rename_ids(original[param], mapping)
+                inverse[param] = {new: old for old, new in mapping.items()}
+        return (state, inverse) if inverse else None
+
+    def _optimum(
+        self,
+        original: Mapping[str, Model],
+        anchor,
+        max_distance: int | None,
+        symmetry: bool,
+    ) -> tuple[dict[str, Model], int]:
+        """The optimum -> decode step of :meth:`enforce` and
+        :meth:`solve_tuple` on ``anchor`` (:meth:`_activate`), or on a
+        fresh generation when it is ``None``.
+
+        A renamed state's repair is mapped back, and kept only when
+        certified exact. A per-call grounding may create ``E`` objects
+        per class (``original``'s own scope), the renamed state ``k``
+        (:meth:`~repro.solver.bounded.GroundingResult.creatable`). Where
+        ``k < E``, a repair the renamed universe cannot express creates
+        ``k + 1`` objects, each flipping its alive atom, so it costs at
+        least ``bound``, the least ``(k + 1) * weight``. An optimum
+        costing at most ``bound``, or a no-repair answer capped below
+        it, is the per-call answer; any other re-grounds."""
+        # No anchor: the edit escaped every retained generation, if any.
+        state, assumptions, inverse = anchor or (
+            original, self._ground_fresh(original), {}
+        )
+        if not inverse:
+            return self._solve(state, assumptions, max_distance, symmetry)
+        extra = self._scope_for(original).extra_objects
+        creatable = self._active.grounding.creatable(state).items()
+        bound = min(
+            ((k + 1) * self.metric.weight(p) for (p, _), k in creatable if k < extra),
+            default=math.inf,
+        )
+        try:
+            repaired, cost = self._solve(state, assumptions, max_distance, symmetry)
+        except NoRepairFound:
+            cap = math.inf if max_distance is None else max_distance
+            if bound < math.inf and cap >= bound:
+                return self._optimum(original, None, max_distance, symmetry)
+            self.reuses += 1
+            self.renames += 1
+            raise
+        if cost > bound:
+            return self._optimum(original, None, max_distance, symmetry)
+        self.reuses += 1
+        self.renames += 1
+        return {
+            param: _rename_ids(model, inverse.get(param, {}))
+            for param, model in repaired.items()
+        }, cost
 
     def _symmetry_ok(self, original: Mapping[str, Model]) -> bool:
         """Whether the active generation may assume its symmetry chain.
 
-        Sound only while ``original`` leaves every fresh slot empty —
-        see :class:`_Generation.fresh`."""
-        for param, fresh in self._active.fresh.items():
-            if fresh and not fresh.isdisjoint(original[param].object_ids()):
-                return False
-        return True
+        Sound only while ``original`` leaves every fresh slot empty:
+        fresh slots are then interchangeable, so the canonical
+        representative costs the same as any isomorph. A state that
+        *occupies* one (an accepted repair evolved further, or a new id
+        renamed onto it) must solve unchained."""
+        return not any(
+            original[param].has(oid)
+            for param, gm in self._active.grounding.ground_models.items()
+            for slots in gm.fresh_slots.values()
+            for oid in slots
+        )
 
     def _untouched(self, original: Mapping[str, Model]) -> Repair:
         return Repair(
@@ -678,10 +769,6 @@ class EnforcementSession:
         queries must not. Without a context the historical standalone
         grounding (no symmetry, plain assertions) is built.
 
-        Either way the new generation is grounded over ``models`` plus
-        the replaced generation's ghosts (:meth:`_ghosts`), so an object
-        id this shape has grounded before anchors the newest generation.
-
         The generation is long-lived shape state, so it is built out of
         the collector's reach (:func:`_out_of_collector_reach`): no
         collection runs while it is built, and none walks it afterwards
@@ -712,7 +799,6 @@ class EnforcementSession:
             retarget=True,
             prune=self.prune,
             context=self._context,
-            ghosts=self._ghosts(models, scope),
         )
         try:
             grounding = grounder.ground()
@@ -727,47 +813,9 @@ class EnforcementSession:
                 for param, gm in grounding.ground_models.items()
                 if not gm.symbolic
             },
-            fresh={
-                param: frozenset(
-                    oid for slots in gm.fresh_slots.values() for oid in slots
-                )
-                for param, gm in grounding.ground_models.items()
-                if gm.symbolic
-            },
         )
         generation.attach(frozenset(self.targets.params))
         return generation
-
-    def _ghosts(
-        self, models: Mapping[str, Model], scope: Scope
-    ) -> dict[str, dict[str, str]]:
-        """The ghost objects a re-ground of ``models`` carries over.
-
-        Per target parameter: every object id the active (about to be
-        replaced) generation grounded outside its fresh slots that
-        ``models`` lacks, with its class, at most
-        ``scope.extra_objects`` per class in id order. Fresh slots need
-        no carrying: every grounding allocates its own.
-        """
-        active = self._active
-        if active is None:
-            return {}
-        ghosts: dict[str, dict[str, str]] = {}
-        for param, fresh in active.fresh.items():
-            gm = active.grounding.ground_models[param]
-            present = set(models[param].object_ids())
-            concrete = set(models[param].metamodel.concrete_classes())
-            per_class: Counter[str] = Counter()
-            carried: dict[str, str] = {}
-            for oid in gm.universe:
-                cls = gm.class_of(oid)
-                if oid in fresh or oid in present or cls not in concrete:
-                    continue
-                if per_class[cls] < scope.extra_objects:
-                    per_class[cls] += 1
-                    carried[oid] = cls
-            ghosts[param] = carried
-        return ghosts
 
 
 #: The small grounding cache of the session/tool layer: live sessions

@@ -883,6 +883,7 @@ class EnforcementDaemon:
             grounded=bool(session.get("grounded")),
             ok=outcome in ("consistent", "repaired", "no-repair"),
         )
+        metrics.renames += bool(session.get("renamed"))
         if item.op == "ask":
             self.metrics.delta_asks += 1
         self._resolve(

@@ -91,6 +91,8 @@ class ShapeMetrics:
     requests: int = 0
     hits: int = 0
     misses: int = 0
+    #: Hits served by renaming object ids onto the warm grounding.
+    renames: int = 0
     errors: int = 0
     overloaded: int = 0
     deadline_exceeded: int = 0
@@ -103,6 +105,7 @@ class ShapeMetrics:
             "requests": self.requests,
             "hits": self.hits,
             "misses": self.misses,
+            "renames": self.renames,
             "errors": self.errors,
             "overloaded": self.overloaded,
             "deadline_exceeded": self.deadline_exceeded,

@@ -143,41 +143,41 @@ def serve_request(request: EnforceRequest) -> EnforceResponse:
 
 def _answer(
     decode: Callable[[], EnforceRequest],
-) -> tuple[dict[str, Any], EnforcementSession | None, int, int]:
+) -> tuple[dict[str, Any], EnforcementSession | None, dict[str, int]]:
     """The one answer step: decode -> warm session -> serve -> wire form.
 
     ``decode`` builds the request; a :class:`~repro.errors.ReproError`
     from it or from the session lookup becomes a typed :data:`ERROR`
     response. Returns the response wire dict, the session that served it
-    (``None`` if the request never reached one) and the groundings and
-    reuses this request paid on that session.
+    (``None`` if the request never reached one) and what this request
+    added to that session's :meth:`~EnforcementSession.counters`
+    (groundings, reuses, renames, ...).
     """
     try:
         request = decode()
         session = _session_for(request)
     except ReproError as exc:
         error = EnforceResponse(ERROR, error=str(exc))
-        return response_to_dict(error), None, 0, 0
-    groundings, reuses = session.groundings, session.reuses
+        return response_to_dict(error), None, {}
+    before = session.counters()
     response = response_to_dict(serve_request(request))
-    return (
-        response,
-        session,
-        session.groundings - groundings,
-        session.reuses - reuses,
-    )
+    paid = {name: n - before[name] for name, n in session.counters().items()}
+    return response, session, paid
 
 
 def _reply(answer: tuple) -> dict[str, Any]:
     """A daemon worker's enforce reply for one :func:`_answer`: the
-    response, the serving session's counters (``grounded``: whether
-    *this* request paid a grounding) and the process's
+    response, the serving session's counters (``grounded``/``renamed``:
+    whether *this* request paid a grounding or was served renamed) and
+    the process's
     :func:`worker_counters` snapshot."""
-    response, session, groundings, _reuses = answer
+    response, session, paid = answer
     return {
         "response": response,
         "session": None if session is None else dict(
-            session.counters(), grounded=groundings > 0
+            session.counters(),
+            grounded=paid["groundings"] > 0,
+            renamed=paid["renames"] > 0,
         ),
         "counters": worker_counters(),
     }
@@ -198,12 +198,10 @@ def process_shard(payload: dict[str, Any]) -> dict[str, Any]:
     responses: list[list[Any]] = []
     groundings = reuses = 0
     for index, data in payload["requests"]:
-        response, _session, grounded, reused = _answer(
-            lambda: request_from_dict(data)
-        )
+        response, _session, paid = _answer(lambda: request_from_dict(data))
         responses.append([index, response])
-        groundings += grounded
-        reuses += reused
+        groundings += paid.get("groundings", 0)
+        reuses += paid.get("reuses", 0)
     return {
         "shard": payload.get("shard"),
         "worker": os.getpid(),

@@ -5,8 +5,7 @@ parameters (the models enforcement may change) and the directional checks
 to maintain, it produces
 
 * a **universe** per target model — existing objects plus ``extra``
-  fresh ones per concrete class (plus an enforcement session's ghosts,
-  see :class:`GroundModel`), and per-type value pools (the active
+  fresh ones per concrete class — and per-type value pools (the active
   domain of the whole tuple plus fresh synthetic values: the analogue of
   Alloy scopes);
 * **structural constraints** — alive/attribute/reference variables wired
@@ -142,23 +141,19 @@ def fresh_string(index: int) -> str:
     return f"$new{index}"
 
 
-def fresh_slots_for(
-    model: Model, scope: Scope, ghosts: Mapping[str, str] | None = None
-) -> dict[str, tuple[str, ...]]:
+def fresh_slots_for(model: Model, scope: Scope) -> dict[str, tuple[str, ...]]:
     """The fresh-slot object ids a grounding of ``model`` allocates.
 
     Per concrete class: the first ``scope.extra_objects`` reserved ids
-    (:func:`fresh_oid`) that neither the model nor a ``ghosts`` id (see
-    :class:`GroundModel`) already occupies — an accepted repair's fresh
-    object, evolved further by the user, legitimately sits on a reserved
-    id, and allocation simply takes the following indices. So a grounding
-    always has exactly ``scope.extra_objects`` fresh slots per class,
-    ghosts or not. Shared by :class:`GroundModel` and the search engines,
-    so a per-call grounding and a search explore the *same* bounded
-    universe; an enforcement session's grounding adds its ghosts on top.
+    (:func:`fresh_oid`) that the model does not already occupy — an
+    accepted repair's fresh object, evolved further by the user,
+    legitimately sits on a reserved id, and allocation simply takes the
+    following indices. So a grounding always has exactly
+    ``scope.extra_objects`` fresh slots per class. Shared by
+    :class:`GroundModel` and the search engines, so a per-call grounding
+    and a search explore the *same* bounded universe.
     """
     taken = set(model.object_ids())
-    taken.update(ghosts or ())
     slots: dict[str, tuple[str, ...]] = {}
     for class_name in model.metamodel.concrete_classes():
         allocated = []
@@ -218,15 +213,12 @@ class GroundModel:
 
     Frozen models answer atom queries with constants; target models
     answer with propositional variables named by the atom. A target's
-    universe is the model's objects, its fresh slots and its
-    ``ghosts``: absent object ids (id -> class) an enforcement session
-    carries over from an earlier grounding of the same shape, at most
-    ``scope.extra_objects`` per class, so a later state that brings one
-    back still anchors this grounding. A ghost is an empty object like
-    a fresh slot but sits outside the symmetry-breaking chain, and a
-    solve may create it only within the state's creation budget (see
-    :meth:`GroundingResult.origin_assumptions`); a grounding without
-    ghosts is the one a per-call enforcement builds.
+    universe is the model's objects plus its fresh slots. An enforcement
+    session serves later states of the same shape on this universe: a
+    state's object ids the universe lacks are renamed onto absent ids of
+    the same class (see :mod:`repro.enforce.session`), and a solve may
+    create objects only within the state's creation budget (see
+    :meth:`GroundingResult.origin_assumptions`).
     """
 
     def __init__(
@@ -236,7 +228,6 @@ class GroundModel:
         symbolic: bool,
         scope: Scope,
         pools: ValuePools,
-        ghosts: Mapping[str, str] | None = None,
     ) -> None:
         self.param = param
         self.model = model
@@ -245,15 +236,11 @@ class GroundModel:
         self.metamodel: Metamodel = model.metamodel
         universe = list(model.object_ids())
         self._class_of = {o.oid: o.cls for o in model.objects}
-        #: Ghost object ids -> class (symbolic models only).
-        self.ghosts: dict[str, str] = dict(ghosts or {}) if symbolic else {}
-        universe.extend(self.ghosts)
-        self._class_of.update(self.ghosts)
         #: Allocated fresh-slot ids per concrete class, in chain order
         #: (the symmetry-breaking walk follows this order); see
         #: :func:`fresh_slots_for` for the skip-occupied allocation rule.
         self.fresh_slots: dict[str, tuple[str, ...]] = (
-            fresh_slots_for(model, scope, self.ghosts) if symbolic else {}
+            fresh_slots_for(model, scope) if symbolic else {}
         )
         for class_name, slots in self.fresh_slots.items():
             for oid in slots:
@@ -612,46 +599,55 @@ class GroundingResult:
 
         A retargetable grounding serves every state its universe
         anchors, and the universe can hold more ids a state lacks than
-        one class's fresh slots: an enforcement session's ghosts, or
-        objects the state dropped since the grounding was built. A
-        per-call grounding of the state may create exactly
-        ``scope.extra_objects`` objects per class (its fresh slots), so
-        only that many absent ids per class stay creatable here: the
-        fresh slots first, in chain order, then the other absent ids in
-        universe order. Every absent id past them is assumed dead, so
-        the repairs of the two groundings agree up to renaming the
-        created objects.
+        one class's fresh slots (objects the state dropped). A per-call
+        grounding may create ``scope.extra_objects`` objects per class,
+        so at most that many absent ids per class stay creatable here:
+        the fresh slots first, in chain order, then the other absent ids
+        in universe order. The rest are assumed dead, so the repairs of
+        the two groundings agree up to renaming the created objects —
+        while the state leaves that many absent ids (:meth:`creatable`).
         """
+        return [
+            -alive[oid]
+            for _param, _cls, slots, absent, alive in self._absent(state)
+            for oid in absent[slots:]
+        ]
+
+    def creatable(self, state: Mapping[str, Model]) -> dict[tuple[str, str], int]:
+        """How many objects of each target class a solve from ``state``
+        may create: ``min(fresh slots, absent ids)`` per (parameter,
+        class). An enforcement session compares it with the state's own
+        scope when it serves a renamed state."""
+        return {
+            (param, cls): min(slots, len(absent))
+            for param, cls, slots, absent, _alive in self._absent(state)
+        }
+
+    def _absent(self, state: Mapping[str, Model]):
+        """Per target class: its fresh-slot count, the universe ids
+        ``state`` lacks (fresh slots first, in chain order, then the
+        others in universe order) and their alive variables."""
         if "budget" not in self._tables:
             budget = []
             for param in sorted(self.ground_models):
                 gm = self.ground_models[param]
                 for class_name, slots in sorted(gm.fresh_slots.items()):
-                    others = [
+                    ids = slots + tuple(
                         oid
                         for oid in gm.universe
                         if gm.class_of(oid) == class_name and oid not in slots
-                    ]
-                    ids = slots + tuple(others)
-                    alive = {
-                        oid: self.pool.var(("obj", param, oid)) for oid in ids
-                    }
-                    budget.append((param, len(slots), ids, alive))
+                    )
+                    alive = {oid: self.pool.var(("obj", param, oid)) for oid in ids}
+                    budget.append((param, class_name, len(slots), ids, alive))
             self._tables["budget"] = budget
-        lits: list[Lit] = []
-        for param, creatable, ids, alive in self._tables["budget"]:
+        for param, class_name, slots, ids, alive in self._tables["budget"]:
             present = set(state[param].object_ids())
             absent = [oid for oid in ids if oid not in present]
-            lits.extend(-alive[oid] for oid in absent[creatable:])
-        return lits
+            yield param, class_name, slots, absent, alive
 
 
 class Grounder:
-    """Grounds structure + consistency + distance for one repair problem.
-
-    ``ghosts`` maps a target parameter to its ghost objects (id ->
-    class, see :class:`GroundModel`); only enforcement sessions pass it.
-    """
+    """Grounds structure + consistency + distance for one repair problem."""
 
     #: Process-wide count of :meth:`ground` runs; the translation-count
     #: tests read deltas to pin "one grounding per enforcement question".
@@ -675,7 +671,6 @@ class Grounder:
         retarget: bool = False,
         prune: bool = True,
         context: GroundingContext | None = None,
-        ghosts: Mapping[str, Mapping[str, str]] | None = None,
     ) -> None:
         self.transformation = transformation
         self.models = dict(models)
@@ -714,7 +709,6 @@ class Grounder:
                 symbolic=param in self.targets,
                 scope=scope,
                 pools=self.pools,
-                ghosts=(ghosts or {}).get(param),
             )
             for param in transformation.param_names()
         }

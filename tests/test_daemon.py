@@ -231,6 +231,28 @@ class TestEnforce:
         assert shape["hits"] == 5
         assert snapshot["sessions"]["groundings"] == 1
 
+    def test_renamed_hits_show_in_the_shape_row(self, daemon):
+        """A configuration selecting a feature whose object id the shape
+        never grounded is served by renaming: a hit, counted as a
+        rename in its shape's row."""
+        fm = feature_model({"core": True, "log": True, "net": False})
+
+        def request(selected):
+            models = {
+                "fm": fm,
+                "cf1": configuration(selected, name="cf1"),
+                "cf2": configuration(["core"], name="cf2"),
+            }
+            return EnforceRequest.build(
+                paper_transformation(2), models, targets=["cf1", "cf2"]
+            )
+
+        with connect(daemon) as client:
+            client.enforce_many([request(["core", "log"]), request(["core", "net"])])
+            snapshot = client.metrics()
+        (shape,) = snapshot["shapes"].values()
+        assert (shape["misses"], shape["hits"], shape["renames"]) == (1, 1, 1)
+
     def test_two_shapes_sharing_one_slot_match_serve_batch(self, tmp_path):
         """Interleaved shapes A1 B1 A2 B2 A3 B3 on a one-worker daemon
         (so both shapes share its only slot) answer bit for bit like

@@ -9,10 +9,15 @@ models) must transparently re-ground, never mis-answer.
 """
 
 import gc
+import gzip
+import json
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.echo.tool import Echo
 from repro.echo.workspace import Workspace
@@ -21,6 +26,7 @@ from repro.enforce.session import (
     SHARED_SESSION_LIMIT,
     clear_shared_sessions,
     shared_session,
+    shared_session_counters,
 )
 from repro.errors import EnforcementError, NoRepairFound, SolverError
 from repro.featuremodels import (
@@ -289,11 +295,12 @@ class TestSessionReuse:
 
 
 class TestMonotoneUniverse:
-    """A re-ground keeps the object ids its shape already grounded.
+    """Object ids a shape has not grounded do not re-ground it.
 
-    The replaced generation's ids that the new state lacks come back as
-    empty ghost objects, at most ``scope.extra_objects`` per class, so a
-    toggle stream re-grounds once per new object id, not per toggle.
+    A state whose configuration holds a never-grounded id is renamed onto
+    an absent universe id of the same class and solved on the warm
+    generation, so a toggle stream re-grounds at most once per new object
+    id, not per toggle — and, on these streams, not at all.
     """
 
     def test_toggle_stream_regrounds_once_per_new_id(self):
@@ -317,15 +324,14 @@ class TestMonotoneUniverse:
         assert answers == references
         assert {outcome for outcome, _ in answers} == {"consistent", "repaired"}
 
-    def test_ghosts_stay_capped_on_a_stream_of_new_ids(self):
-        """Every step selects a never-seen feature id, so every step
-        re-grounds and the replaced ids pile up; the ghosts per class
-        stop at ``extra_objects`` and the answers stay per-call SAT's."""
+    def test_a_stream_of_new_ids_grounds_once(self):
+        """Every step selects a never-seen feature id. Each is renamed
+        onto the warm grounding, and the answers stay per-call SAT's.
+        Measured: 1 grounding (6 when every new id re-grounded)."""
         transformation = paper_transformation(k=2)
         targets = TargetSelection(["cf1", "cf2"])
         features = {"core": True, **{f"f{i}": False for i in range(6)}}
         session = EnforcementSession(transformation, targets, scope=SCOPE)
-        ghost_counts = []
         for i in range(6):
             models = _tuple(features, [f"f{i}"], ["core"])
             answer = enforce_answer(lambda: session.enforce(models))
@@ -335,38 +341,237 @@ class TestMonotoneUniverse:
                 )
             )
             assert answer == reference == ("repaired", 2)
-            assert session.groundings == i + 1
-            gm = session._active.grounding.ground_models["cf1"]
-            assert set(gm.ghosts.values()) <= {"Feature"}
-            assert len(gm.ghosts) <= SCOPE.extra_objects
-            assert f"s_f{i}" not in gm.ghosts
-            # Fresh slots never shrink: the count equals a fresh grounding's.
-            assert len(gm.fresh_slots["Feature"]) == SCOPE.extra_objects
-            ghost_counts.append(len(gm.ghosts))
-        assert ghost_counts == [0, 1, 2, 2, 2, 2]
+        assert (session.groundings, session.reuses, session.renames) == (1, 5, 5)
 
-    def test_reviving_a_ghost_keeps_the_symmetry_chain(self):
-        """A state that brings a ghost id back occupies no fresh slot,
-        so it anchors the newest generation and the optimum solve may
-        still assume the symmetry chain, at per-call SAT's distance."""
+    def test_reviving_a_dropped_id_answers_like_per_call(self):
+        """A state that brings a dropped id back next to a new one is
+        served on the first grounding, at per-call SAT's distance.
+        Measured: 1 grounding (2 when the new ``s_b`` re-grounded)."""
         transformation = paper_transformation(k=2)
         targets = TargetSelection(["cf1", "cf2"])
         features = {"core": True, "a": False, "b": False}
         session = EnforcementSession(transformation, targets, scope=SCOPE)
         session.enforce(_tuple(features, ["a"], ["core"]))
         session.enforce(_tuple(features, ["b"], ["core"]))  # s_b is new
-        assert session.groundings == 2
-        assert set(session._active.grounding.ground_models["cf1"].ghosts) == {
-            "s_a"
-        }
         revived = _tuple(features, ["a", "b"], ["core"])
-        _models, distance = session.solve_tuple(revived)
-        assert session.groundings == 2  # s_a was a ghost: patched
-        assert session._symmetry_ok(session._bound(revived))
+        repaired, distance = session.solve_tuple(revived)
+        assert session.groundings == 1
+        assert {"s_a", "s_b"} <= set(repaired["cf1"].object_ids())
         reference = enforce(
             transformation, revived, targets, scope=SCOPE, share=False
         )
         assert distance == reference.distance == 2
+
+
+_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
+
+def _cf(name, *objects):
+    """A configuration from ``(object id, feature name)`` pairs."""
+    return Model(
+        configuration_metamodel(),
+        tuple(
+            ModelObject.create(oid, "Feature", {"name": feature})
+            for oid, feature in objects
+        ),
+        name,
+    )
+
+
+def _renamed(model, mapping):
+    """``model`` with its object ids renamed by ``mapping``."""
+    return Model(
+        model.metamodel,
+        tuple(
+            ModelObject(mapping.get(o.oid, o.oid), o.cls, o.attrs, o.refs)
+            for o in model.objects
+        ),
+        model.name,
+    )
+
+
+@st.composite
+def _renamed_questions(draw):
+    """A paper k=2 tuple and a copy whose cf1 or cf2 ids are renamed by
+    a bijection onto ids the tuple's grounding may or may not hold
+    (feature ids, fresh-slot ids, unknown ids)."""
+    names = ["f0", "f1", "f2", "f3"]
+    fm = {name: draw(st.booleans()) for name in names if draw(st.booleans())}
+    models = {"fm": feature_model(fm or {"f0": True})}
+    for param in ("cf1", "cf2"):
+        selected = draw(st.lists(st.sampled_from(names), unique=True))
+        models[param] = configuration(selected, name=param)
+    param = draw(st.sampled_from(["cf1", "cf2"]))
+    ids = draw(st.permutations(
+        ["s_f0", "s_f1", "s_f2", "s_f3", "s_x", "s_y", "new_feature_1",
+         "new_feature_2"]
+    ))
+    mapping = dict(zip(models[param].object_ids(), ids))
+    return models, dict(models, **{param: _renamed(models[param], mapping)})
+
+
+class TestRenaming:
+    """Renamed states answer like per-call enforcement of the original.
+
+    A renamed state's answer is kept only under the exactness
+    certificate (``EnforcementSession._optimum``): every fallback path
+    below re-grounds and answers like per-call SAT, and every certified
+    path keeps the warm grounding.
+    """
+
+    T = paper_transformation(k=2)
+    TARGETS = TargetSelection(["cf1", "cf2"])
+    E1 = Scope(extra_objects=1)
+
+    def _stream(self, stream, scope=None, metric=TupleMetric(), cap=None):
+        """Session answers, per-call answers and whether each step
+        re-grounded."""
+        session = EnforcementSession(
+            self.T, self.TARGETS, scope=scope, metric=metric
+        )
+        answers, references, regrounds = [], [], []
+        for models in stream:
+            before = session.groundings
+            answers.append(enforce_answer(
+                lambda: session.enforce(models, max_distance=cap)
+            ))
+            regrounds.append(session.groundings > before)
+            references.append(enforce_answer(lambda: enforce(
+                self.T, models, self.TARGETS, scope=scope, metric=metric,
+                max_distance=cap, share=False,
+            )))
+        return answers, references, regrounds
+
+    def test_paper_fm_corpus_never_regrounds_after_warm_up(self):
+        """The frozen paper-fm corpus, served inline in file order after
+        its warm-up: every request is a reuse, and every answer matches
+        the frozen reference. Measured: 4 groundings before renaming."""
+        with gzip.open(_CORPUS / "paper-fm.json.gz", "rt") as handle:
+            corpus = json.load(handle)
+        clear_shared_sessions()
+        reset_worker_state()
+        try:
+            serve_request(request_from_dict(corpus["warmup"]))
+            (before,) = shared_session_counters()
+            answers = []
+            for wire in corpus["requests"]:
+                reply = response_to_dict(serve_request(request_from_dict(wire)))
+                answers.append([reply["outcome"], reply["distance"]])
+            (after,) = shared_session_counters()
+        finally:
+            clear_shared_sessions()
+            reset_worker_state()
+        assert len(answers) == 48
+        assert answers == corpus["reference"]
+        assert after["groundings"] == before["groundings"]
+        assert after["reuses"] - before["reuses"] == 48
+        assert after["renames"] > before["renames"]
+
+    def test_an_optimum_above_the_bound_regrounds(self):
+        """cf1's new ``s_x`` takes the only fresh slot and cf1 dropped
+        nothing, so the renamed state may create no Feature where
+        per-call may create one: the bound is 1 and the cost-2 optimum
+        re-grounds."""
+        fm = feature_model({"a": True, "b": True, "x": False})
+        first = {"fm": fm, "cf1": configuration(["a"], name="cf1"),
+                 "cf2": configuration(["a", "b"], name="cf2")}
+        second = dict(first, cf1=configuration(["a", "x"], name="cf1"))
+        answers, references, regrounds = self._stream(
+            [first, second], scope=self.E1
+        )
+        assert answers == references == [("repaired", 2), ("repaired", 2)]
+        assert regrounds == [True, True]
+
+    @pytest.mark.parametrize(
+        "cap, reference, regrounds",
+        [
+            (None, ("repaired", 2), True),
+            (2, ("repaired", 2), True),
+            (1, ("no-repair", None), True),  # cap == bound: not certified
+            (0, ("no-repair", None), False),  # cap < bound: certified
+        ],
+    )
+    def test_a_no_repair_is_kept_only_below_the_bound(
+        self, cap, reference, regrounds
+    ):
+        """cf1 needs ``c`` created, and the renamed ``s_b`` took cf1's
+        only fresh slot: the warm solve finds no repair, but per-call
+        creates ``c`` at distance 2. The bound is 1, so only a cap
+        below it certifies the no-repair answer."""
+        fm = feature_model({"a": True, "b": True, "c": True})
+        first = {"fm": fm, "cf1": configuration(["a"], name="cf1"),
+                 "cf2": configuration(["a", "b", "c"], name="cf2")}
+        second = dict(first, cf1=configuration(["a", "b"], name="cf1"))
+        answers, references, steps = self._stream(
+            [first, second], scope=self.E1, cap=cap
+        )
+        assert answers == references
+        assert answers[1] == reference
+        assert steps[1] == regrounds
+
+    def test_a_weight_zero_target_bounds_at_zero(self):
+        """cf2 weighs 0 and its renamed ``s_y`` leaves it no absent id,
+        so a repair beyond the renamed universe may cost nothing: only a
+        cost-0 optimum is certified, and the cost-2 one re-grounds.
+        Renaming cf1 alone keeps the same cost-2 optimum certified."""
+        fm = feature_model({"a": True, "b": False, "c": False})
+        metric = TupleMetric({"cf2": 0})
+        first = {"fm": fm, "cf1": configuration(["a", "b"], name="cf1"),
+                 "cf2": configuration(["c"], name="cf2")}
+        cf1_only = dict(first, cf1=configuration(["c"], name="cf1"))
+        both = dict(cf1_only, cf2=_cf("cf2", ("s_c", "c"), ("s_y", "b")))
+        for second, regrounds in ((cf1_only, False), (both, True)):
+            answers, references, steps = self._stream(
+                [first, second], scope=self.E1, metric=metric
+            )
+            assert answers == references == [("repaired", 0), ("repaired", 2)]
+            assert steps == [True, regrounds]
+
+    def test_the_states_own_scope_decides(self):
+        """Adaptive scope: the first tuple's 4-object cf1 grounds 4 fresh
+        slots per class, and the second tuple's own scope creates 2.
+        cf2's renamed ``s_q`` leaves it 3 absent ids, enough for the
+        state's scope, so the cost-6 optimum is certified (the grounding's
+        scope would bound it at 4)."""
+        fm = feature_model({"a": True, "b": True})
+        first = {
+            "fm": fm,
+            "cf1": _cf("cf1", ("s_a", "a"), ("s_b", "b"), ("s_x", "x"),
+                       ("s_y", "y")),
+            "cf2": configuration(["a"], name="cf2"),
+        }
+        second = dict(
+            first,
+            cf1=configuration([], name="cf1"),
+            cf2=_cf("cf2", ("s_a", "a"), ("s_q", "x")),
+        )
+        answers, references, regrounds = self._stream([first, second])
+        assert answers == references == [("repaired", 6), ("repaired", 6)]
+        assert regrounds == [True, False]
+
+    @given(_renamed_questions())
+    @settings(max_examples=40, deadline=None)
+    def test_renaming_ids_keeps_verdict_and_distance(self, question):
+        """A bijective renaming of a target's ids changes neither verdict
+        nor distance: per call, on a cold session, and on a session warm
+        from the original tuple."""
+        models, renamed = question
+        per_call = [
+            enforce_answer(
+                lambda: enforce(self.T, m, self.TARGETS, share=False)
+            )
+            for m in (models, renamed)
+        ]
+        cold = EnforcementSession(self.T, self.TARGETS)
+        warm = EnforcementSession(self.T, self.TARGETS)
+        try:
+            warm.solve_tuple(models)
+        except NoRepairFound:
+            pass
+        assert warm.groundings == 1
+        assert per_call[0] == per_call[1]
+        assert enforce_answer(lambda: cold.enforce(renamed)) == per_call[0]
+        assert enforce_answer(lambda: warm.enforce(renamed)) == per_call[0]
 
 
 class TestSharedSessionEviction:

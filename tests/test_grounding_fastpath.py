@@ -11,7 +11,7 @@ The PR 3 fast path may change *how much* work grounding does, never
   across forced re-grounds and generation switches;
 * a session must answer like per-call enforcement even where its
   universe holds more ids a state lacks than a per-call grounding's
-  fresh slots (ghosts, dropped objects): it creates at most
+  fresh slots (dropped objects): it creates at most
   ``scope.extra_objects`` objects per class;
 * ``enforce_sat``/``enumerate_repairs``/``ConsistencyOracle.try_build``
   must ride one shared grounding per question shape (grounding count
@@ -226,11 +226,11 @@ class TestPrunedGroundingEquivalence:
 
     def test_ghost_widened_session_answers_like_per_call(self):
         """The first hypothesis counterexample to the stream property
-        above, pinned. The re-ground keeps cf2's ``s_net`` as a ghost,
-        so the session's cf2 universe holds 3 absent ids to the per-call
-        grounding's 2 fresh slots; the creation budget keeps the session
-        from repairing (at distance 10) a tuple per-call enforcement
-        cannot repair within scope."""
+        above, pinned. When a re-ground kept cf2's ``s_net`` as an empty
+        object, the session's cf2 universe held 3 absent ids to the
+        per-call grounding's 2 fresh slots; the creation budget kept the
+        session from repairing (at distance 10) a tuple per-call
+        enforcement cannot repair within scope."""
         session, answers, references = _session_and_per_call([
             {
                 "fm": feature_model({"net": True, "ui": True}),
@@ -265,8 +265,8 @@ class TestPrunedGroundingEquivalence:
     @pytest.mark.parametrize("seed", range(10))
     def test_session_answers_like_per_call_on_seeded_streams(self, seed):
         """Seeded four-tuple edit streams that keep fm half the time
-        (patched states) and otherwise drift it (re-grounds with
-        ghosts), over mostly mandatory features: the session answers
+        (patched states) and otherwise drift it (re-grounds), over
+        mostly mandatory features: the session answers
         every tuple like per-call enforcement. Without the creation
         budget, seeds 1, 3 and 7 repair a tuple per-call enforcement
         cannot."""

@@ -13,6 +13,7 @@ from repro.featuremodels import (
 )
 from repro.metamodel.conformance import is_conformant
 from repro.metamodel.distance import distance
+from repro.metamodel.model import ModelObject
 from repro.objectdb import schema_transformation
 from repro.solver.bounded import (
     GroundModel,
@@ -156,34 +157,50 @@ class TestFragmentGuard:
             Grounder(t, env, frozenset({"zz"}), [])
 
 
-class TestGhosts:
-    """Ghost objects widen a target's universe without moving its fresh
-    slots' count (the enforcement session's monotone universe)."""
+class TestFreshSlots:
+    """A target's universe is its objects plus ``extra_objects`` fresh
+    slots per concrete class; a frozen model's is its objects alone."""
 
-    def test_fresh_slots_skip_ghost_ids(self):
+    def test_fresh_slots_skip_occupied_ids(self):
         cf = configuration(["core"], name="cf1")
-        ghosts = {"new_feature_1": "Feature", "s_log": "Feature"}
-        assert fresh_slots_for(cf, Scope(extra_objects=2), ghosts) == {
+        occupied = cf.with_object(
+            ModelObject.create("new_feature_1", "Feature", {"name": "log"})
+        )
+        assert fresh_slots_for(occupied, Scope(extra_objects=2)) == {
             "Feature": ("new_feature_2", "new_feature_3")
         }
         assert fresh_slots_for(cf, Scope(extra_objects=2)) == {
             "Feature": ("new_feature_1", "new_feature_2")
         }
 
-    def test_ground_model_universe_holds_ghosts_once(self):
-        cf = configuration(["core"], name="cf1")
+    def test_ground_model_universe_holds_objects_and_fresh_slots(self):
+        cf = configuration(["core", "log"], name="cf1")
         models = {"cf1": cf}
-        ghosts = {"new_feature_1": "Feature", "s_log": "Feature"}
         scope = Scope(extra_objects=2)
-        gm = GroundModel("cf1", cf, True, scope, ValuePools(models, scope), ghosts)
+        gm = GroundModel("cf1", cf, True, scope, ValuePools(models, scope))
         assert gm.universe == (
-            "new_feature_1", "new_feature_2", "new_feature_3", "s_core", "s_log"
+            "new_feature_1", "new_feature_2", "s_core", "s_log"
         )
-        assert gm.ghosts == ghosts and gm.class_of("s_log") == "Feature"
-        frozen = GroundModel(
-            "cf1", cf, False, scope, ValuePools(models, scope), ghosts
-        )
-        assert frozen.universe == ("s_core",) and frozen.ghosts == {}
+        assert gm.class_of("new_feature_2") == "Feature"
+        frozen = GroundModel("cf1", cf, False, scope, ValuePools(models, scope))
+        assert frozen.universe == ("s_core", "s_log")
+
+    def test_creatable_is_fresh_slots_capped_by_absent_ids(self):
+        """``creatable`` counts what the creation budget leaves a state:
+        ``min(fresh slots, absent ids)`` per target class."""
+        t = paper_transformation(2)
+        env = paper_env({"core": True, "log": False}, ["core", "log"], ["core"])
+        grounding = Grounder(
+            t, env, frozenset({"cf1"}), directions_of(t),
+            scope=Scope(extra_objects=2),
+        ).ground()
+        full = dict(env, cf1=configuration(
+            ["core", "log"], name="cf1"
+        ).with_object(ModelObject.create("new_feature_2", "Feature", {"name": "x"})))
+        assert grounding.creatable(env) == {("cf1", "Feature"): 2}
+        assert grounding.creatable(full) == {("cf1", "Feature"): 1}
+        dropped = dict(env, cf1=configuration(["core"], name="cf1"))
+        assert grounding.creatable(dropped) == {("cf1", "Feature"): 2}
 
 
 class TestGroundingSolves:
