@@ -10,18 +10,21 @@
 #     the paper feature-model toggle stream (TestCertifiedEnforcement)
 #     and on random, hard and prefix-sharing probe streams
 #     (TestCertifiedCnfStreams); TestRupChecker shows the checker
-#     rejects bad certificates. A solve keeps the assumption levels it
-#     shares with the previous one, answers like a fresh solver and
-#     takes at most 60,000 propagations and 800 decisions on a paper
-#     feature-model toggle stream
-#     (tests/test_solver_incremental.py::TestAssumptionTrailReuse);
+#     rejects bad certificates, and TestCertifiedLoads certifies a
+#     clause load that keeps the assumption levels it does not touch.
+#     A solve keeps the assumption levels it shares with the previous
+#     one, answers like a fresh solver and takes at most 30,000
+#     propagations and 400 decisions on a paper feature-model toggle
+#     stream (tests/test_solver_incremental.py::TestAssumptionTrailReuse);
 #     learnt-clause GC under constant restarts keeps the optimum of a
 #     re-probed enforcement session (tests/test_solver_gc_restarts.py);
 #     and the increasing search's disjoint-core bound never exceeds the
 #     brute-force optimum, refutes a question with no repair in scope
 #     in one solve and keeps the paper feature-model toggle stream at
-#     <= 170 solves, <= 60 conflicts and <= 30 at_most calls
-#     (tests/test_solver_card_maxsat.py::TestDisjointCores); a unit
+#     <= 165 solves, <= 30 conflicts, no at_most call and 8 core
+#     counters (tests/test_solver_card_maxsat.py::TestDisjointCores);
+#     its OLL completion never bounds above the optimum and returns it
+#     at its last bound (TestCoreGuidedCompletion); a unit
 #     soft clause is relaxed by its own literal, so a session over unit
 #     soft clauses allocates nothing beyond its hard CNF, and repeated
 #     or complementary soft literals under base assumptions keep every
@@ -32,7 +35,9 @@
 #     re-grounds at most once per new object id while answering like
 #     per-call SAT (tests/test_enforce_session.py::TestMonotoneUniverse);
 #     a renamed answer is kept only when certified exact, and every
-#     fallback re-grounds and answers like per-call SAT (TestRenaming); its
+#     fallback re-grounds and answers like per-call SAT (TestRenaming);
+#     a state smaller than the one its shape was grounded on creates no
+#     more objects than its own adaptive scope (TestAdaptiveScope); its
 #     cost-0 optimum doubles as the hippocratic check, except for
 #     weight-0 targets, where it answers like per-call enforcement
 #     (TestSessionReuse::test_weight_zero_target_answers_like_per_call);

@@ -132,8 +132,8 @@ def enforce_sat(
     shared retargetable grounding of its question shape
     (:func:`repro.enforce.session.shared_session`): the constraints are
     encoded at most once per shape, the concrete tuple is injected as
-    origin assumptions, and the distance sweep explores bounds as
-    assumptions on one persistent solver. ``share=False`` grounds
+    origin assumptions, and the optimum search runs under assumptions
+    on one persistent solver. ``share=False`` grounds
     per call (the baseline arm of the shared-grounding tests).
     """
     if share:

@@ -31,9 +31,11 @@ selecting a feature the shape never grounded) are renamed onto absent
 ids of the same class (:meth:`EnforcementSession._renaming`); frozen
 models never are. Every solve assumes the state's creation budget
 (:meth:`~repro.solver.bounded.GroundingResult.origin_assumptions`): per
-class, at most ``scope.extra_objects`` absent ids stay creatable, so a
-session repairs exactly what per-call enforcement repairs within scope
-— a renamed state under the certificate of
+class, at most the state's own ``scope.extra_objects`` absent ids stay
+creatable (an adaptive scope shrinks with the state, below the scope
+the grounding was built for), so a session repairs exactly what
+per-call enforcement repairs within scope — a renamed state under the
+certificate of
 :meth:`EnforcementSession._optimum`, re-grounding where it fails.
 
 Since the grounding fast path (PR 3) the session is also the *shared*
@@ -523,7 +525,9 @@ class EnforcementSession:
         if not self._anchorable(original):
             return None
         self._reground(original)
-        assumptions = self._active.grounding.origin_assumptions(original)
+        assumptions = self._active.grounding.origin_assumptions(
+            original, self._scope_for(original).extra_objects
+        )
         if assumptions is None:
             raise EnforcementError(
                 "model tuple cannot anchor its own grounding; this is a bug"
@@ -617,7 +621,9 @@ class EnforcementSession:
             renamed = self._renaming(generation, original) if rename else (original, {})
             if renamed is None:
                 continue
-            assumptions = generation.grounding.origin_assumptions(renamed[0])
+            assumptions = generation.grounding.origin_assumptions(
+                renamed[0], self._scope_for(original).extra_objects
+            )
             if assumptions is None:
                 continue
             if not rename:
@@ -685,7 +691,7 @@ class EnforcementSession:
         if not inverse:
             return self._solve(state, assumptions, max_distance, symmetry)
         extra = self._scope_for(original).extra_objects
-        creatable = self._active.grounding.creatable(state).items()
+        creatable = self._active.grounding.creatable(state, extra).items()
         bound = min(
             ((k + 1) * self.metric.weight(p) for (p, _), k in creatable if k < extra),
             default=math.inf,

@@ -573,7 +573,7 @@ class GroundingResult:
         return self._tables["origin"]
 
     def origin_assumptions(
-        self, state: Mapping[str, Model]
+        self, state: Mapping[str, Model], extra_objects: int | None = None
     ) -> list[Lit] | None:
         """Assumption literals pinning the distance origin to ``state``.
 
@@ -584,49 +584,62 @@ class GroundingResult:
         caller must re-ground. The tables are precomputed once per
         grounding, so per-solve retargeting is a table walk with no
         pool lookups. The literals end with ``state``'s creation budget
-        (:meth:`_creation_budget`).
+        (:meth:`_creation_budget`) under ``extra_objects``, the state's
+        own scope (default: this grounding's).
         """
         tables = self.origin_tables()
         if tables is None:
             return None
         lits = encode_state(tables, sorted(self.origins), state)
         if lits is not None:
-            lits.extend(self._creation_budget(state))
+            lits.extend(self._creation_budget(state, extra_objects))
         return lits
 
-    def _creation_budget(self, state: Mapping[str, Model]) -> list[Lit]:
+    def _creation_budget(
+        self, state: Mapping[str, Model], extra_objects: int | None
+    ) -> list[Lit]:
         """Literals keeping ``state``'s repairs inside a per-call scope.
 
         A retargetable grounding serves every state its universe
         anchors, and the universe can hold more ids a state lacks than
         one class's fresh slots (objects the state dropped). A per-call
-        grounding may create ``scope.extra_objects`` objects per class,
-        so at most that many absent ids per class stay creatable here:
-        the fresh slots first, in chain order, then the other absent ids
-        in universe order. The rest are assumed dead, so the repairs of
-        the two groundings agree up to renaming the created objects —
-        while the state leaves that many absent ids (:meth:`creatable`).
+        grounding may create ``extra_objects`` objects per class, so at
+        most that many absent ids per class stay creatable here (never
+        more than the fresh slots): the fresh slots first, in chain
+        order, then the other absent ids in universe order. The rest
+        are assumed dead, so the repairs of the two groundings agree up
+        to renaming the created objects — while the state leaves that
+        many absent ids (:meth:`creatable`). An adaptive scope shrinks
+        with the state, so a session grounded on a larger state passes
+        the smaller state's own ``extra_objects``.
         """
         return [
             -alive[oid]
-            for _param, _cls, slots, absent, alive in self._absent(state)
+            for _param, _cls, slots, absent, alive in self._absent(
+                state, extra_objects
+            )
             for oid in absent[slots:]
         ]
 
-    def creatable(self, state: Mapping[str, Model]) -> dict[tuple[str, str], int]:
+    def creatable(
+        self, state: Mapping[str, Model], extra_objects: int | None = None
+    ) -> dict[tuple[str, str], int]:
         """How many objects of each target class a solve from ``state``
-        may create: ``min(fresh slots, absent ids)`` per (parameter,
-        class). An enforcement session compares it with the state's own
-        scope when it serves a renamed state."""
+        may create: ``min(fresh slots, extra_objects, absent ids)`` per
+        (parameter, class). An enforcement session compares it with the
+        state's own scope when it serves a renamed state."""
         return {
             (param, cls): min(slots, len(absent))
-            for param, cls, slots, absent, _alive in self._absent(state)
+            for param, cls, slots, absent, _alive in self._absent(
+                state, extra_objects
+            )
         }
 
-    def _absent(self, state: Mapping[str, Model]):
-        """Per target class: its fresh-slot count, the universe ids
-        ``state`` lacks (fresh slots first, in chain order, then the
-        others in universe order) and their alive variables."""
+    def _absent(self, state: Mapping[str, Model], extra_objects: int | None):
+        """Per target class: its fresh-slot count capped at
+        ``extra_objects``, the universe ids ``state`` lacks (fresh slots
+        first, in chain order, then the others in universe order) and
+        their alive variables."""
         if "budget" not in self._tables:
             budget = []
             for param in sorted(self.ground_models):
@@ -643,6 +656,8 @@ class GroundingResult:
         for param, class_name, slots, ids, alive in self._tables["budget"]:
             present = set(state[param].object_ids())
             absent = [oid for oid in ids if oid not in present]
+            if extra_objects is not None:
+                slots = min(slots, extra_objects)
             yield param, class_name, slots, absent, alive
 
 

@@ -4,12 +4,19 @@ Two strategies, mirroring the two realisations the paper cites:
 
 * ``increasing`` — the Echo loop [Macedo & Cunha, FASE'13], core-boosted
   [Berg, Demirović & Stuckey, CPAIOR'19]: disjoint unsatisfiable cores
-  [Davies & Bacchus, CP'11] prove a lower bound, then one SAT call per
-  distance bound from it upwards finds the optimum, unless the cores'
-  first model already meets the bound. Every call runs under
-  assumptions, so nothing is re-encoded; nor is the caller's shared
-  prefix of base assumptions re-propagated, since the solver keeps the
-  assumption levels two consecutive calls share.
+  [Davies & Bacchus, CP'11] prove a lower bound, and the search ends
+  there when the cores' first model meets it. Otherwise it continues
+  core-guided with OLL [Morgado, Dodaro & Marques-Silva, CP'14], as RC2
+  runs it [Ignatiev, Morgado & Marques-Silva, JSAT 2019]: each core of
+  two or more literals gets a counter over them, whose output "more
+  than 1 violated" becomes a soft literal carrying the core's least
+  weight, and a later core holding an output "more than k" extends that
+  counter to k + 1. The first satisfiable answer is optimal, at the
+  lower bound. Every call runs under assumptions, so nothing is
+  re-encoded; nor is the caller's shared prefix of base assumptions
+  re-propagated, since the solver keeps the assumption levels two
+  consecutive calls share, and a counter's clauses load without
+  touching the levels below its inputs'.
 * ``decreasing`` — linear SAT-UNSAT search as in target-oriented model
   finding [Cunha, Macedo & Guimarães, FASE'14]: find any model, then
   repeatedly assume "strictly cheaper" until UNSAT; the last model is
@@ -17,27 +24,29 @@ Two strategies, mirroring the two realisations the paper cites:
 
 Each soft clause has a relaxation literal, true when the clause may be
 violated: a unit soft clause ``(l)`` is relaxed by ``-l`` itself, as in
-RC2 [Ignatiev, Morgado & Marques-Silva, JSAT 2019], and only a longer
-one gets a fresh variable ``r`` and the clause ``(C | r)``. A literal
-relaxing several soft clauses carries their summed weight.
-Weights are handled by replicating relaxation literals inside the
-totalizer. Because the totalizer is built on demand, a bound ``b`` only
-ever encodes the counter outputs ``o1..o(b+1)``, so a heavy weight costs
-leaves, not a quadratic counter.
+RC2, and only a longer one gets a fresh variable ``r`` and the clause
+``(C | r)``. A literal relaxing several soft clauses carries their
+summed weight. The distance bounds of ``decreasing``,
+:meth:`MaxSatSession.at_most` and enumeration replicate relaxation
+literals by weight inside one totalizer over all of them. Because the
+totalizer is built on demand, a bound ``b`` only ever encodes the
+counter outputs ``o1..o(b+1)``, so a heavy weight costs leaves, not a
+quadratic counter.
 
 All queries of one optimisation run — and of any follow-up model
 enumeration — go through a single :class:`MaxSatSession`: the soft-clause
 relaxation is set up once, and one
-:class:`~repro.solver.sat.IncrementalSolver` persists across every bound
-probe and blocking clause, carrying its learnt clauses and heuristic
-state from call to call. The totalizer is the iterative one of Martins,
-Joshi, Manquinho & Lynce, "Incremental Cardinality Constraints for
-MaxSAT" (CP 2014): a probe at a bound above every bound asked so far
-extends it in place, and the session loads the extension's clauses —
-definitional over fresh variables — into the warm solver, the same way
-it loads blocking clauses: through
+:class:`~repro.solver.sat.IncrementalSolver` persists across every probe
+and blocking clause, carrying its learnt clauses and heuristic state
+from call to call. Every totalizer — the distance one and the OLL core
+counters — is the iterative one of Martins, Joshi, Manquinho & Lynce,
+"Incremental Cardinality Constraints for MaxSAT" (CP 2014): a bound
+above every bound asked so far extends it in place, and the session
+loads the extension's clauses — definitional over fresh variables —
+into the warm solver, the same way it loads blocking clauses: through
 :meth:`~repro.solver.sat.IncrementalSolver.load`, which trusts the
-session CNF's validation and backtracks once per batch.
+session CNF's validation and keeps the decision levels the batch does
+not touch.
 """
 
 from __future__ import annotations
@@ -84,15 +93,18 @@ class MaxSatSession:
 
     Picks the relaxation literals at construction (a unit soft clause's
     negated literal; a fresh variable and one clause only for a longer
-    soft clause) and lays out the totalizer tree without any of its
-    outputs, so a session over unit soft clauses allocates nothing
-    beyond its hard CNF until a bound is asked; afterwards every query —
-    optimum search, re-solves at a fixed bound, enumeration with
-    blocking clauses — is an assumption-based call on the same
-    incremental solver. :meth:`at_most` builds only the counter outputs
-    its bound reads, extending the totalizer (and the solver) in place
-    when a bound above every earlier one is asked. The input ``hard``
-    CNF is never mutated.
+    soft clause) and lays out the distance totalizer's tree without any
+    of its outputs, so a session over unit soft clauses allocates
+    nothing beyond its hard CNF until a bound or a core counter is
+    needed; afterwards every query — optimum search, re-solves at a
+    fixed bound, enumeration with blocking clauses — is an
+    assumption-based call on the same incremental solver.
+    :meth:`at_most` builds only the counter outputs its bound reads,
+    extending the totalizer (and the solver) in place when a bound above
+    every earlier one is asked. The ``increasing`` search asks no bound:
+    it builds OLL core counters (:meth:`_relax`), kept per session under
+    their sorted input literals, so a later search meeting the same core
+    reuses its counter. The input ``hard`` CNF is never mutated.
 
     >>> session = MaxSatSession(CNF(3), [SoftClause((-v,)) for v in (1, 2, 3)])
     >>> session.at_most(session.total_weight)  # no cap: builds nothing
@@ -103,6 +115,10 @@ class MaxSatSession:
     >>> session.solve(session.at_most(1) + [1, 2]).satisfiable
     False
     """
+
+    #: Process-wide count of OLL core counters built (see :meth:`_relax`);
+    #: ``Totalizer.built`` counts them too, next to the distance totalizers.
+    counters_built = 0
 
     def __init__(self, hard: CNF, soft: Sequence[SoftClause]) -> None:
         self._working = hard.copy()
@@ -129,6 +145,8 @@ class MaxSatSession:
         self._totalizer = (
             Totalizer(self._working, relax_weighted) if relax_weighted else None
         )
+        #: OLL core counters, by their sorted input literals.
+        self._counters: dict[tuple[Lit, ...], Totalizer] = {}
         self._solver = IncrementalSolver(self._working)
 
     @property
@@ -232,20 +250,16 @@ class MaxSatSession:
         return self._decreasing(ceiling, base)
 
     def _increasing(self, ceiling: int, base: list[Lit]) -> MaxSatResult:
-        lower, result = self._disjoint_cores(ceiling, base)
+        cores: list[list[Lit]] = []
+        lower, result = self._disjoint_cores(ceiling, base, cores)
+        if result is not None and self.cost_of(result) > lower:
+            result = self._oll(ceiling, base, cores)
         if result is None:
             return MaxSatResult(False)
-        if self.cost_of(result) > lower:
-            for bound in range(lower, ceiling + 1):
-                result = self.solve(base + self.at_most(bound))
-                if result.satisfiable:
-                    break
-            else:
-                return MaxSatResult(False)
         return MaxSatResult(True, self.cost_of(result), result.assignment)
 
     def _disjoint_cores(
-        self, ceiling: int, base: list[Lit]
+        self, ceiling: int, base: list[Lit], cores: list[list[Lit]] | None = None
     ) -> tuple[int, SatResult | None]:
         """A lower bound on the optimum, and the first satisfiable answer
         (``None`` if no model within ``ceiling`` exists). Each solve
@@ -254,7 +268,10 @@ class MaxSatSession:
         earlier ones, so the sum never exceeds the optimum. A core
         member the base assumes too is never violated, but the other
         members still hold a violation, and the least weight over all
-        of them is no more than over those."""
+        of them is no more than over those. Each core found is appended
+        to ``cores`` without the members freed before: only the base can
+        have put those in, so the rest still hold a violation, and the
+        appended cores are disjoint."""
         lower = 0
         free: set[int] = set()
         while True:
@@ -266,10 +283,80 @@ class MaxSatSession:
             core = self.relaxation_core(result)
             if not core:
                 return lower, None
+            if cores is not None:
+                cores.append([relax for relax in core if relax not in free])
             lower += min(self._weights[relax] for relax in core)
             if lower > ceiling:
                 return lower, None
             free.update(core)
+
+    def _oll(
+        self, ceiling: int, base: list[Lit], cores: list[list[Lit]]
+    ) -> SatResult | None:
+        """The optimum's first model, continuing from the disjoint
+        ``cores`` (``None`` if the optimum exceeds ``ceiling``).
+
+        OLL [Morgado, Dodaro & Marques-Silva, CP 2014], as RC2 runs it:
+        the objective is kept as residual weights on "violated" literals
+        — relaxation literals and core-counter outputs — and every solve
+        assumes each literal of positive weight false. A core is relaxed
+        by :meth:`_relax`, which raises the lower bound by its least
+        weight; so the first satisfiable answer violates nothing of
+        positive weight, and its cost is the lower bound: the optimum.
+        """
+        weights = dict(self._weights)
+        outputs: dict[Lit, tuple[Totalizer, int]] = {}
+        lower = sum(self._relax(core, weights, outputs) for core in cores)
+        while lower <= ceiling:
+            result = self.solve(base + [-lit for lit in weights])
+            if result.satisfiable:
+                return result
+            core = [-lit for lit in result.core if -lit in weights]
+            if not core:
+                return None
+            lower += self._relax(core, weights, outputs)
+        return None
+
+    def _relax(
+        self,
+        core: list[Lit],
+        weights: dict[Lit, int],
+        outputs: dict[Lit, tuple[Totalizer, int]],
+    ) -> int:
+        """Reformulate the objective around ``core``; its least weight.
+
+        Each member loses the least weight ``w`` (and is dropped at 0).
+        A core of two or more literals gets a counter over them (cached
+        per session), whose output "more than 1 violated" carries ``w``;
+        a member that is such an output "more than k" passes ``w`` on to
+        its counter's "more than k + 1". The clauses the counters grow
+        are loaded as one batch.
+        """
+        least = min(weights[lit] for lit in core)
+        loaded = len(self._working)
+
+        def soft(counter: Totalizer, bound: int) -> None:
+            (assumption,) = counter.at_most_assumption(bound)
+            weights[-assumption] = weights.get(-assumption, 0) + least
+            outputs[-assumption] = (counter, bound)
+
+        for lit in core:
+            weights[lit] -= least
+            if not weights[lit]:
+                del weights[lit]
+            if lit in outputs:
+                counter, bound = outputs[lit]
+                if bound + 1 < len(counter.literals):
+                    soft(counter, bound + 1)
+        if len(core) > 1:
+            key = tuple(sorted(core))
+            counter = self._counters.get(key)
+            if counter is None:
+                counter = self._counters[key] = Totalizer(self._working, key)
+                MaxSatSession.counters_built += 1
+            soft(counter, 1)
+        self._solver.load(self._working, loaded)
+        return least
 
     def _decreasing(self, ceiling: int, base: list[Lit]) -> MaxSatResult:
         best: SatResult | None = None

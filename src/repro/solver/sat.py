@@ -102,10 +102,13 @@ sequences, not to level 0, and propagates just the new tail. MaxSAT
 bound probes differ from one another only in their last assumption, so
 their long shared prefix is propagated once (the assumption-reuse idea
 of Hickey & Bacchus, "Speeding Up Assumption-Based SAT", SAT 2019).
-:meth:`~IncrementalSolver.add_clause` and the bulk loader
-:meth:`~IncrementalSolver.load` still backtrack to level 0, so a kept
-level never meets a clause it has not propagated; pending unit clauses
-keep nothing either.
+A clause added between calls (:meth:`~IncrementalSolver.add_clause` or
+the bulk loader :meth:`~IncrementalSolver.load`) keeps those levels
+too, up to the lowest one at which a literal of the new clauses is
+assigned: below it every new clause is wholly unassigned, so a kept
+level never meets a clause that would have propagated on it. Only a
+clause that comes out unit or empty backtracks to level 0, where
+pending unit clauses are settled.
 
 ``gc=False`` disables learnt-clause reduction; the GC stress tests use
 that plain arm as their reference.
@@ -127,7 +130,11 @@ as ``SatResult.stats``. Fields:
   binary self-subsuming resolution (a learnt clause ``p | q1 | ... | qn``
   resolved against a database binary clause ``p | ~qi`` drops ``qi``);
 * ``solves`` / ``solver_builds`` — API-level call and construction
-  counts.
+  counts;
+* ``undone`` — assignments undone between searches: by a solve's
+  backtrack to the assumption levels it shares with the previous one,
+  and by a clause load's backtrack. They are propagated again later, so
+  this is the work incremental solving failed to keep.
 
 The one-shot :func:`solve` helper remains for callers with a single
 throwaway query; it simply builds a fresh instance per call. Prefer the
@@ -142,7 +149,7 @@ import gc
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from repro.errors import SolverError
 from repro.solver.cnf import CNF, Lit
@@ -178,6 +185,7 @@ class SolverStats:
     minimised_literals: int = 0
     solves: int = 0
     solver_builds: int = 0
+    undone: int = 0
 
     def snapshot(self) -> "SolverStats":
         return SolverStats(**vars(self))
@@ -474,8 +482,8 @@ class IncrementalSolver:
     def add_clause(self, literals: Iterable[Lit]) -> None:
         """Add a clause; usable between :meth:`solve` calls.
 
-        Backtracks to the root level first so the watched-literal
-        invariants hold for the new clause.
+        Validates every literal, then attaches the clause as a batch of
+        one (:meth:`load` describes what is kept of the trail).
         """
         clause = list(literals)
         for lit in clause:
@@ -487,25 +495,51 @@ class IncrementalSolver:
                 raise SolverError(
                     f"literal {lit} references variable beyond num_vars={self.num_vars}"
                 )
-        self._backtrack(0)
-        self._add_codes(
-            [(l << 1) if l > 0 else ((-l) << 1) | 1 for l in clause]
-        )
+        self._attach([clause])
 
     def load(self, cnf: CNF, start: int = 0) -> None:
         """Attach ``cnf.clauses[start:]``, which ``cnf`` validated.
 
         The bulk path: no literal is checked again. Grows the variables
-        to ``cnf.num_vars`` and, when there is a clause to attach,
-        backtracks to the root level once for the whole batch.
+        to ``cnf.num_vars`` and attaches the clauses as one batch. The
+        batch keeps every decision level below the lowest one at which
+        one of its literals is assigned (a literal assigned at level 0
+        does not count: attaching prunes it), so clauses over fresh
+        variables — totalizer extensions, core counters — keep the whole
+        trail. A clause that comes out unit or empty backtracks to level
+        0, where the next solve settles it.
         """
         self.ensure_vars(cnf.num_vars)
         clauses = cnf.clauses[start:]
         if clauses:
-            self._backtrack(0)
-            add = self._add_codes
+            self._attach(clauses)
+
+    def _attach(self, clauses: list[Sequence[Lit]]) -> None:
+        """Attach clauses between searches (:meth:`load`)."""
+        if self.trail_lim:
+            vt = self.vt
+            vf = self.vf
+            levels = self.levels
+            lowest = len(self.trail_lim) + 1
             for clause in clauses:
-                add([(l << 1) if l > 0 else ((-l) << 1) | 1 for l in clause])
+                for lit in clause:
+                    var = lit if lit > 0 else -lit
+                    if (vt[var << 1] or vf[var << 1]) and 0 < levels[var] < lowest:
+                        lowest = levels[var]
+            self._undo(lowest - 1)
+        units = len(self.units)
+        add = self._add_codes
+        for clause in clauses:
+            add([(l << 1) if l > 0 else ((-l) << 1) | 1 for l in clause])
+        if self.empty_clause or len(self.units) > units:
+            self._undo(0)
+
+    def _undo(self, level: int) -> None:
+        """Backtrack to ``level`` between searches, counting the undone
+        assignments (``stats.undone``)."""
+        size = len(self.trail)
+        self._backtrack(level)
+        self.stats.undone += size - len(self.trail)
 
     def _add_codes(self, codes: list[int], lbd: int = 0) -> int | None:
         """Attach a clause of literal codes; returns its cref or None.
@@ -889,14 +923,14 @@ class IncrementalSolver:
             (l << 1) if l > 0 else ((-l) << 1) | 1 for l in assumptions
         )
         # Keep the assumption levels shared with the previous call (level
-        # i + 1 opens with assumption i). add_clause backtracks to level
-        # 0, so after a new clause or a pending unit there is none to keep.
+        # i + 1 opens with assumption i). A clause load may have cut the
+        # trail below them; a unit or empty clause left none to keep.
         previous = self._assumption_codes
         limit = min(len(codes), len(previous), len(self.trail_lim))
         keep = 0
         while keep < limit and codes[keep] == previous[keep]:
             keep += 1
-        self._backtrack(keep)
+        self._undo(keep)
         if not self._settle_root_level():
             return SatResult(False, core=())
         self._assumption_codes = codes

@@ -43,7 +43,12 @@ from repro.featuremodels import (
 from repro.metamodel.serialize import canonical_text
 from repro.solver.bounded import Grounder, Scope
 from repro.solver.card import Totalizer
-from repro.solver.maxsat import enumerate_optimal, solve_maxsat, verify_soft_cost
+from repro.solver.maxsat import (
+    MaxSatSession,
+    enumerate_optimal,
+    solve_maxsat,
+    verify_soft_cost,
+)
 from repro.solver.sat import GLOBAL_STATS, solve
 
 
@@ -322,21 +327,27 @@ class TestSatEngineEquivalence:
 
 class TestTranslationCounts:
     def test_enumeration_translates_once(self):
-        """One enumeration = one grounding, one totalizer, one solver —
-        blocking clauses no longer force re-translations."""
+        """One enumeration = one grounding, one distance totalizer, one
+        solver — blocking clauses no longer force re-translations. The
+        optimum search's core counters are totalizers too, counted
+        apart: this one's first core model meets the core bound, so it
+        builds none."""
         scenario = scenario_rename(2)
         checker = Checker(scenario.transformation)
         selection = TargetSelection(scenario.repairable_targets[0])
         scope = Scope(extra_objects=1)
         groundings = Grounder.translations
         totalizers = Totalizer.built
+        counters = MaxSatSession.counters_built
         builds = GLOBAL_STATS.solver_builds
         cost, repairs = enumerate_repairs(
             checker, scenario.after_update, selection, scope=scope
         )
         assert len(repairs) >= 2  # a real multi-solution enumeration
         assert Grounder.translations - groundings == 1
-        assert Totalizer.built - totalizers == 1
+        cores = MaxSatSession.counters_built - counters
+        assert cores == 0
+        assert Totalizer.built - totalizers - cores == 1
         assert GLOBAL_STATS.solver_builds - builds == 1
 
     def test_maxsat_session_translates_once(self):

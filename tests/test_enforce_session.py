@@ -574,6 +574,93 @@ class TestRenaming:
         assert enforce_answer(lambda: warm.enforce(renamed)) == per_call[0]
 
 
+@st.composite
+def _shrinking_questions(draw):
+    """A paper k=2 tuple whose feature model holds every feature, a
+    target selection and two smaller tuples over the first one's object
+    ids: each target keeps a subset of its objects. The smaller tuples
+    are patched onto the first grounding (no id to rename) and may have
+    a smaller adaptive scope."""
+    names = ["f0", "f1", "f2", "f3", "f4"]
+    fm = {name: draw(st.booleans()) for name in names}
+    selected = {
+        param: draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        for param in ("cf1", "cf2")
+    }
+    targets = draw(st.sampled_from([["fm"], ["cf1", "cf2"]]))
+
+    def state(shrink):
+        # A shrunk feature model keeps at most two features, so its
+        # scope can fall below what the configurations select.
+        kept = {
+            "fm": draw(st.lists(st.sampled_from(sorted(fm)), unique=True, max_size=2))
+            if shrink and "fm" in targets
+            else sorted(fm),
+        }
+        for param in ("cf1", "cf2"):
+            kept[param] = [
+                name
+                for name in selected[param]
+                if not shrink or param not in targets or draw(st.booleans())
+            ]
+        return {
+            "fm": feature_model({name: fm[name] for name in kept["fm"]}),
+            "cf1": configuration(kept["cf1"], name="cf1"),
+            "cf2": configuration(kept["cf2"], name="cf2"),
+        }
+
+    return state(False), TargetSelection(targets), [state(True), state(True)]
+
+
+class TestAdaptiveScope:
+    """A session grounded on a larger state answers a smaller one like
+    per-call enforcement: the adaptive scope shrinks with the state, so
+    the creation budget keeps only the smaller state's own
+    ``extra_objects`` absent ids creatable per class, not every fresh
+    slot of the grounding. Without that cap, a feature model emptied of
+    most features was repaired by creating more of them than its own
+    scope allows, where per-call enforcement finds no repair."""
+
+    T = paper_transformation(k=2)
+
+    @given(_shrinking_questions())
+    @settings(max_examples=30, deadline=None)
+    def test_a_smaller_state_answers_like_per_call(self, question):
+        big, targets, smaller = question
+        session = EnforcementSession(self.T, targets)
+        try:
+            session.solve_tuple(big)
+        except NoRepairFound:
+            pass
+        for models in smaller:
+            assert enforce_answer(lambda: session.enforce(models)) == enforce_answer(
+                lambda: enforce(self.T, models, targets, share=False)
+            )
+        assert (session.groundings, session.renames) == (1, 0)
+
+    def test_a_shrunk_feature_model_is_not_repaired_beyond_its_scope(self):
+        """The configurations select four features between them, and the
+        feature model shrinks from all four to one. The first tuple's
+        scope creates 4 features per class, the second's 2; the second
+        needs 3, so per-call enforcement finds no repair. Measured
+        before the cap: the warm session repaired it at distance 9."""
+        targets = TargetSelection(["fm"])
+        big = {
+            "fm": feature_model({"a": False, "b": False, "c": False, "d": False}),
+            "cf1": configuration(["a", "b"], name="cf1"),
+            "cf2": configuration(["c", "d"], name="cf2"),
+        }
+        small = dict(big, fm=feature_model({"a": False}))
+        session = EnforcementSession(self.T, targets)
+        assert session.solve_tuple(big)[1] == 0
+        reference = enforce_answer(
+            lambda: enforce(self.T, small, targets, share=False)
+        )
+        assert reference == ("no-repair", None)
+        assert enforce_answer(lambda: session.enforce(small)) == reference
+        assert (session.groundings, session.renames) == (1, 0)
+
+
 class TestSharedSessionEviction:
     """LRU eviction of the shared grounding cache must actually release.
 

@@ -371,6 +371,37 @@ class TestCertifiedEnforcement:
         assert lemmas > 0 and answers >= 48
 
 
+class TestCertifiedLoads:
+    """A clause load keeps the assumption levels below the lowest one
+    its batch touches; the answers on either side of it certify."""
+
+    def test_a_core_counter_loads_under_retained_levels(self, monkeypatch):
+        """Base assumptions x3, x4 (levels 1-2), then the relaxation
+        literals: x1 | x2 refutes -x1, -x2 at level 3. The core's
+        counter reads x1 and x2, so its load keeps levels 1-2 and undoes
+        level 3 only. A unit batch then backtracks to level 0."""
+        solvers = _recording(monkeypatch)
+        session = maxsat.MaxSatSession(
+            CNF(4, [(1, 2)]),
+            [maxsat.SoftClause((-1,)), maxsat.SoftClause((-2,))],
+        )
+        (solver,) = solvers
+        refuted = session.solve([3, 4, -1, -2])
+        assert refuted.core == (-1, -2)
+        assert len(solver.trail_lim) == 3
+        weights, outputs = dict(session._weights), {}
+        assert session._relax(session.relaxation_core(refuted), weights, outputs) == 1
+        assert len(solver.trail_lim) == 2
+        assert solver.stats.undone == 2  # x1 and x2, level 3
+        (more_than_one,) = weights
+        result = session.solve([3, 4, -more_than_one])
+        assert result.satisfiable and result.stats.undone == 0
+        session.add_clause([-3, -1])  # x3 holds: a unit batch
+        assert solver.trail_lim == []
+        assert session.solve([3, 4, -more_than_one]).value(2)
+        assert certify(solver.log) == (0, 3)
+
+
 # ----------------------------------------------------------------------
 # Surface of the core
 # ----------------------------------------------------------------------

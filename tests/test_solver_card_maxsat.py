@@ -519,9 +519,11 @@ class TestDisjointCores:
 
     def test_paper_toggle_stream_count_gate(self, monkeypatch):
         """The paper feature-model toggle stream (four features, 48
-        requests) on one session. Measured 162 solves, 43 conflicts and
-        19 ``at_most`` calls; the linear sweep alone, with the oracle
-        pre-check, took 191, 163 and 147."""
+        requests) on one session. Measured 156 solves, 19 conflicts and
+        no ``at_most`` call since the core-guided completion, which
+        builds 8 core counters; 157, 42
+        and 8 with the ``at_most`` sweep after the core phase; 191, 163
+        and 147 with the linear sweep alone and the oracle pre-check."""
         asks = []
         at_most = MaxSatSession.at_most
 
@@ -534,20 +536,26 @@ class TestDisjointCores:
             paper_transformation(k=2), TargetSelection(["cf1", "cf2"])
         )
         before = global_stats()
+        totalizers = Totalizer.built
+        counters = MaxSatSession.counters_built
         for models in toggle_stream(features=4, requests=48):
             session.enforce(models)
         work = global_stats() - before
-        assert work.solves <= 170
-        assert work.conflicts <= 60
-        assert len(asks) <= 30
+        assert work.solves <= 165
+        assert work.conflicts <= 30
+        assert asks == []
+        # One distance totalizer (laid out, never extended) and the core
+        # counters, each core's built once across the 48 searches.
+        assert MaxSatSession.counters_built - counters == 8
+        assert Totalizer.built - totalizers == 1 + 8
 
 
 @st.composite
-def hostile_soft_sets(draw):
+def hostile_soft_sets(draw, min_weight=1):
     """A random hard CNF, unit soft clauses over a few literals (so they
-    repeat, complemented too), some longer soft clauses, weights 1-3,
-    and base assumptions drawn from the unit soft literals and their
-    negations."""
+    repeat, complemented too), some longer soft clauses, weights
+    ``min_weight``-3, and base assumptions drawn from the unit soft
+    literals and their negations."""
     num_vars = draw(st.integers(1, 5))
     hard = CNF(num_vars)
     literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
@@ -555,7 +563,7 @@ def hostile_soft_sets(draw):
         hard.add_clause(draw(st.lists(literal, min_size=1, max_size=3)))
     pool = draw(st.lists(literal, min_size=1, max_size=3))
     signed = st.sampled_from(pool).flatmap(lambda l: st.sampled_from([l, -l]))
-    weight = st.integers(1, 3)
+    weight = st.integers(min_weight, 3)
     soft = [
         SoftClause((lit,), draw(weight))
         for lit in draw(st.lists(signed, min_size=1, max_size=6))
@@ -609,7 +617,9 @@ class TestRelaxationLiterals:
         """n unit soft clauses (a repeated and a complementary one among
         them) add no variable and no clause to the hard CNF until the
         first ``at_most``; one relaxation variable per soft clause
-        would add n of each."""
+        would add n of each. The optimum search asks no bound: its two
+        disjoint cores, ``x1 | x2`` and ``x3 | -x3``, each get a core
+        counter of two outputs, and the distance totalizer builds none."""
         hard = CNF(4)
         hard.add_clause([1, 2])
         soft = [SoftClause((-v,)) for v in (1, 2, 3, 4)]
@@ -620,9 +630,86 @@ class TestRelaxationLiterals:
         assert session.total_weight == 9
         result = session.solve_optimal()
         assert result.cost == verify_soft_cost(soft, result.assignment) == 2
-        assert session._working.num_vars > 4  # the bound built outputs
+        assert session._totalizer.outputs == []
+        assert sorted(session._counters) == [(-3, 3), (1, 2)]
+        assert [c.outputs for c in session._counters.values()] == [[5, 6], [7, 8]]
+        assert (session._working.num_vars, len(session._working)) == (8, 13)
 
     def test_a_longer_soft_clause_keeps_one_fresh_variable(self):
         session = MaxSatSession(CNF(2), [SoftClause((1, 2)), SoftClause((-1,))])
         assert session._working.clauses == [(1, 2, 3)]
         assert session.solve_optimal(assumptions=[-2]).cost == 1
+
+
+class BoundRecorder(MaxSatSession):
+    """A session recording the lower bounds its increasing search
+    reaches: the disjoint-core phase's, then every one of the OLL
+    completion's (``oll``, empty when the completion did not run)."""
+
+    disjoint = 0
+    oll = ()
+
+    def _disjoint_cores(self, ceiling, base, cores=None):
+        self.oll = []
+        lower, result = super()._disjoint_cores(ceiling, base, cores)
+        self.disjoint = lower
+        return lower, result
+
+    def _oll(self, ceiling, base, cores):
+        self.running = 0
+        return super()._oll(ceiling, base, cores)
+
+    def _relax(self, core, weights, outputs):
+        least = super()._relax(core, weights, outputs)
+        self.running += least
+        self.oll.append(self.running)
+        return least
+
+
+class TestCoreGuidedCompletion:
+    """The OLL completion of the increasing search (``_oll``): core
+    counters instead of a sweep over distance bounds."""
+
+    @given(instance=hostile_soft_sets(min_weight=0), cap=st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_lower_bounds_never_exceed_the_optimum(self, instance, cap):
+        """Weights 0-3, hostile base assumptions and a random cap: every
+        lower bound either phase reaches is at most the optimum, and a
+        completed search returns the optimum, at its last lower bound."""
+        hard, soft, base = instance
+        pinned = hard.copy()
+        for lit in base:
+            pinned.add_clause([lit])
+        expected = brute_optimum(pinned, soft)
+        session = BoundRecorder(hard, soft)
+        result = session.solve_optimal(max_cost=cap, assumptions=base)
+        if expected is None:
+            assert not result.satisfiable
+            return
+        assert max([session.disjoint, *session.oll]) <= expected
+        assert result.satisfiable == (expected <= cap)
+        if result.satisfiable:
+            assert result.cost == verify_soft_cost(soft, result.assignment) == expected
+            assert all(result.assignment[abs(l)] == (l > 0) for l in base)
+            if session.oll:
+                assert session.oll[-1] == expected
+
+    def test_a_core_over_a_counter_output_extends_the_counter(self):
+        """At least two of x1..x4 hold. The disjoint phase finds the core
+        x1 | x2 | x3 (bound 1); its model costs more. The completion's
+        counter over that core says "more than 1 of them", and its first
+        core is that output with x4 (bound 2): the counter is extended to
+        "more than 2", and the core gets a counter of its own."""
+        hard = CNF(4)
+        for triple in itertools.combinations(range(1, 5), 3):
+            hard.add_clause(list(triple))
+        soft = [SoftClause((-v,)) for v in range(1, 5)]
+        session = BoundRecorder(hard, soft)
+        result = session.solve_optimal()
+        assert result.cost == verify_soft_cost(soft, result.assignment) == 2
+        assert (session.disjoint, session.oll) == (1, [1, 2])
+        first = session._counters[(1, 2, 3)]
+        assert len(first.outputs) == 3
+        second = session._counters[(4, first.outputs[1])]
+        assert len(second.outputs) == 2
+        assert len(session._counters) == 2
