@@ -1,11 +1,11 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers of the standalone benchmark scripts (A8, A11).
 
-Every experiment records its claim-versus-measured table both to stdout
-(visible with ``pytest -s``) and to ``benchmarks/results/<exp>.txt`` so
-EXPERIMENTS.md can cite stable artefacts. Experiments that also pass a
-``metrics`` mapping get a machine-readable ``BENCH_<exp>.json`` at the
-repo root, which is what makes the perf trajectory trackable across PRs
-(free-text tables are not diffable by tooling).
+Each script prints its table and keeps it in
+``benchmarks/results/<exp>.txt``, and saves its ``metrics`` mapping as a
+machine-readable ``BENCH_<exp>.json`` at the repo root, which is what
+makes the trajectory trackable across commits (free-text tables are not
+diffable by tooling). The paper's claims are tier-1 tests; the README
+claim table names their homes.
 """
 
 from __future__ import annotations
@@ -35,30 +35,22 @@ def git_revision() -> str:
     return revision if out.returncode == 0 and revision else "unknown"
 
 
-def record(experiment: str, text: str, metrics: dict | None = None) -> None:
-    """Print and persist one experiment's output.
+def record(experiment: str, text: str, metrics: dict) -> None:
+    """Print and persist one experiment's table and metrics.
 
-    ``metrics``, when given, is additionally saved via
-    :func:`write_metrics`.
+    The table goes to ``benchmarks/results/<experiment>.txt``, the
+    metrics (plain JSON types; anything else is stringified) to
+    ``BENCH_<experiment>.json`` at the repo root. Each run overwrites
+    both — the git history *is* the trajectory — and the JSON file is
+    stamped (under ``"_meta"``) with the git revision it measured and
+    whether it ran the smoke or the full workloads, so the cross-commit
+    trajectory files are self-describing.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{experiment}.txt"
     path.write_text(text + "\n")
     print(f"\n[{experiment}] -> {path}")
     print(text)
-    if metrics is not None:
-        write_metrics(experiment, metrics)
-
-
-def write_metrics(experiment: str, metrics: dict) -> Path:
-    """Save one run's metrics as ``BENCH_<experiment>.json`` (repo root).
-
-    Values should be plain JSON types; anything else is stringified.
-    Each run overwrites the file — the git history *is* the trajectory —
-    and every file is stamped (under ``"_meta"``) with the git revision
-    it measured and whether it ran the smoke or the full workloads, so
-    the cross-PR trajectory files are self-describing.
-    """
     path = REPO_ROOT / f"BENCH_{experiment}.json"
     payload = dict(metrics)
     payload["_meta"] = {
@@ -70,7 +62,6 @@ def write_metrics(experiment: str, metrics: dict) -> Path:
         json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     )
     print(f"[{experiment}] metrics -> {path}")
-    return path
 
 
 def bench_cli(description: str, argv=None) -> argparse.Namespace:

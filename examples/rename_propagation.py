@@ -59,7 +59,7 @@ def main() -> None:
     show("cf2 changes x5", repair)
 
     # Least change alone does not determine the repair: enumerate the
-    # whole optimum set (a reproduction finding — see EXPERIMENTS.md, E6).
+    # whole optimum set (a reproduction finding — README claim table, E6).
     from repro.check import Checker
     from repro.enforce import enumerate_repairs
     from repro.solver.bounded import Scope

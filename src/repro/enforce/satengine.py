@@ -208,7 +208,7 @@ def enumerate_repairs(
 
     The paper's least-change principle picks *a* closest consistent
     tuple; this enumerates the whole optimum set — the tool-level answer
-    to the observation (EXPERIMENTS.md, E6) that minimality alone may
+    to the observation (README claim table, E6) that minimality alone may
     not determine the "natural" repair. Same fragment restrictions as
     :func:`enforce_sat`. The enumeration is fully incremental — one
     grounding, one encoding, one solver; each found repair adds one

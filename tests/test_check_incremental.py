@@ -9,6 +9,7 @@ from repro.enforce import TargetSelection
 from repro.enforce.search import enforce_search
 from repro.featuremodels import configuration, feature_model, paper_transformation
 from repro.objectdb import schema_transformation
+from repro.solver.bounded import Scope
 
 
 def env(fm, cf1, cf2):
@@ -83,6 +84,23 @@ class TestIncrementalChecker:
         cached.clear_cache()
         assert cached.hits == 0 and cached.misses == 0
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cache_keeps_the_search_optimum(self, n):
+        """Ablation A4: a mandatory 'secure' missing from both
+        configurations, beside n optional features cf1 selects; the
+        search finds the same optimum with and without the cache."""
+        t = paper_transformation(2)
+        features = {f"ft{i}": False for i in range(n)}
+        features["secure"] = True
+        models = env(features, [f"ft{i}" for i in range(n)], [])
+        targets = TargetSelection(["cf1", "cf2"])
+        scope = Scope(extra_objects=1)
+        _, plain_cost, _ = enforce_search(Checker(t), models, targets, scope=scope)
+        _, cached_cost, _ = enforce_search(
+            IncrementalChecker(t), models, targets, scope=scope
+        )
+        assert plain_cost == cached_cost
+
     def test_search_engine_with_incremental_checker(self):
         """The caching checker slots into the search engine unchanged and
         produces the same optimum.
@@ -91,8 +109,6 @@ class TestIncrementalChecker:
         the assumption-based SAT oracle active the checker is only a
         fallback and would never be consulted on this in-fragment spec.
         """
-        from repro.solver.bounded import Scope
-
         t = paper_transformation(2)
         models = env({"core": True, "log": True}, ["core"], [])
         targets = TargetSelection(["cf1", "cf2"])

@@ -26,6 +26,7 @@ from repro.featuremodels import (
     random_instance,
 )
 from repro.baselines.pairwise import ground_truth
+from repro.baselines.standard_qvtr import compare_semantics
 from repro.objectdb import consistent_environment, idx_model, oo_model, schema_transformation
 from repro.qvtr.ast import (
     Domain,
@@ -65,6 +66,7 @@ class TestPaperSection21:
     def test_intended_semantics_catches_missing_selection(self, extended):
         """'core' mandatory but configurations empty: MF violated."""
         env = models_for({"core": True}, [], [])
+        assert not ground_truth(env)
         assert not extended.is_consistent(env)
 
     def test_standard_semantics_is_vacuously_true(self, standard):
@@ -113,6 +115,17 @@ class TestConservativity:
         std = Checker(plain, config=CheckConfig(semantics=STANDARD))
         ext = Checker(plain, config=CheckConfig(semantics=EXTENDED))
         assert std.is_consistent(models) == ext.is_consistent(models)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_agreement_over_random_instances(self, n):
+        """40 seeded instances of n features, half of them consistent:
+        the standard and the extended checker agree on every one."""
+        plain = paper_transformation(2, annotated=False)
+        std = Checker(plain, config=CheckConfig(semantics=STANDARD))
+        ext = Checker(plain, config=CheckConfig(semantics=EXTENDED))
+        for i in range(40):
+            models = random_instance(n, 2, seed=n * 1000 + i, consistent=bool(i % 2))
+            assert std.is_consistent(models) == ext.is_consistent(models)
 
     @given(models=model_tuples(k=2))
     @settings(max_examples=80, deadline=None)
@@ -301,6 +314,22 @@ class TestRandomisedOracle:
     def test_inconsistent_generator_yields_inconsistent(self, seed):
         models = random_instance(6, 2, seed=seed, consistent=False)
         assert not Checker(paper_transformation(2)).is_consistent(models)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_extended_semantics_never_errs(self, n):
+        """Section 2.1 over 20 seeded instances of n features: the
+        extended semantics matches the intended F = MF ∩ OF on each."""
+        instances = [
+            random_instance(n, 2, seed=n * 100 + i, consistent=bool(i % 2))
+            for i in range(20)
+        ]
+        comparison = compare_semantics(
+            paper_transformation(2),
+            paper_transformation(2, annotated=False),
+            instances,
+            ground_truth,
+        )
+        assert comparison.extended_errors == 0
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_other_arities(self, k):

@@ -29,6 +29,7 @@ from repro.deps.horn import (
     query_union_source,
 )
 from repro.errors import DependencyError
+from repro.featuremodels import paper_transformation
 from tests.strategies import dependencies, dependency_sets
 
 
@@ -108,6 +109,14 @@ class TestStandardDependencies:
         assert Dependency(("cf1", "fm"), "cf2") in deps
         assert len(deps) == 3
 
+    def test_unannotated_relation_defaults_to_the_standard_set(self):
+        """Section 2.2's conservativity hinge: the paper's MF without
+        ``depends`` runs exactly the standard directional tests."""
+        relation = paper_transformation(2, annotated=False).relation("MF")
+        assert relation.effective_dependencies() == standard_dependencies(
+            relation.domain_params()
+        )
+
     def test_duplicates_rejected(self):
         with pytest.raises(DependencyError):
             standard_dependencies(["a", "a"])
@@ -151,6 +160,21 @@ class TestHornEntailment:
         assert not entails_query(
             [Dependency(("m1",), "m3")], query_union_source([["m1"], ["m2"]], "m3")
         )
+
+    @pytest.mark.parametrize("n", [100, 300, 1000, 3000, 10000])
+    def test_long_chain_entailment(self, n):
+        """Dependencies are Horn clauses, so forward chaining decides
+        d0 -> dn through n clauses (every other step has two premises).
+        The paper's linear-time claim is not timed here: a wall-clock
+        bound measures the host, and ``closure`` counts down each
+        clause premise once by construction."""
+        deps = [
+            Dependency(
+                (f"d{i}",) if i % 2 == 0 else (f"d{i}", f"d{i - 1}"), f"d{i + 1}"
+            )
+            for i in range(n)
+        ]
+        assert entails(deps, Dependency(("d0",), f"d{n}"))
 
     def test_wider_sources_still_entail(self):
         deps = [Dependency(("m1",), "m2")]

@@ -49,11 +49,15 @@ class TestCheckInvocation:
         assert "do not entail" in reason
 
     def test_missing_domain_reported(self):
-        reason = check_invocation(
-            Dependency(("cf1",), "fm"), ["cf1", "cf2"], [Dependency(("cf1",), "cf2")]
-        )
-        assert reason is not None
-        assert "cannot be run" in reason
+        """The paper's S over CF^k only: no call towards FM is legal."""
+        for sources in (("cf1",), ("cf1", "cf2")):
+            reason = check_invocation(
+                Dependency(sources, "fm"),
+                ["cf1", "cf2"],
+                [Dependency(("cf1",), "cf2")],
+            )
+            assert reason is not None
+            assert "cannot be run" in reason
 
 
 class TestTransformationInvocations:
@@ -97,6 +101,18 @@ class TestTransformationInvocations:
         )
         assert len(issues) == 1
         assert issues[0].direction == Dependency(("m2",), "m1")
+
+    def test_long_call_cycle_is_clean(self):
+        """200 relations R ≡ {M1->M2, M2->M3}, each calling the next in a
+        cycle: every call direction is entailed, so nothing is flagged."""
+        n = 200
+        domains = {f"R{i}": ["m1", "m2", "m3"] for i in range(n)}
+        deps = {
+            f"R{i}": [Dependency(("m1",), "m2"), Dependency(("m2",), "m3")]
+            for i in range(n)
+        }
+        sites = [CallSite(f"R{i}", f"R{(i + 1) % n}") for i in range(n)]
+        assert check_transformation_invocations(domains, deps, sites) == []
 
     def test_unknown_relations_reported(self):
         issues = check_transformation_invocations(

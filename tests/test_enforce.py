@@ -22,6 +22,11 @@ from repro.featuremodels import (
     scenario_new_mandatory_feature,
     scenario_rename,
 )
+from repro.featuremodels.relations import config_params
+from repro.solver.bounded import Scope
+
+#: The paper-claim tests' scope: one fresh object per class.
+SCOPE = Scope(extra_objects=1)
 
 
 def paper_env(fm, cf1, cf2):
@@ -181,6 +186,34 @@ class TestEnginesAgree:
         assert sat.distance == search.distance > 0
         assert sat.models["cf2"].size() == search.models["cf2"].size() == 2
 
+    @pytest.mark.parametrize(
+        "n,engine,mode",
+        [
+            (n, engine, mode)
+            for n in (2, 4, 6)
+            for engine, mode in (
+                ("sat", "increasing"),
+                ("sat", "decreasing"),
+                ("search", "increasing"),  # search ignores the mode
+            )
+            if engine == "sat" or n <= 4  # explicit search is exponential
+        ],
+    )
+    def test_engines_agree_as_the_feature_model_grows(self, n, engine, mode):
+        """Section 3: Echo's increasing loop (FASE'13), its decreasing
+        optimiser (FASE'14) and the explicit search all repair a
+        mandatory 'secure' missing from both configurations at distance
+        4, beside n optional features."""
+        features = {f"ft{i}": False for i in range(n)}
+        features["secure"] = True
+        env = paper_env(features, [f"ft{i}" for i in range(n)], [])
+        t = paper_transformation(2)
+        repair = enforce(
+            t, env, TargetSelection(["cf1", "cf2"]), scope=SCOPE,
+            engine=engine, mode=mode,
+        )
+        assert repair.distance == 4
+
 
 class TestScenarios:
     @pytest.mark.parametrize("k", [2, 3])
@@ -210,6 +243,69 @@ class TestScenarios:
                 )
                 assert repair.distance > 0, scenario.name
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_new_mandatory_feature_needs_every_configuration(self, k):
+        """Section 3's closing example: after a new mandatory feature,
+        the single-configuration ->F^1_CF cannot restore consistency,
+        while ->F_CF^k repairs at distance 2k (a feature object and its
+        name per configuration), the exact search's optimum for k <= 3."""
+        scenario = scenario_new_mandatory_feature(k)
+        cfs = config_params(k)
+        with pytest.raises(NoRepairFound):
+            enforce(
+                scenario.transformation,
+                scenario.after_update,
+                TargetSelection([cfs[0]]),
+                scope=SCOPE,
+            )
+        repair = enforce(
+            scenario.transformation,
+            scenario.after_update,
+            TargetSelection(cfs),
+            scope=SCOPE,
+        )
+        assert repair.distance == 2 * k
+        if k <= 3:
+            optimum = least_change_optimum(
+                Checker(scenario.transformation),
+                scenario.after_update,
+                TargetSelection(cfs),
+                scope=SCOPE,
+            )
+            assert optimum == repair.distance
+
+    @pytest.mark.parametrize(
+        "factory,targets,repairs",
+        [
+            (scenario_mandatory_flip, ["cf1"], False),
+            (scenario_mandatory_flip, ["cf1", "cf2", "cf3"], True),
+            (scenario_mandatory_flip, ["fm"], True),
+            (scenario_rename, ["fm", "cf2", "cf3"], True),
+        ],
+        ids=["flip->F^1_CF", "flip->F_CF^k", "flip->F_FM", "rename->F^1_FMxCF^(k-1)"],
+    )
+    def test_transformation_space(self, factory, targets, repairs):
+        """Section 3's shapes of one relation F at k = 3: a mandatory
+        flip defeats ->F^1_CF but not ->F_CF^k, and reverting it through
+        ->F_FM is legal too; a rename in cf1 is recovered by the feature
+        model and the other configurations, leaving cf1 as edited."""
+        scenario = factory(3)
+        targets = TargetSelection(targets)
+        if not repairs:
+            with pytest.raises(NoRepairFound):
+                enforce(
+                    scenario.transformation,
+                    scenario.after_update,
+                    targets,
+                    scope=SCOPE,
+                )
+            return
+        repair = enforce(
+            scenario.transformation, scenario.after_update, targets, scope=SCOPE
+        )
+        assert repair.distance > 0
+        assert repair.changed <= targets.params
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_unrepairable_targets_fail(self, k):
         """Section 3: single-configuration targets cannot restore
@@ -235,7 +331,8 @@ class TestScenarios:
         "the natural way to recover consistency", but least change alone
         does not single it out — demoting 'core' to optional plus
         renaming 'ui' in the feature model is equally minimal, and the
-        solver may return either. EXPERIMENTS.md discusses this.
+        solver may return either (README claim table, E6;
+        tests/test_enumerate_repairs.py enumerates the optima).
         """
         scenario = scenario_rename(2)
         repair = enforce(
@@ -275,17 +372,24 @@ class TestLeastChange:
             enforce(t, env, TargetSelection(["cf1", "cf2"]), max_distance=1)
 
     def test_weighted_repair_changes_witness(self):
-        """Weights flip which side absorbs the change (E8's claim)."""
+        """Weights flip which side absorbs the change (E8's claim): with
+        cf2 expensive, the repair avoids touching cf2; the paper's
+        uniform sum touches at most fm and cf2."""
         scenario = scenario_rename(2)
         targets = TargetSelection(scenario.repairable_targets[0])
-        cheap_fm = enforce(
-            scenario.transformation,
-            scenario.after_update,
-            targets,
-            metric=TupleMetric({"cf2": 5}),
-        )
-        # With cf2 expensive, the repair avoids touching cf2.
-        assert "cf2" not in cheap_fm.changed
+        for weights, scope, changeable in (
+            ({"cf2": 5}, None, {"fm"}),
+            ({"cf2": 3}, SCOPE, {"fm"}),
+            ({}, SCOPE, {"fm", "cf2"}),
+        ):
+            repair = enforce(
+                scenario.transformation,
+                scenario.after_update,
+                targets,
+                metric=TupleMetric(weights),
+                scope=scope,
+            )
+            assert repair.changed <= changeable, weights
 
 
 class TestSearchEngineSpecifics:

@@ -22,7 +22,7 @@ from repro.featuremodels import (
 )
 from repro.deps.dependency import Dependency
 from repro.featuremodels.instances import mandatory_names, selected_names
-from repro.metamodel.conformance import is_conformant
+from repro.metamodel.conformance import check_conformance, is_conformant
 
 
 class TestFigure1Metamodels:
@@ -38,6 +38,7 @@ class TestFigure1Metamodels:
     def test_instances_conform(self):
         assert is_conformant(feature_model({"a": True, "b": False}))
         assert is_conformant(configuration(["a", "b"]))
+        assert check_conformance(random_feature_model(64, seed=7)) == []
 
 
 class TestRelations:

@@ -27,6 +27,15 @@ def sample_fm():
     )
 
 
+def product_line(n_components):
+    """An app of n components, each requiring its own library."""
+    spec = {"app": (True, None, (), ())}
+    for i in range(n_components):
+        spec[f"lib{i}"] = (False, "app", (), ())
+        spec[f"comp{i}"] = (False, "app", (f"lib{i}",), ())
+    return extended_feature_model(spec)
+
+
 def env_with(cf1, cf2, fm=None):
     return {
         "fm": fm or sample_fm(),
@@ -128,6 +137,26 @@ class TestCoEvolutionRepairs:
         env = env_with(["app", "db"], ["app"])  # db needs log
         repair = enforce(t, env, TargetSelection(["cf1"]), engine="guided")
         assert Checker(t).is_consistent(repair.models)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_guided_repairs_a_growing_product_line(self, n):
+        """Ablation A2: both configurations select every component of an
+        n-component product line but none of the required libraries."""
+        t = extended_transformation(2)
+        selected = ["app"] + [f"comp{i}" for i in range(n)]
+        env = env_with(selected, selected, fm=product_line(n))
+        checker = Checker(t)
+        assert not checker.is_consistent(env)
+        repair = enforce(t, env, TargetSelection(["cf1", "cf2"]), engine="guided")
+        assert checker.is_consistent(repair.models)
+
+    def test_guided_is_hippocratic(self):
+        fm = product_line(3)
+        selections = valid_configurations(fm, [["comp0"], ["comp1", "comp2"]])
+        env = env_with(selections[0], selections[1], fm=fm)
+        t = extended_transformation(2)
+        repair = enforce(t, env, TargetSelection(["cf1", "cf2"]), engine="guided")
+        assert repair.distance == 0 and not repair.changed
 
     def test_new_cross_tree_constraint_coevolution(self):
         """Co-evolution: the architect adds a requires edge in the FM; the

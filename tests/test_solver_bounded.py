@@ -45,7 +45,9 @@ def directions_of(transformation):
     ]
 
 
-def ground_and_solve(transformation, models, targets, scope=Scope(), weights=None):
+def ground_and_solve(
+    transformation, models, targets, scope=Scope(), weights=None, symmetry_breaking=True
+):
     grounder = Grounder(
         transformation,
         models,
@@ -53,6 +55,7 @@ def ground_and_solve(transformation, models, targets, scope=Scope(), weights=Non
         directions_of(transformation),
         scope=scope,
         weights=weights,
+        symmetry_breaking=symmetry_breaking,
     )
     grounding = grounder.ground()
     result = solve_maxsat(grounding.cnf, list(grounding.soft))
@@ -283,6 +286,22 @@ class TestGroundingSolves:
         assert result.satisfiable
         repaired = grounder.decode(result.assignment)
         assert repaired["cf1"].size() == 2
+
+    @pytest.mark.parametrize("extra", [2, 3, 4])
+    def test_symmetry_breaking_keeps_the_optimum(self, extra):
+        """Ablation A3: ordering the fresh objects of a class (new_i alive
+        only if new_{i-1} is) changes no optimum as the budget grows."""
+        t = paper_transformation(2)
+        env = paper_env({"core": True, "secure": True, "log": False}, [], [])
+        costs = set()
+        for symmetry_breaking in (True, False):
+            _, result = ground_and_solve(
+                t, env, ["cf1", "cf2"], scope=Scope(extra_objects=extra),
+                symmetry_breaking=symmetry_breaking,
+            )
+            assert result.satisfiable
+            costs.add(result.cost)
+        assert len(costs) == 1
 
     def test_scope_too_small_is_unsat(self):
         """Scope with 1 extra object cannot create 2 features."""

@@ -15,6 +15,7 @@ soft literals and base assumptions on them keep every search exact.
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -693,6 +694,38 @@ class TestCoreGuidedCompletion:
             assert all(result.assignment[abs(l)] == (l > 0) for l in base)
             if session.oll:
                 assert session.oll[-1] == expected
+
+    def test_seeded_sweep_extends_counters_exactly(self):
+        """40 seeded instances over 6-8 variables: hard clauses of 2-4
+        mostly positive literals against unit soft clauses (weights 1-3)
+        that want every variable false. Each search's bounds stay at
+        most the brute-force optimum and it returns that optimum; and
+        some instances put a counter output in a core, so ``_relax``
+        extends that counter past the two outputs its first bound reads
+        (the properties above, at most 5 variables, rarely if ever do)."""
+        extended = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            num_vars = rng.randint(6, 8)
+            hard = CNF(num_vars)
+            for _ in range(rng.randint(3, 10)):
+                chosen = rng.sample(range(1, num_vars + 1), rng.randint(2, 4))
+                hard.add_clause([v if rng.random() < 0.8 else -v for v in chosen])
+            soft = [
+                SoftClause((-v,), rng.randint(1, 3)) for v in range(1, num_vars + 1)
+            ]
+            expected = brute_optimum(hard, soft)
+            session = BoundRecorder(hard, soft)
+            result = session.solve_optimal()
+            assert result.satisfiable == (expected is not None)
+            if expected is None:
+                continue
+            assert result.cost == verify_soft_cost(soft, result.assignment) == expected
+            assert max([session.disjoint, *session.oll]) <= expected
+            if session.oll:
+                assert session.oll[-1] == expected
+            extended += any(len(c.outputs) > 2 for c in session._counters.values())
+        assert extended >= 1
 
     def test_a_core_over_a_counter_output_extends_the_counter(self):
         """At least two of x1..x4 hold. The disjoint phase finds the core
