@@ -13,16 +13,18 @@
 #     rejects bad certificates, and TestCertifiedLoads certifies a
 #     clause load that keeps the assumption levels it does not touch.
 #     A solve keeps the assumption levels it shares with the previous
-#     one, answers like a fresh solver and takes at most 30,000
-#     propagations and 400 decisions on a paper feature-model toggle
+#     one, answers like a fresh solver and takes at most 13,000
+#     propagations and 150 decisions on a paper feature-model toggle
 #     stream (tests/test_solver_incremental.py::TestAssumptionTrailReuse);
 #     learnt-clause GC under constant restarts keeps the optimum of a
 #     re-probed enforcement session (tests/test_solver_gc_restarts.py);
 #     and the increasing search's disjoint-core bound never exceeds the
 #     brute-force optimum, refutes a question with no repair in scope
 #     in one solve and keeps the paper feature-model toggle stream at
-#     <= 165 solves, <= 30 conflicts, no at_most call and 8 core
+#     <= 55 solves, <= 20 conflicts, no at_most call and 12 core
 #     counters (tests/test_solver_card_maxsat.py::TestDisjointCores);
+#     one session asked under a sequence of base assumption sets stays
+#     exact while it frees remembered cores (TestCoreMemo);
 #     its OLL completion never bounds above the optimum, returns it
 #     at its last bound and, on a seeded 6-8 variable sweep, extends
 #     a core counter whose output is in a core
@@ -43,12 +45,16 @@
 #     cost-0 optimum doubles as the hippocratic check, except for
 #     weight-0 targets, where it answers like per-call enforcement
 #     (TestSessionReuse::test_weight_zero_target_answers_like_per_call);
+#     a repeated state is answered from the session's memory without a
+#     solve, close() forgets it and the uncached arm keeps none
+#     (TestAnswerMemo);
 #   - the request path is cycle-free: a paper feature-model toggle
 #     stream on one session and generated requests through
 #     serve_request leave 0 objects for the cyclic collector, and a
 #     re-ground builds with the collector paused
 #     (tests/test_enforce_session.py::TestNoCyclicGarbage); an evicted
-#     shared session dies by reference counting alone, and eviction,
+#     or dropped shared session dies by reference counting alone, a
+#     remembered no-repair verdict included, and eviction,
 #     clear_shared_sessions and a forked worker's start leave nothing
 #     frozen (tests/test_enforce_session.py::TestSharedSessionEviction);
 #   - pruned grounding answers like the naive product with at most its

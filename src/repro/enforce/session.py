@@ -22,7 +22,12 @@ and *patches* the query (new origin assumptions) instead of re-grounding;
 only edits that escape the grounding — a new attribute value outside
 the candidate pools, a drifted frozen model, an object id renaming
 cannot place — trigger a fresh grounding. Learnt clauses and heuristic
-state accumulated by earlier repairs keep accelerating later ones.
+state accumulated by earlier repairs keep accelerating later ones, and
+so do two bounded memories: a cached session answers a state it has
+already answered under the same cap from memory, without grounding or
+solving (:meth:`EnforcementSession.enforce`, ``hits``), and each MaxSAT
+session frees the cores its earlier searches proved without proving
+them again (:meth:`~repro.solver.maxsat.MaxSatSession._disjoint_cores`).
 
 Object ids are anchored by *renaming*: graph-edit distance is keyed by
 object id, so a bijective renaming of a state and of its repair keeps
@@ -91,7 +96,7 @@ import math
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.check.engine import CheckConfig, Checker, EXTENDED
 from repro.enforce.api import (
@@ -221,9 +226,9 @@ class EnforcementSession:
     ``tests/test_grounding_fastpath.py``.
 
     Counters: ``calls`` (enforce calls), ``groundings`` (full grounding
-    builds), ``reuses`` (queries served by patching the cached
-    grounding), ``renames`` (the reuses among them that renamed object
-    ids).
+    builds), ``reuses`` (queries served warm: by patching the cached
+    grounding, or from memory), ``renames`` (the reuses that renamed
+    object ids), ``hits`` (the reuses answered from memory).
 
     >>> from repro.featuremodels import (paper_transformation,
     ...     feature_model, configuration)
@@ -290,14 +295,27 @@ class EnforcementSession:
         self._generations: list[_Generation] = []
         self._active: _Generation | None = None
         self._fragment_error: Exception | None = None
+        # Answers of :meth:`enforce`, least-recently-used first: bound
+        # state and cap -> the verified repair, or a no-repair verdict as
+        # data. The uncached reference arm remembers nothing.
+        self._answers: OrderedDict | None = OrderedDict() if cache else None
         self.calls = 0
         self.groundings = 0
         self.reuses = 0
         self.renames = 0
+        self.hits = 0
         self.closes = 0
 
     #: How many grounding generations a cached session retains.
     GENERATION_LIMIT = 4
+
+    #: How many :meth:`enforce` answers a cached session remembers. An
+    #: answer keeps its state's and its repair's models alive: measured
+    #: ~12 KB on the paper's feature models (three models, 20 objects)
+    #: and ~6 KB on the generated stream, so a worker's
+    #: ``SHARED_SESSION_LIMIT`` shapes hold at most 2,048 answers, about
+    #: 24 MB at the paper's model sizes; the bytes grow with the models.
+    ANSWER_LIMIT = 64
 
     #: Retired enumeration blocking clauses tolerated on one generation's
     #: solver before :meth:`enumerate_tuple` rebuilds its MaxSAT session.
@@ -316,6 +334,7 @@ class EnforcementSession:
             "groundings": self.groundings,
             "reuses": self.reuses,
             "renames": self.renames,
+            "hits": self.hits,
             "generations": len(self._generations),
             "closes": self.closes,
         }
@@ -341,6 +360,8 @@ class EnforcementSession:
         self._active = None
         if self._context is not None:
             self._context = GroundingContext()
+        if self._answers is not None:
+            self._answers.clear()
         self.closes += 1
         gc.unfreeze()
 
@@ -374,9 +395,44 @@ class EnforcementSession:
         proves nothing, by the checker (:meth:`_hippocratic_fold`).
         Raises :class:`~repro.errors.NoRepairFound` when no consistent
         tuple exists within the scope (or the distance cap).
+
+        A cached session answers a state it has already answered under
+        the same cap from memory (``hits``, also counted as ``reuses``):
+        the first answer's repair, in a fresh ``models`` dict, or its
+        no-repair verdict raised anew. A verdict is kept as its message
+        and explored distance, never as the exception, whose traceback
+        would pin the frames of the solve that raised it; a fresh
+        exception carries it, on the first answer too.
         """
         self.calls += 1
         original = self._bound(models)
+        if self._answers is None:
+            return self._answer(original, max_distance)
+        key = (
+            tuple((p, m, m.name) for p, m in original.items()),
+            max_distance,
+        )
+        answer = self._answers.get(key)
+        if answer is not None:
+            self._answers.move_to_end(key)
+            self.hits += 1
+            self.reuses += 1
+        else:
+            try:
+                answer = self._answer(original, max_distance)
+            except NoRepairFound as exc:
+                answer = (str(exc), exc.explored_distance)
+            self._answers[key] = answer
+            if len(self._answers) > self.ANSWER_LIMIT:
+                self._answers.popitem(last=False)
+        if isinstance(answer, Repair):
+            return replace(answer, models=dict(answer.models))
+        raise NoRepairFound(*answer)
+
+    def _answer(
+        self, original: dict[str, Model], max_distance: int | None
+    ) -> Repair:
+        """:meth:`enforce`, solved."""
         anchor = self._activate(original) or self._activate(original, True)
         fold = anchor is not None and self._hippocratic_fold(original)
         if not fold and self.checker.is_consistent(original):
@@ -832,9 +888,10 @@ class EnforcementSession:
 #: full grounding, quietly doubling work for that shape.
 SHARED_SESSION_LIMIT = 32
 
-_shared_sessions: "OrderedDict[tuple, tuple[object, EnforcementSession]]" = (
-    OrderedDict()
-)
+#: Least-recently-used first. A plain dict: iterating an ``OrderedDict``
+#: re-hashes every key (each holds a ``Scope``), and the daemon walks
+#: this one on every reply (:func:`repro.serve.worker.worker_counters`).
+_shared_sessions: dict[tuple, tuple[object, EnforcementSession]] = {}
 
 
 def shared_session(
@@ -870,9 +927,9 @@ def shared_session(
         scope,
         mode,
     )
-    entry = _shared_sessions.get(key)
+    entry = _shared_sessions.pop(key, None)
     if entry is not None and entry[0] is transformation:
-        _shared_sessions.move_to_end(key)
+        _shared_sessions[key] = entry
         return entry[1]
     session = EnforcementSession(
         transformation,
@@ -883,15 +940,19 @@ def shared_session(
         mode=mode,
     )
     _shared_sessions[key] = (transformation, session)
-    _shared_sessions.move_to_end(key)
     while len(_shared_sessions) > SHARED_SESSION_LIMIT:
         # Dispose, don't just drop: an evicted entry's generations,
         # solvers and translation context must become garbage now, even
         # if a caller retained the session object itself (it re-grounds
         # on next use — see :meth:`EnforcementSession.close`).
-        _, (_t, evicted) = _shared_sessions.popitem(last=False)
+        _t, evicted = _shared_sessions.pop(next(iter(_shared_sessions)))
         evicted.close()
     return session
+
+
+def shared_sessions() -> list[EnforcementSession]:
+    """Every live shared session, least-recently-used first."""
+    return [session for _t, session in _shared_sessions.values()]
 
 
 def shared_session_counters() -> list[dict]:
@@ -902,7 +963,7 @@ def shared_session_counters() -> list[dict]:
     builds and patch reuses per shape live in the worker processes, so
     the worker reports them up with every reply).
     """
-    return [session.counters() for _t, session in _shared_sessions.values()]
+    return [session.counters() for session in shared_sessions()]
 
 
 def clear_shared_sessions() -> None:

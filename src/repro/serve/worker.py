@@ -33,6 +33,7 @@ from repro.enforce.session import (
     SHARED_SESSION_LIMIT,
     EnforcementSession,
     shared_session,
+    shared_sessions,
 )
 from repro.enforce.targets import TargetSelection
 from repro.errors import EditError, NoRepairFound, ReproError
@@ -52,6 +53,8 @@ from repro.serve.requests import (
     request_from_dict,
     response_to_dict,
 )
+from repro.solver.bounded import Grounder
+from repro.solver.sat import GLOBAL_STATS
 
 #: Canonical text -> parsed transformation, least-recently-used last.
 #: Sized like the shared-session LRU: a transformation evicted here
@@ -216,28 +219,24 @@ def worker_counters() -> dict:
 
     The daemon's per-request replies carry this snapshot up to the
     parent so the ``metrics`` verb can aggregate solver work
-    (:func:`~repro.solver.sat.global_stats`), grounding work
+    (:data:`~repro.solver.sat.GLOBAL_STATS`), grounding work
     (``Grounder.bindings_enumerated``) and session reuse across worker
-    processes without a separate control channel.
+    processes without a separate control channel. It runs on every
+    reply, so it reads the counters as attributes and builds no
+    intermediate per-session dict.
     """
-    from dataclasses import asdict
-
-    from repro.enforce.session import shared_session_counters
-    from repro.solver.bounded import Grounder
-    from repro.solver.sat import global_stats
-
-    sessions = shared_session_counters()
+    sessions = shared_sessions()
     return {
         "sessions": len(sessions),
-        "groundings": sum(s["groundings"] for s in sessions),
-        "reuses": sum(s["reuses"] for s in sessions),
-        "calls": sum(s["calls"] for s in sessions),
+        "groundings": sum(s.groundings for s in sessions),
+        "reuses": sum(s.reuses for s in sessions),
+        "calls": sum(s.calls for s in sessions),
         "delta_sessions": len(_DELTA_SESSIONS),
         "delta_versions": sum(
             len(store.versions) for store in _DELTA_SESSIONS.values()
         ),
         "bindings_enumerated": Grounder.bindings_enumerated,
-        "solver": asdict(global_stats()),
+        "solver": dict(vars(GLOBAL_STATS)),
     }
 
 

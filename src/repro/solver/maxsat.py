@@ -16,7 +16,10 @@ Two strategies, mirroring the two realisations the paper cites:
   re-encoded; nor is the caller's shared prefix of base assumptions
   re-propagated, since the solver keeps the assumption levels two
   consecutive calls share, and a counter's clauses load without
-  touching the levels below its inputs'.
+  touching the levels below its inputs'. Nor are the cores of earlier
+  searches proved again: the session remembers a bounded number of
+  them, and a search frees every one whose literals it still assumes
+  before its first solve (:meth:`MaxSatSession._disjoint_cores`).
 * ``decreasing`` — linear SAT-UNSAT search as in target-oriented model
   finding [Cunha, Macedo & Guimarães, FASE'14]: find any model, then
   repeatedly assume "strictly cheaper" until UNSAT; the last model is
@@ -120,6 +123,13 @@ class MaxSatSession:
     #: ``Totalizer.built`` counts them too, next to the distance totalizers.
     counters_built = 0
 
+    #: Process-wide count of remembered cores freed without a solve
+    #: (see :meth:`_disjoint_cores`).
+    cores_reused = 0
+
+    #: How many failed-assumption cores one session remembers.
+    CORE_LIMIT = 64
+
     def __init__(self, hard: CNF, soft: Sequence[SoftClause]) -> None:
         self._working = hard.copy()
         originals = self._working.num_vars
@@ -147,6 +157,9 @@ class MaxSatSession:
         )
         #: OLL core counters, by their sorted input literals.
         self._counters: dict[tuple[Lit, ...], Totalizer] = {}
+        #: Failed-assumption cores of earlier core phases, oldest first:
+        #: each as the solver returned it -> its relaxation part.
+        self._cores: dict[tuple[Lit, ...], tuple[Lit, ...]] = {}
         self._solver = IncrementalSolver(self._working)
 
     @property
@@ -271,16 +284,34 @@ class MaxSatSession:
         of them is no more than over those. Each core found is appended
         to ``cores`` without the members freed before: only the base can
         have put those in, so the rest still hold a violation, and the
-        appended cores are disjoint."""
+        appended cores are disjoint.
+
+        Before the first solve, the cores earlier searches found are
+        freed again wherever every literal of theirs is still assumed:
+        the solver never drops a problem clause (learnt-clause GC and
+        level-0 pruning keep the database equivalent; counters,
+        extensions and blocking clauses only add to it), so such a core
+        is still a failed-assumption core, exactly as if this search's
+        solver had just returned it. The smallest relaxation part goes
+        first, then the most recently found. A core is remembered as the
+        solver returns it, base literals included, when none of its
+        relaxation literals was freed before in its search."""
         lower = 0
         free: set[int] = set()
+        remembered = iter(self._remembered(base))
         while True:
-            result = self.solve(
-                base + [-relax for relax in self._weights if relax not in free]
-            )
-            if result.satisfiable:
-                return lower, result
-            core = self.relaxation_core(result)
+            core = next((part for part in remembered if free.isdisjoint(part)), None)
+            if core is not None:
+                MaxSatSession.cores_reused += 1
+            else:
+                result = self.solve(
+                    base + [-relax for relax in self._weights if relax not in free]
+                )
+                if result.satisfiable:
+                    return lower, result
+                core = self.relaxation_core(result)
+                if free.isdisjoint(core):
+                    self._remember(result.core, core)
             if not core:
                 return lower, None
             if cores is not None:
@@ -289,6 +320,27 @@ class MaxSatSession:
             if lower > ceiling:
                 return lower, None
             free.update(core)
+
+    def _remember(self, core: tuple[Lit, ...], part: Sequence[Lit]) -> None:
+        """Record a failed-assumption ``core`` and its relaxation part,
+        as the most recent; the oldest beyond :attr:`CORE_LIMIT` go."""
+        self._cores.pop(core, None)
+        self._cores[core] = tuple(part)
+        if len(self._cores) > self.CORE_LIMIT:
+            del self._cores[next(iter(self._cores))]
+
+    def _remembered(self, base: list[Lit]) -> list[tuple[Lit, ...]]:
+        """The relaxation parts of the remembered cores whose other
+        literals ``base`` assumes: smallest first, then most recent."""
+        assumed = set(base)
+        weights = self._weights
+        usable = [
+            (len(part), -index, part)
+            for index, (core, part) in enumerate(self._cores.items())
+            if all(lit in assumed or -lit in weights for lit in core)
+        ]
+        usable.sort()
+        return [part for _size, _index, part in usable]
 
     def _oll(
         self, ceiling: int, base: list[Lit], cores: list[list[Lit]]

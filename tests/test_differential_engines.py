@@ -27,7 +27,8 @@ from repro.gen import (
     random_scenario,
     session_differential,
 )
-from repro.gen.edits import random_edit
+from repro.enforce import enforce
+from repro.gen.edits import in_universe_stream, random_edit
 from repro.metamodel.edits import apply_edit
 from repro.solver.sat import IncrementalSolver
 from repro.util.seeding import rng_from_seed
@@ -82,6 +83,38 @@ class TestEngineAgreement:
         assert a == b
 
 
+def _target_states(seed, scenario) -> list[dict]:
+    """Three distinct states of the scenario's targets inside one
+    grounding universe, the first one grounded largest: the scenario's
+    own targets under in-universe edits; or, where they admit none (an
+    empty target under a fixed scope: anything added escapes the
+    creation budget), its per-call repair moved one edit, the targets
+    themselves and the repair."""
+    params = sorted(scenario.targets.params)
+    states: list[dict] = []
+    for models in in_universe_stream(seed, scenario.models, params, rounds=12):
+        targets = {param: models[param] for param in params}
+        if targets not in states:
+            states.append(targets)
+    if len(states) >= 3:
+        return states[:3]
+    repaired = dict(
+        scenario.models,
+        **enforce(
+            scenario.transformation,
+            scenario.models,
+            scenario.targets,
+            metric=scenario.metric,
+            scope=scenario.scope,
+            share=False,
+        ).models,
+    )
+    moved = in_universe_stream(seed, repaired, params, rounds=2)[-1]
+    states = [{param: t[param] for param in params} for t in (moved, scenario.models, repaired)]
+    assert all(states[i] != states[j] for i in range(3) for j in range(i))
+    return states
+
+
 class TestSessionStreams:
     """Edit streams drive the persistent session differentially.
 
@@ -101,12 +134,17 @@ class TestSessionStreams:
         stream = oscillating_tuples(
             seed, scenario.models, frozen_param, rounds=6
         )
+        # Each return to a variant asks about new targets, so it reaches
+        # the retained generation instead of the session's memory.
+        states = _target_states(seed, scenario)
+        stream = [dict(models, **states[i // 2]) for i, models in enumerate(stream)]
         verdicts, session = session_differential(scenario, stream)
         assert len(verdicts) == 6
         # Two variants -> two groundings; the other four enforces are
         # retained-generation switches, not re-grounds.
         assert session.groundings == 2
         assert session.reuses == 4
+        assert session.hits == 0
 
     def test_mixed_repairability_stream_agrees(self):
         # Seed 5's oscillation alternates repairable and unrepairable

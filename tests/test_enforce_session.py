@@ -661,6 +661,89 @@ class TestAdaptiveScope:
         assert (session.groundings, session.renames) == (1, 0)
 
 
+class TestAnswerMemo:
+    """A cached session answers a state it already answered, under the
+    same cap, from memory: no grounding, no solve."""
+
+    def _session(self, **kwargs):
+        return EnforcementSession(
+            paper_transformation(k=2),
+            TargetSelection(["cf1", "cf2"]),
+            scope=SCOPE,
+            **kwargs,
+        )
+
+    def test_a_repeated_state_takes_no_solve(self):
+        session = self._session()
+        models = _tuple({"core": True}, [], ["core"])
+        first = session.enforce(models)
+        session.enforce(_tuple({"core": True}, ["core"], []))
+        before = GLOBAL_STATS.snapshot()
+        again = session.enforce(dict(models))
+        assert (GLOBAL_STATS.snapshot() - before).solves == 0
+        assert again == first and again.distance > 0
+        assert again.models is not first.models
+        assert (session.hits, session.reuses, session.groundings) == (1, 2, 1)
+        assert session.counters()["hits"] == 1
+
+    def test_a_handed_out_models_dict_is_the_callers(self):
+        session = self._session()
+        models = _tuple({"core": True}, [], ["core"])
+        first = session.enforce(models)
+        expected = dict(first.models)
+        first.models.clear()
+        assert session.enforce(models).models == expected
+
+    def test_a_repeated_no_repair_verdict_takes_no_solve(self):
+        session = self._session()
+        models = _tuple({"core": True}, [], ["core"])
+        with pytest.raises(NoRepairFound) as first:
+            session.enforce(models, max_distance=0)
+        message = (str(first.value), first.value.explored_distance)
+        del first
+        before = GLOBAL_STATS.snapshot()
+        with pytest.raises(NoRepairFound) as again:
+            session.enforce(models, max_distance=0)
+        assert (GLOBAL_STATS.snapshot() - before).solves == 0
+        assert (str(again.value), again.value.explored_distance) == message
+        assert session.hits == 1
+        # The cap is part of the question: a wider one is a new answer.
+        assert session.enforce(models, max_distance=None).distance > 0
+        assert session.hits == 1
+
+    def test_close_forgets_the_answers(self):
+        session = self._session()
+        models = _tuple({"core": True}, [], ["core"])
+        session.enforce(models)
+        session.close()
+        session.enforce(models)
+        assert (session.groundings, session.hits) == (2, 0)
+
+    def test_the_uncached_arm_solves_every_call(self):
+        session = self._session(cache=False)
+        models = _tuple({"core": True}, [], ["core"])
+        first = session.enforce(models)
+        before = GLOBAL_STATS.snapshot()
+        assert session.enforce(models).distance == first.distance
+        assert (GLOBAL_STATS.snapshot() - before).solves > 0
+        assert session.hits == 0
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(EnforcementSession, "ANSWER_LIMIT", 2)
+        session = self._session()
+        states = [
+            _tuple({"core": True}, [], ["core"]),
+            _tuple({"core": True}, ["core"], []),
+            _tuple({"core": True}, [], []),
+        ]
+        for models in states:
+            session.enforce(models)
+        session.enforce(states[2])
+        session.enforce(states[0])  # the oldest was forgotten
+        assert session.hits == 1
+        assert len(session._answers) == 2
+
+
 class TestSharedSessionEviction:
     """LRU eviction of the shared grounding cache must actually release.
 
@@ -685,6 +768,7 @@ class TestSharedSessionEviction:
         )
         models = _tuple({"core": True}, [], ["core"])
         first.enforce(models)  # make it hold a live grounding + solver
+        _memoize_no_repair(first, models)
         graveyard = (
             weakref.ref(first),
             weakref.ref(first._active.maxsat),
@@ -708,7 +792,8 @@ class TestSharedSessionEviction:
     ):
         """With the collector off only reference counting frees memory:
         an evicted session, its MaxSAT session, solver and grounding
-        must still die the moment the LRU drops them."""
+        must still die the moment the LRU drops them, a remembered
+        no-repair verdict included."""
         transformations = [
             paper_transformation(k=2) for _ in range(SHARED_SESSION_LIMIT + 1)
         ]
@@ -717,6 +802,7 @@ class TestSharedSessionEviction:
         )
         models = _tuple({"core": True}, [], ["core"])
         first.enforce(models)
+        _memoize_no_repair(first, models)
         graveyard = (
             weakref.ref(first),
             weakref.ref(first._active.maxsat),
@@ -730,6 +816,30 @@ class TestSharedSessionEviction:
             )
         leaked = [ref() for ref in graveyard if ref() is not None]
         assert not leaked, f"evicted session needs a collection: {leaked}"
+
+    def test_a_dropped_session_with_a_remembered_verdict_needs_no_collection(
+        self, collector_off
+    ):
+        """``clear_shared_sessions`` drops sessions without closing them.
+        A remembered no-repair verdict is data, not the exception: an
+        exception's traceback would pin the solve's frames, and through
+        them the session, its solver and grounding, in a cycle that only
+        a collection frees."""
+        first = shared_session(
+            paper_transformation(k=2), TargetSelection(["cf1", "cf2"]),
+            scope=SCOPE,
+        )
+        models = _tuple({"core": True}, [], ["core"])
+        _memoize_no_repair(first, models)
+        graveyard = (
+            weakref.ref(first),
+            weakref.ref(first._active.maxsat.solver),
+            weakref.ref(first._active.grounding),
+        )
+        del first, models
+        clear_shared_sessions()
+        leaked = [ref() for ref in graveyard if ref() is not None]
+        assert not leaked, f"dropped session needs a collection: {leaked}"
 
     def test_eviction_and_clear_unfreeze_the_heap(self):
         """A re-ground freezes the heap; an eviction (``close``) and
@@ -863,6 +973,16 @@ class TestSharedSessionEviction:
         )
         assert other is not first
         assert shared_session(transformation, targets, scope=SCOPE) is first
+
+
+def _memoize_no_repair(session, models) -> None:
+    """Make ``session`` remember a no-repair verdict (a cap of 0 on an
+    inconsistent state), and drop the raised exception."""
+    with pytest.raises(NoRepairFound):
+        session.enforce(models, max_distance=0)
+    with pytest.raises(NoRepairFound):
+        session.enforce(models, max_distance=0)
+    assert session.hits == 1
 
 
 def _cyclic_garbage(serve) -> Counter:

@@ -402,24 +402,32 @@ class TestSharedGrounding:
 
 class TestGenerationRetention:
     def test_oscillating_frozen_drift_grounds_once_per_variant(self):
-        """A/B/A/B frozen drifts: two groundings, the rest are switches."""
+        """A/B/A/B frozen drifts: two groundings, the rest are switches.
+        Each return to a variant asks about a new ``cf2``, so no answer
+        comes from the session's memory (``hits``)."""
         transformation = paper_transformation(2)
-        session = EnforcementSession(
-            transformation, TargetSelection(["cf2"]), scope=_SCOPE
-        )
+        targets = TargetSelection(["cf2"])
+        session = EnforcementSession(transformation, targets, scope=_SCOPE)
         fm_a = feature_model({"core": True, "log": False})
         fm_b = feature_model({"core": True, "net": False})
-        distances = []
-        for i in range(6):
+        selections = [[], [], ["core"], ["core"], ["log"], ["net"]]
+        distances, references = [], []
+        for i, selected in enumerate(selections):
             models = {
                 "fm": (fm_a if i % 2 == 0 else fm_b).renamed("fm"),
                 "cf1": configuration(["core"], name="cf1"),
-                "cf2": configuration([], name="cf2"),
+                "cf2": configuration(selected, name="cf2"),
             }
             distances.append(session.enforce(models).distance)
+            references.append(
+                enforce(
+                    transformation, models, targets, scope=_SCOPE, share=False
+                ).distance
+            )
         assert session.groundings == 2
         assert session.reuses == 4
-        assert distances == [distances[0]] * 6
+        assert session.hits == 0
+        assert distances == references
 
     def test_persistent_context_halves_translated_clauses(self):
         """Six oscillating frozen-fm re-grounds onto one persistent

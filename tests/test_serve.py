@@ -14,13 +14,18 @@ Four concerns, mirroring the service's contract:
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from repro.check.engine import STANDARD
 from repro.enforce.api import enforce
 from repro.enforce.metrics import TupleMetric
-from repro.enforce.session import clear_shared_sessions, shared_session
+from repro.enforce.session import (
+    clear_shared_sessions,
+    shared_session,
+    shared_session_counters,
+)
 from repro.enforce.targets import TargetSelection
 from repro.errors import NoRepairFound, ServeError
 from repro.featuremodels import (
@@ -47,7 +52,8 @@ from repro.serve import (
     shard_requests,
 )
 from repro.serve import worker as worker_module
-from repro.solver.bounded import Scope
+from repro.solver.bounded import Grounder, Scope
+from repro.solver.sat import global_stats
 
 #: The differential sweep's seed list (>= 25 seeds, fixed like A8's).
 DIFFERENTIAL_SEEDS = tuple(range(25))
@@ -469,6 +475,38 @@ def _route_pool_to(monkeypatch, fn):
     # and the defining module (pickle checks name->object identity).
     monkeypatch.setattr("repro.serve.worker.process_shard", fn)
     monkeypatch.setattr("repro.serve.service.process_shard", fn)
+
+
+class TestWorkerCounters:
+    """The per-reply counters snapshot (``worker_counters``) reads
+    attributes instead of building per-session dicts; it must equal the
+    construction from the public counter dicts."""
+
+    def test_equals_the_construction_from_counter_dicts(self):
+        for seed in range(6):
+            for request in scenario_requests(random_scenario(seed), rounds=3):
+                serve_request(request)
+        worker_module.serve_session(
+            {
+                "op": "open",
+                "session": "s",
+                "request": request_to_dict(paper_request()),
+            }
+        )
+        sessions = shared_session_counters()
+        stores = worker_module._DELTA_SESSIONS.values()
+        expected = {
+            "sessions": len(sessions),
+            "groundings": sum(s["groundings"] for s in sessions),
+            "reuses": sum(s["reuses"] for s in sessions),
+            "calls": sum(s["calls"] for s in sessions),
+            "delta_sessions": len(stores),
+            "delta_versions": sum(len(store.versions) for store in stores),
+            "bindings_enumerated": Grounder.bindings_enumerated,
+            "solver": asdict(global_stats()),
+        }
+        assert expected["calls"] > 0 and expected["delta_versions"] == 1
+        assert worker_module.worker_counters() == expected
 
 
 class TestShardDeadline:

@@ -7,8 +7,10 @@ a heavily weighted request builds no more outputs than its cap reads.
 And of the disjoint-core gates: the core bound never exceeds the
 optimum, a question with no repair in scope takes one solve, and the
 paper toggle stream stays under its solve, conflict and ``at_most``
-counts. And of the relaxation-literal gates: a unit soft clause is
-relaxed by its own negated literal, so a session over unit soft clauses
+counts. And of the core-memory gates: one session answering a sequence
+of base assumption sets stays exact while it frees remembered cores.
+And of the relaxation-literal gates: a unit soft clause is relaxed by
+its own negated literal, so a session over unit soft clauses
 allocates nothing beyond its hard CNF, and repeated or complementary
 soft literals and base assumptions on them keep every search exact.
 """
@@ -520,11 +522,15 @@ class TestDisjointCores:
 
     def test_paper_toggle_stream_count_gate(self, monkeypatch):
         """The paper feature-model toggle stream (four features, 48
-        requests) on one session. Measured 156 solves, 19 conflicts and
-        no ``at_most`` call since the core-guided completion, which
-        builds 8 core counters; 157, 42
-        and 8 with the ``at_most`` sweep after the core phase; 191, 163
-        and 147 with the linear sweep alone and the oracle pre-check."""
+        requests) on one session. Measured 51 solves, 15 conflicts, no
+        ``at_most`` call and 12 core counters since the session answers
+        a repeated state from memory (23 of the 48) and frees the cores
+        earlier searches found without a solve: the reused cores change
+        the disjoint set the OLL completion starts from, so it relaxes
+        other cores. 156 solves, 19 conflicts and 8 counters since the
+        core-guided completion; 157, 42 and 8 with the ``at_most`` sweep
+        after the core phase; 191, 163 and 147 with the linear sweep
+        alone and the oracle pre-check."""
         asks = []
         at_most = MaxSatSession.at_most
 
@@ -542,13 +548,13 @@ class TestDisjointCores:
         for models in toggle_stream(features=4, requests=48):
             session.enforce(models)
         work = global_stats() - before
-        assert work.solves <= 165
-        assert work.conflicts <= 30
+        assert work.solves <= 55
+        assert work.conflicts <= 20
         assert asks == []
         # One distance totalizer (laid out, never extended) and the core
         # counters, each core's built once across the 48 searches.
-        assert MaxSatSession.counters_built - counters == 8
-        assert Totalizer.built - totalizers == 1 + 8
+        assert MaxSatSession.counters_built - counters == 12
+        assert Totalizer.built - totalizers == 1 + 12
 
 
 @st.composite
@@ -640,6 +646,121 @@ class TestRelaxationLiterals:
         session = MaxSatSession(CNF(2), [SoftClause((1, 2)), SoftClause((-1,))])
         assert session._working.clauses == [(1, 2, 3)]
         assert session.solve_optimal(assumptions=[-2]).cost == 1
+
+
+@st.composite
+def base_streams(draw):
+    """A :func:`hostile_soft_sets` instance and a sequence of base
+    assumption sets (with a cap each) for one session to answer."""
+    hard, soft, base = draw(hostile_soft_sets(min_weight=0))
+    literal = st.integers(1, hard.num_vars).flatmap(
+        lambda v: st.sampled_from([v, -v])
+    )
+    asks = [(base, None)] + draw(
+        st.lists(
+            st.tuples(
+                st.lists(literal, max_size=3),
+                st.one_of(st.none(), st.integers(0, 8)),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return hard, soft, asks
+
+
+def pinned_optimum(hard, soft, base):
+    """The brute-force optimum with every ``base`` literal a unit clause."""
+    pinned = hard.copy()
+    for lit in base:
+        pinned.add_clause([lit])
+    return brute_optimum(pinned, soft)
+
+
+class TestCoreMemo:
+    """A session frees the cores earlier searches found, without a
+    solve, wherever every literal of theirs is still assumed."""
+
+    def _check(self, session, soft, base, cap, expected):
+        result = session.solve_optimal(max_cost=cap, assumptions=base)
+        within = expected is not None and (cap is None or expected <= cap)
+        assert result.satisfiable == within
+        if within:
+            assert result.cost == verify_soft_cost(soft, result.assignment)
+            assert result.cost == expected
+            assert all(result.assignment[abs(l)] == (l > 0) for l in base)
+
+    @given(stream=base_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_one_session_answers_every_base_exactly(self, stream):
+        hard, soft, asks = stream
+        session = MaxSatSession(hard, soft)
+        for base, cap in asks:
+            expected = pinned_optimum(hard, soft, base)
+            self._check(session, soft, base, cap, expected)
+
+    def test_seeded_sweep_reuses_cores_exactly(self):
+        """30 seeded instances over 6-8 variables, each asked under 8
+        random base assumption sets on one session: every answer is the
+        brute-force optimum, and remembered cores are freed without a
+        solve."""
+        reused = MaxSatSession.cores_reused
+        for seed in range(30):
+            rng = random.Random(seed)
+            num_vars = rng.randint(6, 8)
+            hard = CNF(num_vars)
+            for _ in range(rng.randint(3, 10)):
+                chosen = rng.sample(range(1, num_vars + 1), rng.randint(2, 4))
+                hard.add_clause([v if rng.random() < 0.8 else -v for v in chosen])
+            soft = [
+                SoftClause((-v,), rng.randint(1, 3)) for v in range(1, num_vars + 1)
+            ]
+            session = MaxSatSession(hard, soft)
+            for _ in range(8):
+                base = [
+                    v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, num_vars + 1), rng.randint(0, 3))
+                ]
+                cap = rng.choice([None, rng.randint(0, 6)])
+                expected = pinned_optimum(hard, soft, base)
+                self._check(session, soft, base, cap, expected)
+        assert MaxSatSession.cores_reused - reused >= 1
+
+    def test_a_remembered_core_refutes_without_a_solve(self):
+        """x1 and x2 exclude each other and both are wanted: the second
+        capped-at-0 search is refuted by the remembered core alone."""
+        hard = CNF(2)
+        hard.add_clause([-1, -2])
+        session = MaxSatSession(hard, [SoftClause((1,)), SoftClause((2,))])
+        assert not session.solve_optimal(max_cost=0).satisfiable
+        solves = global_stats().solves
+        reused = MaxSatSession.cores_reused
+        assert not session.solve_optimal(max_cost=0).satisfiable
+        assert global_stats().solves == solves
+        assert MaxSatSession.cores_reused - reused == 1
+        assert session.solve_optimal().cost == 1
+
+    def test_a_core_over_an_unassumed_base_literal_is_not_freed(self):
+        """Under base x3 the hard clause (-x3 | -x1 | -x2) makes x1 and
+        x2 exclusive; without it both hold at cost 0."""
+        hard = CNF(3)
+        hard.add_clause([-3, -1, -2])
+        session = MaxSatSession(hard, [SoftClause((1,)), SoftClause((2,))])
+        assert session.solve_optimal(assumptions=[3]).cost == 1
+        reused = MaxSatSession.cores_reused
+        assert session.solve_optimal(assumptions=[]).cost == 0
+        assert MaxSatSession.cores_reused == reused
+        assert session.solve_optimal(assumptions=[3]).cost == 1
+        assert MaxSatSession.cores_reused - reused == 1
+
+    def test_the_memory_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(MaxSatSession, "CORE_LIMIT", 2)
+        hard = CNF(6)
+        for v in (1, 3, 5):
+            hard.add_clause([-v, -(v + 1)])
+        session = MaxSatSession(hard, [SoftClause((v,)) for v in range(1, 7)])
+        assert session.solve_optimal().cost == 3
+        assert len(session._cores) == 2
 
 
 class BoundRecorder(MaxSatSession):
