@@ -140,13 +140,15 @@ def bench_sessions(rows: list) -> dict:
             "rounds": len(stream),
             "groundings": session.groundings,
             "reuses": session.reuses,
+            "hits": session.hits,
             "outcomes": [v.outcome for v in verdicts],
         }
         rows.append(
             [f"sessions: seed {seed} ({frozen_param} oscillates)",
              "session vs per-call",
              f"{session.groundings} groundings / {len(stream)} rounds",
-             f"{session.reuses} retained switches",
+             f"{session.reuses - session.hits} patched, "
+             f"{session.hits} from memory",
              f"{elapsed * 1e3:.0f} ms"]
         )
     return streams

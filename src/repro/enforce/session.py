@@ -124,6 +124,17 @@ from repro.solver.cnf import Lit
 from repro.solver.maxsat import INCREASING
 
 
+def _same_types(model: Model, twin: Model) -> bool:
+    """Whether every attribute value of two equal models has the same
+    type: ``Model`` equality reads ``True == 1``, the checker and the
+    grounding keep them apart."""
+    for obj, twin_obj in zip(model.objects, twin.objects):
+        for (_s, value), (_t, twin_value) in zip(obj.attrs, twin_obj.attrs):
+            if type(value) is not type(twin_value):
+                return False
+    return True
+
+
 def _value_in_pool_domain(value, attr_type) -> bool:
     """Whether a fresh grounding's candidate pools can express ``value``.
 
@@ -296,8 +307,9 @@ class EnforcementSession:
         self._active: _Generation | None = None
         self._fragment_error: Exception | None = None
         # Answers of :meth:`enforce`, least-recently-used first: bound
-        # state and cap -> the verified repair, or a no-repair verdict as
-        # data. The uncached reference arm remembers nothing.
+        # state and cap -> the state as asked and the verified repair, or
+        # a no-repair verdict as data. The uncached reference arm
+        # remembers nothing.
         self._answers: OrderedDict | None = OrderedDict() if cache else None
         self.calls = 0
         self.groundings = 0
@@ -397,7 +409,8 @@ class EnforcementSession:
         tuple exists within the scope (or the distance cap).
 
         A cached session answers a state it has already answered under
-        the same cap from memory (``hits``, also counted as ``reuses``):
+        the same cap, with the same attribute value types (``True`` is
+        not ``1``), from memory (``hits``, also counted as ``reuses``):
         the first answer's repair, in a fresh ``models`` dict, or its
         no-repair verdict raised anew. A verdict is kept as its message
         and explored distance, never as the exception, whose traceback
@@ -408,21 +421,25 @@ class EnforcementSession:
         original = self._bound(models)
         if self._answers is None:
             return self._answer(original, max_distance)
-        key = (
-            tuple((p, m, m.name) for p, m in original.items()),
-            max_distance,
-        )
-        answer = self._answers.get(key)
-        if answer is not None:
+        state = tuple((p, m, m.name) for p, m in original.items())
+        key = (state, max_distance)
+        entry = self._answers.get(key)
+        if entry is not None and all(
+            _same_types(asked, model)
+            for (_p, asked, _n), (_q, model, _m) in zip(entry[0], state)
+        ):
             self._answers.move_to_end(key)
             self.hits += 1
             self.reuses += 1
+            answer = entry[1]
         else:
             try:
                 answer = self._answer(original, max_distance)
             except NoRepairFound as exc:
                 answer = (str(exc), exc.explored_distance)
-            self._answers[key] = answer
+            self._answers[key] = (state, answer)
+            if entry is not None:  # the same state with other value types
+                self._answers.move_to_end(key)
             if len(self._answers) > self.ANSWER_LIMIT:
                 self._answers.popitem(last=False)
         if isinstance(answer, Repair):
@@ -816,7 +833,9 @@ class EnforcementSession:
     ) -> bool:
         for param, grounded in frozen.items():
             current = original[param]
-            if current is not grounded and current != grounded:
+            if current is not grounded and (
+                current != grounded or not _same_types(current, grounded)
+            ):
                 return False
         return True
 

@@ -121,8 +121,11 @@ class TestSessionEquivalence:
         assert repair.distance == 4  # two features, alive + name each
         with pytest.raises(NoRepairFound):
             session.enforce(models, max_distance=repair.distance - 1)
-        # the session survives a failed (capped) query
+        # the session survives a failed (capped) query; forget the first
+        # answer, so the solver answers again
+        session._answers.clear()
         assert session.enforce(models).distance == repair.distance
+        assert session.hits == 0
 
     @pytest.mark.parametrize("mode", ["increasing", "decreasing"])
     @pytest.mark.parametrize("share", [True, False])
@@ -167,9 +170,11 @@ class TestSessionReuse:
         # grows beyond its fresh objects.
         session.enforce(_tuple({"core": True}, ["core"], []))
         session.enforce(_tuple({"core": True}, [], []))
+        # Forget the first answer, so its return is patched too.
+        session._answers.clear()
         session.enforce(_tuple({"core": True}, ["core"], []))
         assert session.groundings == 1
-        assert session.reuses == 2
+        assert (session.reuses, session.hits) == (2, 0)
         # one grounding == one (shared) solver for maxsat + oracle
         assert Grounder.translations - before == 1
         assert GLOBAL_STATS.solver_builds - builds_before == 1
@@ -256,8 +261,11 @@ class TestSessionReuse:
         )
         assert repaired.distance > 0 and session.groundings == 1
         # ... and re-ask the original question: same answer as before.
+        # Forget the first answer, so the cached grounding answers it.
+        session._answers.clear()
         again = session.enforce({"a": conformant_a, "b": nonconformant_b})
         assert again.engine == "none" and again.distance == 0
+        assert (session.groundings, session.reuses, session.hits) == (1, 1, 0)
 
     @pytest.mark.parametrize("targets", [["cf2"], ["cf1", "cf2"]])
     def test_weight_zero_target_answers_like_per_call(self, targets):
@@ -277,11 +285,12 @@ class TestSessionReuse:
         )
         assert reference == ("repaired", 0)
         session = EnforcementSession(transformation, selection, metric=metric)
-        answers = [
-            enforce_answer(lambda: session.enforce(models)) for _ in range(2)
-        ]
-        assert answers == [reference, reference]
-        assert (session.groundings, session.reuses) == (1, 1)
+        first = enforce_answer(lambda: session.enforce(models))
+        # Forget the first answer, so the patched grounding answers again.
+        session._answers.clear()
+        again = enforce_answer(lambda: session.enforce(models))
+        assert [first, again] == [reference, reference]
+        assert (session.groundings, session.reuses, session.hits) == (1, 1, 0)
 
     def test_consistent_input_needs_no_grounding(self):
         session = EnforcementSession(
@@ -727,6 +736,47 @@ class TestAnswerMemo:
         assert session.enforce(models).distance == first.distance
         assert (GLOBAL_STATS.snapshot() - before).solves > 0
         assert session.hits == 0
+
+    def test_a_boolean_state_is_not_its_integer_twin(self):
+        """``Model`` equality reads ``True == 1``; the checker does not.
+        A state whose mandatory flag is ``1`` is a new question after
+        the same state with ``True``, and its frozen feature model a
+        drift, so it is answered like per-call enforcement."""
+
+        def state(mandatory):
+            fm = Model(
+                feature_metamodel(),
+                (
+                    ModelObject.create(
+                        "f_core", "Feature", {"name": "core", "mandatory": mandatory}
+                    ),
+                ),
+                "fm",
+            )
+            return {
+                "fm": fm,
+                "cf1": configuration(["core"]).renamed("cf1"),
+                "cf2": configuration([]).renamed("cf2"),
+            }
+
+        session = self._session()
+        selection = TargetSelection(["cf1", "cf2"])
+        references = []
+        for mandatory in (True, 1):
+            models = state(mandatory)
+            reference = enforce_answer(
+                lambda: enforce(
+                    session.transformation, models, selection, scope=SCOPE,
+                    share=False,
+                )
+            )
+            assert enforce_answer(lambda: session.enforce(models)) == reference
+            references.append(reference)
+        assert references[0] != references[1]
+        assert session.hits == 0
+        # The state asked last is remembered as it was asked.
+        assert enforce_answer(lambda: session.enforce(state(1))) == reference
+        assert session.hits == 1
 
     def test_the_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(EnforcementSession, "ANSWER_LIMIT", 2)
