@@ -1,6 +1,6 @@
 """A8 (differential) — generated workloads across every engine.
 
-Three arms over seeded generated scenarios (:mod:`repro.gen`):
+Two arms over seeded generated scenarios (:mod:`repro.gen`):
 
 * **differential** — every scenario is replayed through the exact
   engines (brute checker-only search, oracle-accelerated search, shared
@@ -12,10 +12,6 @@ Three arms over seeded generated scenarios (:mod:`repro.gen`):
   bit-for-bit (canonical model serialisations, transformation
   equality): the seed is the reproduction token, so any drift here
   would silently detach failures from their seeds.
-* **sessions** — oscillating frozen-drift streams through one
-  persistent session, each step differentially checked against per-call
-  SAT; generation retention must absorb the flips (2 groundings for any
-  number of rounds).
 
 The run sweeps 200 seeds (the PR-4 acceptance bar). The first 25 seeds
 are the tier-1 differential test (``tests/test_differential_engines.py``),
@@ -40,10 +36,8 @@ from repro.gen import (
     REPAIRED,
     DifferentialReport,
     EngineVerdict,
-    oscillating_tuples,
     random_scenario,
     run_engine,
-    session_differential,
 )
 from repro.metamodel.serialize import canonical_text
 from repro.util.text import render_table
@@ -51,9 +45,6 @@ from repro.util.text import render_table
 from benchmarks._common import record
 
 SEEDS = tuple(range(200))
-
-#: Pinned oscillation streams for the session arm (seed, frozen param).
-SESSION_STREAMS = ((3, "m2"), (5, "m1"), (18, "m1"))
 
 
 def bench_differential(seeds, rows: list) -> dict:
@@ -126,40 +117,11 @@ def bench_determinism(seeds, rows: list) -> dict:
     return {"checked": len(seeds), "mismatches": mismatches}
 
 
-def bench_sessions(rows: list) -> dict:
-    streams = {}
-    for seed, frozen_param in SESSION_STREAMS:
-        scenario = random_scenario(seed)
-        stream = oscillating_tuples(
-            seed, scenario.models, frozen_param, rounds=6
-        )
-        start = time.perf_counter()
-        verdicts, session = session_differential(scenario, stream)
-        elapsed = time.perf_counter() - start
-        streams[seed] = {
-            "rounds": len(stream),
-            "groundings": session.groundings,
-            "reuses": session.reuses,
-            "hits": session.hits,
-            "outcomes": [v.outcome for v in verdicts],
-        }
-        rows.append(
-            [f"sessions: seed {seed} ({frozen_param} oscillates)",
-             "session vs per-call",
-             f"{session.groundings} groundings / {len(stream)} rounds",
-             f"{session.reuses - session.hits} patched, "
-             f"{session.hits} from memory",
-             f"{elapsed * 1e3:.0f} ms"]
-        )
-    return streams
-
-
 def run() -> dict:
     rows: list = []
     metrics = {
         "differential": bench_differential(SEEDS, rows),
         "determinism": bench_determinism(SEEDS[::20], rows),
-        "sessions": bench_sessions(rows),
     }
     table = render_table(
         ["workload", "arm", "work", "detail", "time"],
@@ -180,10 +142,6 @@ def run() -> dict:
         f"seed list must contain unrepairable questions: {diff['outcomes']}"
     )
     assert not metrics["determinism"]["mismatches"], metrics["determinism"]
-    for seed, stream in metrics["sessions"].items():
-        assert stream["groundings"] <= 2, (
-            f"oscillation must be absorbed by generation retention: {stream}"
-        )
     return metrics
 
 

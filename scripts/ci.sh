@@ -65,8 +65,10 @@
 #   - every engine agrees on verdict and optimal cost over the fixed
 #     generated seeds 0..24, generation is bit-for-bit deterministic,
 #     its corpus text is pinned by a sha256 digest
-#     (tests/test_gen_generators.py::TestScenarioGenerator) and
-#     oscillating drift is absorbed (tests/test_differential_engines.py;
+#     (tests/test_gen_generators.py::TestScenarioGenerator) and the
+#     session's answer memory absorbs oscillating frozen drift: two
+#     groundings, every return a memory hit
+#     (tests/test_differential_engines.py;
 #     benchmarks/bench_a8_generated_workloads.py sweeps 200 seeds
 #     outside CI);
 #   - the batch service grounds once per shard, answers independently
@@ -116,8 +118,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== tier-1 tests =="
-python -m pytest -x -q
+echo "== tier-1 tests (the 10 slowest listed) =="
+python -m pytest -x -q --durations=10
 
 # The fault-injection and robustness suites (tests/test_faults.py,
 # tests/test_daemon.py) already run inside the tier-1 pytest above;

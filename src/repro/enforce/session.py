@@ -67,11 +67,12 @@ grounding behind every SAT-fragment entry point:
   selector and never outlive their enumeration; a generation's MaxSAT
   session and oracle come from one attach step
   (:meth:`~repro.enforce.satengine.ConsistencyOracle.attach`, ``None``
-  when the grounding cannot tabulate its atoms);
-* a cached session retains up to :attr:`EnforcementSession.GENERATION_LIMIT`
-  grounding *generations*: an edit that escapes the active grounding
-  but still anchors an older one — oscillating frozen drifts are the
-  common case — switches generations instead of re-grounding at all.
+  when the grounding cannot tabulate its atoms).
+
+A session holds one generation at a time: an edit that escapes it
+re-grounds onto the persistent context, and the new generation replaces
+the old one. A cached session answers a return to an earlier state from
+its answer memory instead.
 
 Semantic note: every SAT-engine optimum — this session's :meth:`enforce`
 and :meth:`solve_tuple`, and the per-call ``enforce_sat(share=False)`` —
@@ -81,8 +82,8 @@ solves *without* the symmetry assumption, and that solve doubles as its
 hippocratic check (:meth:`EnforcementSession._hippocratic_fold`): a
 cost-0 optimum is the state itself, consistent with conformant targets,
 and is returned unrepaired at distance 0. Where a cost-0 optimum cannot
-prove that (a weight-0 target, a non-conformant target, or a tuple no
-retained grounding anchors) the real checker decides first, exactly
+prove that (a weight-0 target, a non-conformant target, or a tuple that
+escaped the active grounding) the real checker decides first, exactly
 like :func:`~repro.enforce.enforce`. Optimal repair
 distances are identical to :func:`~repro.enforce.satengine.enforce_sat`;
 the chosen optimum may be a different member of the same minimum-distance
@@ -297,13 +298,7 @@ class EnforcementSession:
         self.prune = prune
         self._context = GroundingContext() if cache else None
         self._params = transformation.param_names()
-        # Retained grounding generations, least-recently-used first. A
-        # tuple that escapes the active grounding may still anchor an
-        # older one (oscillating frozen drifts), in which case the
-        # session switches back instead of re-grounding. Without a
-        # translation context only the latest generation is kept (the
-        # historical behaviour, and the ``cache=False`` ablation arm).
-        self._generations: list[_Generation] = []
+        # The one grounding generation; a tuple that escapes it re-grounds.
         self._active: _Generation | None = None
         self._fragment_error: Exception | None = None
         # Answers of :meth:`enforce`, least-recently-used first: bound
@@ -317,9 +312,6 @@ class EnforcementSession:
         self.renames = 0
         self.hits = 0
         self.closes = 0
-
-    #: How many grounding generations a cached session retains.
-    GENERATION_LIMIT = 4
 
     #: How many :meth:`enforce` answers a cached session remembers. An
     #: answer keeps its state's and its repair's models alive: measured
@@ -347,16 +339,15 @@ class EnforcementSession:
             "reuses": self.reuses,
             "renames": self.renames,
             "hits": self.hits,
-            "generations": len(self._generations),
             "closes": self.closes,
         }
 
     def close(self) -> None:
-        """Release every retained grounding, solver and translation table.
+        """Release the grounding, its solver and the translation table.
 
         The disposal hook of the :func:`shared_session` LRU: eviction
-        must actually *free* the evicted shape's memory — generations,
-        MaxSAT sessions, solvers, oracles and the shared
+        must actually *free* the evicted shape's memory — the generation,
+        its MaxSAT session, solver and oracle, and the shared
         :class:`~repro.solver.bounded.GroundingContext` all become
         garbage here, not when the last external reference
         happens to die. The session itself stays **usable**: a caller
@@ -368,7 +359,6 @@ class EnforcementSession:
         is then unfrozen so that any cycle a re-ground froze
         (:func:`_out_of_collector_reach`) is collectable again.
         """
-        self._generations.clear()
         self._active = None
         if self._context is not None:
             self._context = GroundingContext()
@@ -592,9 +582,9 @@ class EnforcementSession:
         return self._ground_fresh(original) if anchor is None else anchor[1]
 
     def _ground_fresh(self, original: Mapping[str, Model]) -> list[Lit] | None:
-        """Ground a new generation for ``original`` (no retained
-        generation fits — callers already probed); ``None`` when the
-        tuple is unanchorable."""
+        """Ground a new generation for ``original`` (the active one does
+        not fit — callers already probed); ``None`` when the tuple is
+        unanchorable."""
         if not self._anchorable(original):
             return None
         self._reground(original)
@@ -682,30 +672,24 @@ class EnforcementSession:
         )
 
     def _activate(self, original: Mapping[str, Model], rename: bool = False):
-        """``(state, origin assumptions, inverse renaming)`` from the
-        first retained generation able to express ``original`` (most
-        recent first) — renamed onto its universe if ``rename``
-        (:meth:`_renaming`) — or ``None``. A hit makes that generation the
-        active one: oscillating frozen drifts switch between retained
-        groundings instead of paying a re-ground per flip."""
-        for generation in reversed(self._generations):
-            if not self._frozen_matches(generation.frozen, original):
-                continue
-            renamed = self._renaming(generation, original) if rename else (original, {})
-            if renamed is None:
-                continue
-            assumptions = generation.grounding.origin_assumptions(
-                renamed[0], self._scope_for(original).extra_objects
-            )
-            if assumptions is None:
-                continue
-            if not rename:
-                self.reuses += 1  # a renamed state counts once certified
-            self._generations.remove(generation)
-            self._generations.append(generation)
-            self._active = generation
-            return renamed[0], assumptions, renamed[1]
-        return None
+        """``(state, origin assumptions, inverse renaming)`` when the
+        active generation can express ``original`` — its frozen models
+        match, and the state anchors as is or, if ``rename``, renamed onto
+        its universe (:meth:`_renaming`) — else ``None``."""
+        active = self._active
+        if active is None or not self._frozen_matches(active.frozen, original):
+            return None
+        renamed = self._renaming(active, original) if rename else (original, {})
+        if renamed is None:
+            return None
+        assumptions = active.grounding.origin_assumptions(
+            renamed[0], self._scope_for(original).extra_objects
+        )
+        if assumptions is None:
+            return None
+        if not rename:
+            self.reuses += 1  # a renamed state counts once certified
+        return renamed[0], assumptions, renamed[1]
 
     def _renaming(self, generation: _Generation, original: Mapping[str, Model]):
         """``(original renamed, inverse maps per target)``: each target
@@ -757,7 +741,7 @@ class EnforcementSession:
         least ``bound``, the least ``(k + 1) * weight``. An optimum
         costing at most ``bound``, or a no-repair answer capped below
         it, is the per-call answer; any other re-grounds."""
-        # No anchor: the edit escaped every retained generation, if any.
+        # No anchor: the edit escaped the active generation, if any.
         state, assumptions, inverse = anchor or (
             original, self._ground_fresh(original), {}
         )
@@ -860,11 +844,7 @@ class EnforcementSession:
             # on a shared context, re-leak) anything per call.
             raise self._fragment_error
         with _out_of_collector_reach():
-            generation = self._generation(models)
-        limit = self.GENERATION_LIMIT if self._context is not None else 1
-        self._generations.append(generation)
-        del self._generations[:-limit]
-        self._active = generation
+            self._active = self._generation(models)
         self.groundings += 1
 
     def _generation(self, models: Mapping[str, Model]) -> _Generation:
@@ -960,8 +940,8 @@ def shared_session(
     )
     _shared_sessions[key] = (transformation, session)
     while len(_shared_sessions) > SHARED_SESSION_LIMIT:
-        # Dispose, don't just drop: an evicted entry's generations,
-        # solvers and translation context must become garbage now, even
+        # Dispose, don't just drop: an evicted entry's generation,
+        # solver and translation context must become garbage now, even
         # if a caller retained the session object itself (it re-grounds
         # on next use — see :meth:`EnforcementSession.close`).
         _t, evicted = _shared_sessions.pop(next(iter(_shared_sessions)))

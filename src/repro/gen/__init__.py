@@ -16,8 +16,8 @@ enforcement question:
   direction-typing rules of :mod:`repro.deps.typecheck`);
 * :mod:`repro.gen.edits` — applicable random edit streams (drifts,
   renames, deletions, frozen-model oscillations) that drive
-  :class:`~repro.enforce.session.EnforcementSession` reuse and
-  generation retention;
+  :class:`~repro.enforce.session.EnforcementSession` reuse, re-grounds
+  and answer memory;
 * :mod:`repro.gen.scenarios` — full enforcement scenarios: consistent
   base state, perturbation, targets, metric, semantics, distance cap;
 * :mod:`repro.gen.oracle` — the cross-engine differential oracle that

@@ -12,10 +12,9 @@ Three stream shapes matter to the enforcement-session machinery:
 * :func:`perturb` — a handful of edits spread over the tuple, producing
   one enforcement question from a consistent base state;
 * :func:`oscillating_tuples` — a frozen (non-target) model flipping
-  between two variants, the access pattern that exercises
-  :class:`~repro.enforce.session.EnforcementSession` generation
-  retention (each flip escapes the active grounding but anchors a
-  retained one);
+  between two variants: each flip escapes the active grounding of an
+  :class:`~repro.enforce.session.EnforcementSession`, and each return
+  repeats a state its answer memory already holds;
 * :func:`in_universe_stream` — target models drifting strictly *inside*
   the grounding universe of the starting tuple (attribute values from
   the tuple's own active domain, reference rewires between existing
@@ -539,8 +538,7 @@ def oscillating_tuples(
 
     The first variant is ``models[param]`` itself; the second is one
     random edit away. When ``param`` is frozen (not an enforcement
-    target) every flip drifts the frozen side of a cached grounding —
-    the generation-retention workload.
+    target) every flip drifts the frozen side of a cached grounding.
     """
     rng = rng_from_seed(seed)
     variant_a = models[param]

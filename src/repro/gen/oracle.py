@@ -205,10 +205,10 @@ def session_differential(
     """Drive one persistent session over an edit stream, differentially.
 
     Each tuple in the stream is answered by a *shared-style* cached
-    session (prune + cache on, generation retention active) and by a
+    session (prune + cache on, answer memory active) and by a
     fresh per-call SAT enforcement; both verdicts must agree at every
     step. Returns the per-step consensus verdicts and the session (whose
-    ``groundings``/``reuses`` counters the retention tests inspect).
+    ``groundings``/``reuses``/``hits`` counters the stream tests inspect).
     """
     session = EnforcementSession(
         scenario.transformation,

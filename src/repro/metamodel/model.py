@@ -143,6 +143,20 @@ class Model:
         object.__setattr__(self, "objects", tuple(sorted(self.objects, key=lambda o: o.oid)))
         object.__setattr__(self, "_index", {o.oid: o for o in self.objects})
 
+    def __hash__(self) -> int:
+        # Hashed once, lazily: a session's answer-memory key hashes
+        # whole models on every request.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash((self.metamodel, self.objects))
+        return cached
+
+    def __getstate__(self) -> dict:
+        # str hashes are salted per process, so a pickle carries none.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

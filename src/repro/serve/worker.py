@@ -318,10 +318,10 @@ def serve_session(message: Mapping[str, Any]) -> dict[str, Any]:
     :func:`~repro.gen.edits.edits_from_wire` payload to a retained
     parent version, materialising a new version; ``ask`` rebuilds the
     request at any retained version and answers it on the shape's warm
-    :func:`~repro.enforce.session.shared_session` — generation retention
-    is what makes asking *historic* versions cheap. Per-op problems
-    (unknown version, inapplicable edit, malformed payload) come back as
-    typed control errors, never exceptions; an unknown session name is
+    :func:`~repro.enforce.session.shared_session`, whose answer memory
+    answers a *historic* version asked before without a solve. Per-op
+    problems (unknown version, inapplicable edit, malformed payload) come
+    back as typed control errors, never exceptions; an unknown session name is
     ``code="session-lost"`` so the client knows to reopen.
 
     ``ask`` replies look exactly like :func:`serve_wire` replies (an

@@ -344,16 +344,11 @@ class GroundingContext:
         self.pool = VarPool(self.cnf)
         self.tseitin = Tseitin(self.cnf, self.pool)
         self.totalizers = TotalizerCache(self.cnf)
-        self.generations = 0
         self._seen: set[tuple[Lit, ...]] = set()
 
     def new_selector(self) -> Lit:
+        """A fresh selector literal (one per generation and guard)."""
         return self.cnf.new_var()
-
-    def begin_generation(self) -> Lit:
-        """Start a grounding generation; returns its selector literal."""
-        self.generations += 1
-        return self.new_selector()
 
     def add_unique(self, clause: Sequence[Lit]) -> None:
         """Add a generation-independent clause, deduplicated."""
@@ -706,7 +701,7 @@ class Grounder:
             self.cnf = context.cnf
             self.var_pool = context.pool
             self.tseitin = context.tseitin
-            self.selector: Lit | None = context.begin_generation()
+            self.selector: Lit | None = context.new_selector()
             self.symmetry_selector: Lit | None = (
                 context.new_selector() if symmetry_breaking else None
             )

@@ -27,8 +27,7 @@ from repro.gen import (
     random_scenario,
     session_differential,
 )
-from repro.enforce import enforce
-from repro.gen.edits import in_universe_stream, random_edit
+from repro.gen.edits import random_edit
 from repro.metamodel.edits import apply_edit
 from repro.solver.sat import IncrementalSolver
 from repro.util.seeding import rng_from_seed
@@ -83,50 +82,19 @@ class TestEngineAgreement:
         assert a == b
 
 
-def _target_states(seed, scenario) -> list[dict]:
-    """Three distinct states of the scenario's targets inside one
-    grounding universe, the first one grounded largest: the scenario's
-    own targets under in-universe edits; or, where they admit none (an
-    empty target under a fixed scope: anything added escapes the
-    creation budget), its per-call repair moved one edit, the targets
-    themselves and the repair."""
-    params = sorted(scenario.targets.params)
-    states: list[dict] = []
-    for models in in_universe_stream(seed, scenario.models, params, rounds=12):
-        targets = {param: models[param] for param in params}
-        if targets not in states:
-            states.append(targets)
-    if len(states) >= 3:
-        return states[:3]
-    repaired = dict(
-        scenario.models,
-        **enforce(
-            scenario.transformation,
-            scenario.models,
-            scenario.targets,
-            metric=scenario.metric,
-            scope=scenario.scope,
-            share=False,
-        ).models,
-    )
-    moved = in_universe_stream(seed, repaired, params, rounds=2)[-1]
-    states = [{param: t[param] for param in params} for t in (moved, scenario.models, repaired)]
-    assert all(states[i] != states[j] for i in range(3) for j in range(i))
-    return states
-
-
 class TestSessionStreams:
     """Edit streams drive the persistent session differentially.
 
-    Oscillating frozen drifts are the generation-retention workload: the
-    first flip re-grounds, the flip back must hit a retained generation,
-    and every step's verdict must match per-call SAT enforcement.
+    Oscillating frozen drifts flip a frozen model between two variants:
+    each variant's first visit grounds, every return repeats an earlier
+    state and is answered from the session's memory, and every step's
+    verdict must match per-call SAT enforcement.
     """
 
     @pytest.mark.parametrize(
         "seed,frozen_param", [(3, "m2"), (5, "m1"), (18, "m1")]
     )
-    def test_oscillating_frozen_drift_retains_generations(
+    def test_oscillating_frozen_drift_is_absorbed_by_the_answer_memory(
         self, seed, frozen_param
     ):
         scenario = random_scenario(seed)
@@ -134,17 +102,12 @@ class TestSessionStreams:
         stream = oscillating_tuples(
             seed, scenario.models, frozen_param, rounds=6
         )
-        # Each return to a variant asks about new targets, so it reaches
-        # the retained generation instead of the session's memory.
-        states = _target_states(seed, scenario)
-        stream = [dict(models, **states[i // 2]) for i, models in enumerate(stream)]
         verdicts, session = session_differential(scenario, stream)
         assert len(verdicts) == 6
-        # Two variants -> two groundings; the other four enforces are
-        # retained-generation switches, not re-grounds.
+        # Two variants -> two groundings; the other four enforces repeat
+        # an answered state and come from memory, not re-grounds.
         assert session.groundings == 2
-        assert session.reuses == 4
-        assert session.hits == 0
+        assert session.hits == 4
 
     def test_mixed_repairability_stream_agrees(self):
         # Seed 5's oscillation alternates repairable and unrepairable

@@ -13,6 +13,7 @@ from repro.enforce import (
     paper_shapes,
 )
 from repro.enforce.laws import is_correct, is_hippocratic, least_change_optimum
+from repro.enforce.session import clear_shared_sessions
 from repro.errors import EnforcementError, NoRepairFound
 from repro.featuremodels import (
     configuration,
@@ -23,6 +24,8 @@ from repro.featuremodels import (
     scenario_rename,
 )
 from repro.featuremodels.relations import config_params
+from repro.serve.requests import EnforceRequest, request_from_dict, request_to_dict
+from repro.serve.worker import reset_worker_state, serve_request
 from repro.solver.bounded import Scope
 
 #: The paper-claim tests' scope: one fresh object per class.
@@ -213,6 +216,57 @@ class TestEnginesAgree:
             engine=engine, mode=mode,
         )
         assert repair.distance == 4
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 2: the engines disagree on a non-conformant target",
+    )
+    def test_one_answer_for_a_non_conformant_target(self):
+        """ROADMAP item 2, pinned until it is fixed: the only target
+        holds an int on a Boolean attribute (``mandatory: 1``). Today
+        ``sat``, shared and per call, raises "this is a bug", ``search``
+        repairs at distance 5 and ``guided`` finds no repair; every
+        engine, and the request served off the wire, must give one
+        (outcome, distance)."""
+        t = paper_transformation(2)
+        env = paper_env({"core": True, "log": False}, ["core"], ["core"])
+        env["fm"] = env["fm"].with_object(
+            env["fm"].get("f_core").with_attr("mandatory", 1)
+        )
+        targets = TargetSelection(["fm"])
+
+        def answer(**options):
+            try:
+                repair = enforce(t, env, targets, **options)
+            except NoRepairFound:
+                return ("no-repair", None)
+            except EnforcementError as exc:
+                return ("error", str(exc))
+            return (
+                "consistent" if repair.engine == "none" else "repaired",
+                repair.distance,
+            )
+
+        answers = {
+            "sat": answer(engine="sat"),
+            "sat-unshared": answer(engine="sat", share=False),
+            "search": answer(engine="search"),
+            "guided": answer(engine="guided"),
+        }
+        wire = request_to_dict(EnforceRequest.build(t, env, targets=["fm"]))
+        try:
+            served = serve_request(request_from_dict(wire))
+        finally:
+            clear_shared_sessions()
+            reset_worker_state()
+        answers["served"] = (
+            (served.outcome, served.error)
+            if served.outcome == "error"
+            else (served.outcome, served.distance)
+        )
+        assert not any("this is a bug" in str(a) for a in answers.values()), answers
+        assert len(set(answers.values())) == 1, answers
 
 
 class TestScenarios:

@@ -1,5 +1,7 @@
 """Tests for models, objects and the fluent builder."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ModelError
@@ -82,6 +84,18 @@ class TestModel:
         a = Model(GRAPH_MM, (node(),), name="x")
         b = Model(GRAPH_MM, (node(),), name="y")
         assert a == b
+
+    def test_hash_is_computed_once_and_never_pickled(self):
+        a = Model(GRAPH_MM, (node("n1"), node("n2")), name="x")
+        b = Model(GRAPH_MM, (node("n2"), node("n1")), name="y")
+        assert hash(a) == hash(b) == hash((GRAPH_MM, a.objects))
+        # The second hash() reads the value cached by the first.
+        a.__dict__["_hash"] = 7
+        assert hash(a) == 7
+        # str hashes are salted per process: a pickle carries no hash.
+        restored = pickle.loads(pickle.dumps(b))
+        assert "_hash" not in restored.__dict__
+        assert restored == b and hash(restored) == hash(b)
 
     def test_with_object_replaces(self):
         model = Model(GRAPH_MM, (node("n1"),))
