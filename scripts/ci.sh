@@ -62,6 +62,17 @@
 #     re-grounds onto one persistent GroundingContext translate at most
 #     half the clauses of private CNFs; the SAT entry points share one
 #     grounding (tests/test_grounding_fastpath.py);
+#   - the grounder writes one clause per binding with one-directional
+#     definitions: for every assignment of a small atom set the clauses
+#     are SAT exactly when guard -> conclusion holds, and a second
+#     generation reuses the cached definitions
+#     (tests/test_solver_grounding_encoder.py); the frozen corpora
+#     encode in at most 3,505 hard clauses for the paper-fm question and
+#     1,434 for gen request 49, over exactly 5,376 bindings per gen pass
+#     (tests/test_grounding_fastpath.py::TestEncodingSize); a fresh
+#     solver's bulk load builds the arena, watch lists and pending units
+#     that attaching clause by clause builds
+#     (tests/test_solver_incremental.py::TestFreshLoad);
 #   - every engine agrees on verdict and optimal cost over the fixed
 #     generated seeds 0..24, generation is bit-for-bit deterministic,
 #     its corpus text is pinned by a sha256 digest

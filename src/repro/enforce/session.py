@@ -48,9 +48,9 @@ grounding behind every SAT-fragment entry point:
 
 * it grounds onto a persistent
   :class:`~repro.solver.bounded.GroundingContext` (``cache=True``), so
-  even the re-grounds forced by out-of-universe edits reuse the Tseitin
-  structural-hash table and totalizer builds of earlier generations and
-  only encode genuinely new sub-formulas;
+  even the re-grounds forced by out-of-universe edits reuse the atoms,
+  conjunction and disjunction definitions and totalizer builds of
+  earlier generations and only encode genuinely new ones;
 * :func:`shared_session` keys live sessions by question shape
   (transformation identity, targets, semantics, metric weights, scope,
   mode) in a small LRU cache, and ``enforce_sat`` /
@@ -828,7 +828,7 @@ class EnforcementSession:
 
         With ``cache=True`` the grounder writes onto this session's
         persistent :class:`~repro.solver.bounded.GroundingContext`:
-        re-grounds reuse every previously translated sub-formula and
+        re-grounds reuse every previously emitted definition and
         totalizer, and symmetry-breaking chains are emitted
         selector-guarded so optimum solves can assume them while oracle
         queries must not. Without a context the historical standalone

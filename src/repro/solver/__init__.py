@@ -11,27 +11,16 @@ PMax-SAT solver). This package supplies the same machinery from scratch:
   clause addition, failed cores); the tests certify each of its answers
   by reverse unit propagation;
 * :mod:`repro.solver.brute` — a truth-table reference solver (test oracle);
-* :mod:`repro.solver.tseitin` — propositional formulas to CNF;
 * :mod:`repro.solver.card` — totalizer cardinality encoding;
 * :mod:`repro.solver.maxsat` — weighted partial MaxSAT (increasing-bound
   search, the Echo loop; and decreasing linear search);
 * :mod:`repro.solver.bounded` — grounding of directional checks over a
-  bounded universe into propositional constraints.
+  bounded universe straight to clause literals (one clause per binding,
+  one-directional definitions for conjunctions and disjunctions).
 """
 
 from repro.solver.cnf import CNF, Lit, VarPool
 from repro.solver.sat import IncrementalSolver, SatResult, SolverStats, solve
-from repro.solver.tseitin import (
-    PFALSE,
-    PTRUE,
-    PAnd,
-    PIff,
-    PImplies,
-    PNot,
-    POr,
-    PVar,
-    to_cnf,
-)
 
 __all__ = [
     "CNF",
@@ -41,13 +30,4 @@ __all__ = [
     "IncrementalSolver",
     "SatResult",
     "SolverStats",
-    "PVar",
-    "PAnd",
-    "POr",
-    "PNot",
-    "PImplies",
-    "PIff",
-    "PTRUE",
-    "PFALSE",
-    "to_cnf",
 ]

@@ -35,26 +35,40 @@ extend into the symbolic product, so the enumerated space shrinks from
 Frozen *target* patterns short-circuit the conclusion disjunction to a
 constant by direct matching. The pruned grounder asserts exactly the
 same implications (with the same multiplicity) as ``prune=False``: the
-skipped bindings are precisely those whose guard constant-folds to
-``PFALSE``, which the naive loop enumerates only to discard.
+skipped bindings are precisely those with a false guard atom, which the
+naive loop enumerates only to discard.
 ``Grounder.bindings_enumerated`` counts candidate bindings process-wide
 so ``tests/test_grounding_fastpath.py`` can compare arms.
 
 Caching contract
 ----------------
 
-A :class:`GroundingContext` carries CNF, variable pool, Tseitin
-structural-hash cache and totalizer cache *across* groundings of one
-question shape (transformation, targets, metamodels, scope, weights).
-Re-grounding onto a context only pays for sub-formulas, atoms and
-counters the context has never seen; everything else is a cache hit.
-Soundness is split by clause kind:
+The grounder writes clause literals directly: every atom (alive,
+``attr = value``, reference) is an int literal on a target model and a
+Python bool on a frozen one, memoised per :class:`GroundModel`. A
+:class:`GroundingContext` carries the CNF, variable pool, definition
+caches and totalizer cache *across* groundings of one question shape
+(transformation, targets, metamodels, scope, weights), so a re-ground
+only pays for atoms, definitions and counters the context has never
+seen. Soundness is split by clause kind:
 
-* **definitional and monotone clauses** (Tseitin definitions, totalizer
-  counters and their on-demand extensions, value-implies-alive, reference-implies-alive, at-most
-  bounds, the retargetable ``diff <-> atom XOR origin`` wiring) are
-  valid for every generation and are emitted once, deduplicated;
-* **generation-dependent assertions** (consistency implications,
+* **one clause per binding.** A directional check ``R_{S->T}`` asserts
+  ``[-selector] + [-g for g in guard] + [conclusion]`` per source
+  binding, where the guard is the binding's source atoms. A false guard
+  atom skips the binding, a true conclusion skips it, and a false
+  conclusion drops its literal (true guard atoms drop theirs);
+* **one-directional definitions.** A conclusion disjunct of two or
+  more atoms gets an aux ``t`` with only the clauses ``t -> a``; a
+  conclusion of two or more disjuncts gets an aux ``c`` with the one
+  clause ``c -> t1 | ... | tm``. Conclusions occur only positively, so
+  the other direction is never needed. Both are cached by their
+  literal tuple in the context. Setting the aux false satisfies its
+  definition under every atom assignment, so the definitions (like
+  totalizer counters and their on-demand extensions,
+  value-implies-alive, reference-implies-alive, at-most bounds and the
+  retargetable ``diff <-> atom XOR origin`` wiring) are valid for every
+  generation and are emitted once, deduplicated;
+* **generation-dependent assertions** (the per-binding clauses,
   mandatory-attribute completeness, reference lower bounds) quantify
   over the *current* universe/pools and are guarded by a per-generation
   **selector** literal — solvers must assume
@@ -65,8 +79,8 @@ Soundness is split by clause kind:
   assume them while oracle-style queries — which pin arbitrary
   in-universe states — must not.
 
-Without a context the grounder behaves exactly as before: private CNF,
-plain assertions, no selectors.
+Without a context the grounder keeps private caches, asserts plainly
+and uses no selectors.
 """
 
 from __future__ import annotations
@@ -90,16 +104,10 @@ from repro.qvtr.ast import Domain, Relation, Transformation
 from repro.solver.card import Totalizer, TotalizerCache, at_most_one_pairwise
 from repro.solver.cnf import CNF, Lit, VarPool, is_int
 from repro.solver.maxsat import MaxSatSession, SoftClause
-from repro.solver.tseitin import (
-    PFALSE,
-    PTRUE,
-    PFormula,
-    PVar,
-    Tseitin,
-    pand,
-    pimplies,
-    por,
-)
+
+#: An atom of the grounding: a literal on a target model, a constant on
+#: a frozen one.
+Atom = Lit | bool
 
 
 @dataclass(frozen=True)
@@ -211,8 +219,8 @@ class ValuePools:
 class GroundModel:
     """One model's view in the grounding: symbolic or frozen.
 
-    Frozen models answer atom queries with constants; target models
-    answer with propositional variables named by the atom. A target's
+    Frozen models answer atom queries with bools, target models with
+    pool variables named by the atom; both are memoised. A target's
     universe is the model's objects plus its fresh slots. An enforcement
     session serves later states of the same shape on this universe: a
     state's object ids the universe lacks are renamed onto absent ids of
@@ -228,6 +236,7 @@ class GroundModel:
         symbolic: bool,
         scope: Scope,
         pools: ValuePools,
+        var_pool: VarPool,
     ) -> None:
         self.param = param
         self.model = model
@@ -248,7 +257,11 @@ class GroundModel:
                 self._class_of[oid] = class_name
         self.universe = tuple(sorted(universe))
         self._objects_of: dict[str, list[str]] = {}
-        self._attr_pool: dict[tuple[str, str], tuple[Value, ...]] = {}
+        self._var_pool = var_pool
+        self._alive: dict[str, Atom] = {}
+        self._attr: dict[tuple, Atom] = {}
+        self._ref: dict[tuple[str, str, str], Atom] = {}
+        self._allowed: dict[tuple[str, str], set[tuple[type, Value]]] = {}
 
     # ------------------------------------------------------------------
     # Universe queries
@@ -274,49 +287,78 @@ class GroundModel:
         return self._class_of[oid]
 
     # ------------------------------------------------------------------
-    # Atom formulas
+    # Atoms
     # ------------------------------------------------------------------
-    def alive(self, oid: str) -> PFormula:
-        if not self.symbolic:
-            return PTRUE if self.model.has(oid) else PFALSE
-        return PVar(("obj", self.param, oid))
+    def alive(self, oid: str, new: bool = True) -> Atom:
+        """Whether ``oid`` exists (see :meth:`_var` for ``new``)."""
+        atom = self._alive.get(oid)
+        if atom is None:
+            if not self.symbolic:
+                atom = self.model.has(oid)
+            else:
+                atom = self._var(("obj", self.param, oid), new)
+                if atom is None:
+                    return False
+            self._alive[oid] = atom
+        return atom
 
-    def attr_eq(self, oid: str, attr: str, value: Value) -> PFormula:
-        if not self.symbolic:
-            obj = self.model.get_or_none(oid)
-            if obj is None:
-                return PFALSE
-            actual = obj.attr_or(attr)
-            if actual is None:
-                return PFALSE
-            return PTRUE if _same_value(actual, value) else PFALSE
-        if not self._expressible(oid, attr, value):
-            # The decoded model can never carry this slot/value (value
-            # outside the candidate pools, or attribute undeclared for
-            # the class): the equation is constantly false. A fresh
-            # variable here would be unconstrained by the structural
-            # encoding — the solver could satisfy a pattern the decoded
-            # model violates.
-            return PFALSE
-        return PVar(("attr", self.param, oid, attr, _value_key(value)))
+    def attr_eq(self, oid: str, attr: str, value: Value, new: bool = True) -> Atom:
+        """Whether ``oid.attr = value``; the key keeps ``True`` and ``1``
+        apart, as :func:`_same_value` does."""
+        key = (oid, attr, value.__class__, value)
+        atom = self._attr.get(key)
+        if atom is None:
+            if not self.symbolic:
+                obj = self.model.get_or_none(oid)
+                actual = None if obj is None else obj.attr_or(attr)
+                atom = actual is not None and _same_value(actual, value)
+            elif not self._expressible(oid, attr, value):
+                # The decoded model can never carry this slot/value (value
+                # outside the candidate pools, or attribute undeclared for
+                # the class): the equation is constantly false. A fresh
+                # variable here would be unconstrained by the structural
+                # encoding — the solver could satisfy a pattern the decoded
+                # model violates.
+                atom = False
+            else:
+                name = ("attr", self.param, oid, attr, _value_key(value))
+                atom = self._var(name, new)
+                if atom is None:
+                    return False
+            self._attr[key] = atom
+        return atom
 
     def _expressible(self, oid: str, attr: str, value: Value) -> bool:
         """Whether a decoded object ``oid`` could hold ``attr = value``."""
         key = (self.class_of(oid), attr)
-        allowed = self._attr_pool.get(key)
+        allowed = self._allowed.get(key)
         if allowed is None:
             declared = self.metamodel.all_attributes(key[0]).get(attr)
-            allowed = () if declared is None else self.pools.candidates(declared.type)
-            self._attr_pool[key] = allowed
-        return any(_same_value(value, v) for v in allowed)
+            candidates = () if declared is None else self.pools.candidates(declared.type)
+            allowed = self._allowed[key] = {(v.__class__, v) for v in candidates}
+        return (value.__class__, value) in allowed
 
-    def ref_has(self, source: str, ref: str, target: str) -> PFormula:
-        if not self.symbolic:
-            obj = self.model.get_or_none(source)
-            if obj is None:
-                return PFALSE
-            return PTRUE if target in obj.targets(ref) else PFALSE
-        return PVar(("ref", self.param, source, ref, target))
+    def ref_has(self, source: str, ref: str, target: str, new: bool = True) -> Atom:
+        """Whether ``target`` is among ``source.ref``."""
+        key = (source, ref, target)
+        atom = self._ref.get(key)
+        if atom is None:
+            if not self.symbolic:
+                obj = self.model.get_or_none(source)
+                atom = obj is not None and target in obj.targets(ref)
+            else:
+                atom = self._var(("ref", self.param, source, ref, target), new)
+                if atom is None:
+                    return False
+            self._ref[key] = atom
+        return atom
+
+    def _var(self, name: tuple, new: bool) -> Lit | None:
+        """The pool variable ``name``; with ``new=False`` (decoding) a
+        name the pool lacks is not allocated and reads ``None``."""
+        if new or self._var_pool.has(name):
+            return self._var_pool.var(name)
+        return None
 
 
 def _value_key(value: Value) -> str:
@@ -331,24 +373,49 @@ def _same_value(actual: Value, value: Value) -> bool:
 class GroundingContext:
     """Shared translation state across groundings of one question shape.
 
-    Holds the CNF, variable pool, Tseitin structural-hash cache,
-    totalizer cache and a clause-dedup set, so a re-ground after an
-    out-of-universe edit only encodes genuinely new sub-formulas (see
-    the module docstring's caching contract). One context must only
-    serve groundings of one (transformation, targets, metamodels,
-    scope, weights) shape — atom names must keep meaning the same thing.
+    Holds the CNF, variable pool, the one-directional definitions by
+    literal tuple (conjunctions and disjunctions apart), the totalizer
+    cache and a clause-dedup set, so a re-ground after an
+    out-of-universe edit only encodes genuinely new definitions (see the
+    module docstring's caching contract). One context must only serve
+    groundings of one (transformation, targets, metamodels, scope,
+    weights) shape — atom names must keep meaning the same thing.
     """
 
     def __init__(self) -> None:
         self.cnf = CNF()
         self.pool = VarPool(self.cnf)
-        self.tseitin = Tseitin(self.cnf, self.pool)
+        self.conjunctions: dict[tuple[Lit, ...], Lit] = {}
+        self.disjunctions: dict[tuple[Lit, ...], Lit] = {}
         self.totalizers = TotalizerCache(self.cnf)
         self._seen: set[tuple[Lit, ...]] = set()
 
     def new_selector(self) -> Lit:
         """A fresh selector literal (one per generation and guard)."""
         return self.cnf.new_var()
+
+    def conjunction(self, lits: tuple[Lit, ...]) -> Lit:
+        """A literal implying every one of ``lits``: ``lits[0]`` alone,
+        else a cached aux ``t`` with the clauses ``t -> a``."""
+        if len(lits) == 1:
+            return lits[0]
+        aux = self.conjunctions.get(lits)
+        if aux is None:
+            aux = self.conjunctions[lits] = self.cnf.new_var()
+            for lit in lits:
+                self.cnf.add_clause((-aux, lit))
+        return aux
+
+    def disjunction(self, lits: tuple[Lit, ...]) -> Lit:
+        """A literal implying some one of ``lits``: ``lits[0]`` alone,
+        else a cached aux ``c`` with the one clause ``c -> lits``."""
+        if len(lits) == 1:
+            return lits[0]
+        aux = self.disjunctions.get(lits)
+        if aux is None:
+            aux = self.disjunctions[lits] = self.cnf.new_var()
+            self.cnf.add_clause((-aux,) + lits)
+        return aux
 
     def add_unique(self, clause: Sequence[Lit]) -> None:
         """Add a generation-independent clause, deduplicated."""
@@ -697,18 +764,16 @@ class Grounder:
         self.origin_params: set[str] = set()
         self.pools = ValuePools(models, scope)
         self._context = context
+        # Definitions are cached on the shared context, else privately.
+        self._definitions = context if context is not None else GroundingContext()
+        self.cnf = self._definitions.cnf
+        self.var_pool = self._definitions.pool
         if context is not None:
-            self.cnf = context.cnf
-            self.var_pool = context.pool
-            self.tseitin = context.tseitin
             self.selector: Lit | None = context.new_selector()
             self.symmetry_selector: Lit | None = (
                 context.new_selector() if symmetry_breaking else None
             )
         else:
-            self.cnf = CNF()
-            self.var_pool = VarPool(self.cnf)
-            self.tseitin = Tseitin(self.cnf, self.var_pool)
             self.selector = None
             self.symmetry_selector = None
         self.soft: list[SoftClause] = []
@@ -719,6 +784,7 @@ class Grounder:
                 symbolic=param in self.targets,
                 scope=scope,
                 pools=self.pools,
+                var_pool=self.var_pool,
             )
             for param in transformation.param_names()
         }
@@ -778,17 +844,14 @@ class Grounder:
         mm = gm.metamodel
         for oid in gm.universe:
             cls = gm.class_of(oid)
-            alive = self.tseitin.literal(gm.alive(oid))
+            alive = gm.alive(oid)
             for attr_name, attr in sorted(mm.all_attributes(cls).items()):
                 candidates = self.pools.candidates(attr.type)
                 if not candidates:
                     raise SolverError(
                         f"empty value pool for attribute {cls}.{attr_name}"
                     )
-                value_lits = [
-                    self.tseitin.literal(gm.attr_eq(oid, attr_name, v))
-                    for v in candidates
-                ]
+                value_lits = [gm.attr_eq(oid, attr_name, v) for v in candidates]
                 # At most one value, value implies alive, alive implies a
                 # value for mandatory attributes.
                 at_most_one_pairwise(self.cnf, value_lits, emit=self._assert_hard)
@@ -800,12 +863,10 @@ class Grounder:
             for ref_name, ref in sorted(mm.all_references(cls).items()):
                 target_lits = []
                 for target in gm.objects_of(ref.target):
-                    lit = self.tseitin.literal(gm.ref_has(oid, ref_name, target))
+                    lit = gm.ref_has(oid, ref_name, target)
                     target_lits.append(lit)
                     self._assert_hard([-lit, alive])
-                    self._assert_hard(
-                        [-lit, self.tseitin.literal(gm.alive(target))]
-                    )
+                    self._assert_hard([-lit, gm.alive(target)])
                 if ref.lower >= 1 and target_lits:
                     # Lower bounds quantify over the current target set:
                     # generation-scoped.
@@ -839,7 +900,7 @@ class Grounder:
         for class_name in mm.concrete_classes():
             previous = None
             for oid in gm.fresh_slots.get(class_name, ()):
-                current = self.tseitin.literal(gm.alive(oid))
+                current = gm.alive(oid)
                 if previous is not None:
                     if self.symmetry_selector is not None:
                         self.cnf.add_clause(
@@ -881,9 +942,7 @@ class Grounder:
                         gm.ref_has(oid, ref_name, target), target in had, weight
                     )
 
-    def _prefer(
-        self, formula: PFormula, originally_true: bool, weight: int
-    ) -> None:
+    def _prefer(self, lit: Lit, originally_true: bool, weight: int) -> None:
         """One distance atom: prefer its original truth value.
 
         Non-retargetable groundings bake the preference in as a unit
@@ -893,19 +952,25 @@ class Grounder:
         assuming the origin literal (``originally_true`` then only
         matters through :meth:`GroundingResult.origin_assumptions`).
         """
-        lit = self.tseitin.literal(formula)
         if not self.retarget:
             self.soft.append(
                 SoftClause((lit if originally_true else -lit,), weight)
             )
             return
-        assert isinstance(formula, PVar), "distance atoms are symbolic"
-        origin = self.var_pool.var(("origin",) + formula.name)
-        diff = self.var_pool.var(("diff",) + formula.name)
-        self._assert_hard([-diff, lit, origin])
-        self._assert_hard([-diff, -lit, -origin])
-        self._assert_hard([diff, -lit, origin])
-        self._assert_hard([diff, lit, -origin])
+        pool = self.var_pool
+        name = pool.name_of(lit)
+        assert name is not None, "distance atoms are pool variables"
+        wired = pool.has(("diff",) + name)
+        origin = pool.var(("origin",) + name)
+        diff = pool.var(("diff",) + name)
+        if not wired:
+            # Generation-independent, and emitted with its diff variable,
+            # so once per context without the dedup set.
+            add = self.cnf.add_clause
+            add((-diff, lit, origin))
+            add((-diff, -lit, -origin))
+            add((diff, -lit, origin))
+            add((diff, lit, -origin))
         self.soft.append(SoftClause((-diff,), weight))
 
     # ------------------------------------------------------------------
@@ -941,13 +1006,13 @@ class Grounder:
         ]
         # The conclusion depends only on the values bound to the target
         # pattern's variables (free ones are enumerated inside), so
-        # bindings differing elsewhere share one memoised formula.
+        # bindings differing elsewhere share one memoised conclusion.
         target_vars = [
             p.expr.name
             for p in target_domain.template.properties
             if isinstance(p.expr, e.Var)
         ]
-        conclusion_memo: dict[tuple, PFormula] = {}
+        conclusion_memo: dict[tuple, Atom | None] = {}
         _unbound = object()
         for matches in itertools.product(*match_lists):
             binding: dict[str, Value] = {}
@@ -970,25 +1035,29 @@ class Grounder:
                     Grounder.bindings_enumerated += 1
                     full = dict(binding)
                     full.update(zip(free, values))
-                    # Frozen guard parts are PTRUE by construction of the
-                    # matches; only symbolic patterns remain in the guard.
-                    guard = pand(
-                        self._template_formula(domain, root, full)
-                        for domain, root in zip(symbolic_domains, roots)
-                    )
                     memo_key = tuple(
-                        _value_key(full[v]) if v in full else _unbound
+                        (full[v].__class__, full[v]) if v in full else _unbound
                         for v in target_vars
                     )
-                    conclusion = conclusion_memo.get(memo_key)
-                    if conclusion is None:
-                        conclusion = self._target_formula(
+                    if memo_key in conclusion_memo:
+                        conclusion = conclusion_memo[memo_key]
+                    else:
+                        conclusion = self._conclusion(
                             target_domain, full, var_pools
                         )
                         conclusion_memo[memo_key] = conclusion
-                    self.tseitin.assert_formula(
-                        pimplies(guard, conclusion), self.selector
-                    )
+                    if conclusion is True:
+                        continue
+                    # Frozen guard parts are true by construction of the
+                    # matches; only symbolic patterns remain in the guard.
+                    guard: list[Lit] = []
+                    for domain, root in zip(symbolic_domains, roots):
+                        lits = self._template_lits(domain, root, full)
+                        if lits is None:
+                            break
+                        guard.extend(lits)
+                    else:
+                        self._imply(guard, conclusion)
 
     def _ground_direction_naive(
         self,
@@ -1007,20 +1076,26 @@ class Grounder:
             for values in itertools.product(*value_spaces):
                 Grounder.bindings_enumerated += 1
                 binding = dict(zip(source_vars, values))
-                guard_parts = []
+                guard: list[Lit] = []
                 for domain, root in zip(source_domains, roots):
-                    guard_parts.append(
-                        self._template_formula(domain, root, binding)
+                    lits = self._template_lits(domain, root, binding)
+                    if lits is None:
+                        break
+                    guard.extend(lits)
+                else:
+                    conclusion = self._conclusion(
+                        target_domain, binding, var_pools
                     )
-                guard = pand(guard_parts)
-                if guard == PFALSE:
-                    continue
-                conclusion = self._target_formula(
-                    target_domain, binding, var_pools
-                )
-                self.tseitin.assert_formula(
-                    pimplies(guard, conclusion), self.selector
-                )
+                    if conclusion is not True:
+                        self._imply(guard, conclusion)
+
+    def _imply(self, guard: Sequence[Lit], conclusion: Lit | None) -> None:
+        """Assert ``guard -> conclusion`` for one binding (a ``None``
+        conclusion is false): one generation-scoped clause."""
+        clause = [-lit for lit in guard]
+        if conclusion is not None:
+            clause.append(conclusion)
+        self._assert_scoped(clause)
 
     def _frozen_domain_matches(
         self, domain: Domain, var_pools: Mapping[str, tuple[Value, ...]]
@@ -1068,12 +1143,14 @@ class Grounder:
                 matches.append((oid, partial))
         return matches
 
-    def _target_formula(
+    def _conclusion(
         self,
         domain: Domain,
         binding: Mapping[str, Value],
         var_pools: Mapping[str, tuple[Value, ...]],
-    ) -> PFormula:
+    ) -> Atom | None:
+        """Some instance of the target pattern holds under ``binding``:
+        ``True``, ``None`` (false) or a literal implying it."""
         gm = self.ground_models[domain.model_param]
         free = [
             p.expr.name
@@ -1091,20 +1168,23 @@ class Grounder:
                 if obj is not None and self._frozen_object_matches(
                     obj, domain, binding, var_pools
                 ):
-                    return PTRUE
-            return PFALSE
-        disjuncts = []
+                    return True
+            return None
+        disjuncts: list[tuple[Lit, ...]] = []
         for oid in gm.objects_of(domain.template.class_name):
-            if not free:
-                Grounder.bindings_enumerated += 1
-                disjuncts.append(self._template_formula(domain, oid, binding))
-                continue
             for values in itertools.product(*(var_pools[v] for v in free)):
                 Grounder.bindings_enumerated += 1
                 extended = dict(binding)
                 extended.update(zip(free, values))
-                disjuncts.append(self._template_formula(domain, oid, extended))
-        return por(disjuncts)
+                lits = self._template_lits(domain, oid, extended)
+                if lits is not None:
+                    disjuncts.append(tuple(lits))
+        if not disjuncts:
+            return None
+        if not all(disjuncts):
+            return True  # a frozen instance matches (the naive arm only)
+        definitions = self._definitions
+        return definitions.disjunction(tuple(map(definitions.conjunction, disjuncts)))
 
     def _frozen_object_matches(
         self,
@@ -1143,19 +1223,27 @@ class Grounder:
                     return False
         return True
 
-    def _template_formula(
+    def _template_lits(
         self, domain: Domain, oid: str, binding: Mapping[str, Value]
-    ) -> PFormula:
+    ) -> list[Lit] | None:
+        """The template instance's atoms as literals: ``None`` when one
+        is false, true ones dropped."""
         gm = self.ground_models[domain.model_param]
-        parts = [gm.alive(oid)]
+        lits: list[Lit] = []
+        atom = gm.alive(oid)
+        if atom is False:
+            return None
+        if atom is not True:
+            lits.append(atom)
         for prop in domain.template.properties:
-            if isinstance(prop.expr, e.Var):
-                value = binding[prop.expr.name]
-            else:
-                assert isinstance(prop.expr, e.Lit)
-                value = prop.expr.value
-            parts.append(gm.attr_eq(oid, prop.feature, value))
-        return pand(parts)
+            expr = prop.expr
+            value = binding[expr.name] if isinstance(expr, e.Var) else expr.value
+            atom = gm.attr_eq(oid, prop.feature, value)
+            if atom is False:
+                return None
+            if atom is not True:
+                lits.append(atom)
+        return lits
 
     def _pattern_var_pools(
         self, domains: Sequence[Domain]
@@ -1204,25 +1292,19 @@ class Grounder:
     ) -> Model:
         mm = gm.metamodel
 
-        def truth(formula: PFormula) -> bool:
-            if formula == PTRUE:
-                return True
-            if formula == PFALSE:
-                return False
-            assert isinstance(formula, PVar)
-            if not self.var_pool.has(formula.name):
-                return False
-            return assignment[self.var_pool.var(formula.name)]
+        def truth(atom: Atom) -> bool:
+            # Decoding allocates nothing: an atom the pool lacks reads false.
+            return atom is True or (atom is not False and assignment[atom])
 
         objects = []
         for oid in gm.universe:
-            if not truth(gm.alive(oid)):
+            if not truth(gm.alive(oid, new=False)):
                 continue
             cls = gm.class_of(oid)
             attrs: dict[str, Value] = {}
             for attr_name, attr in sorted(mm.all_attributes(cls).items()):
                 for value in self.pools.candidates(attr.type):
-                    if truth(gm.attr_eq(oid, attr_name, value)):
+                    if truth(gm.attr_eq(oid, attr_name, value, new=False)):
                         attrs[attr_name] = value
                         break
             refs: dict[str, list[str]] = {}
@@ -1230,7 +1312,7 @@ class Grounder:
                 targets = [
                     t
                     for t in gm.objects_of(ref.target)
-                    if truth(gm.ref_has(oid, ref_name, t))
+                    if truth(gm.ref_has(oid, ref_name, t, new=False))
                 ]
                 if targets:
                     refs[ref_name] = targets

@@ -39,7 +39,10 @@ class CNF:
     def add_clause(self, literals: Iterable[Lit]) -> None:
         """Add one clause; validates literals against ``num_vars``."""
         clause = tuple(literals)
+        top = self.num_vars
         for lit in clause:
+            if type(lit) is int and lit and -top <= lit <= top:
+                continue  # the common case: a plain in-range int
             if not isinstance(lit, int) or isinstance(lit, bool):
                 raise SolverError(f"literal {lit!r} is not an int")
             if lit == 0:

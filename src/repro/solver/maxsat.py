@@ -442,7 +442,7 @@ class MaxSatSession:
         under the optimal bound, blocking each found projection, until
         UNSAT or ``limit`` solutions; raises :class:`SolverError` when
         the hard clauses are unsatisfiable. Only the projection is
-        blocked: auxiliary (Tseitin/totalizer/relaxation) variables vary
+        blocked: auxiliary (definition/totalizer/relaxation) variables vary
         freely without changing the decoded solution. ``retract`` guards
         the blocking clauses with a fresh selector (allocated after the
         optimum solve) that only this enumeration assumes, so the session

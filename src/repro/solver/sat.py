@@ -515,7 +515,13 @@ class IncrementalSolver:
             self._attach(clauses)
 
     def _attach(self, clauses: list[Sequence[Lit]]) -> None:
-        """Attach clauses between searches (:meth:`load`)."""
+        """Attach clauses between searches (:meth:`load`).
+
+        On a fresh solver (empty trail) no literal is settled at level 0,
+        so a clause over two or more distinct variables passes every rule
+        of :meth:`_add_codes` unchanged and is watched directly; one set
+        size settles duplicates and tautologies.
+        """
         if self.trail_lim:
             vt = self.vt
             vf = self.vf
@@ -529,8 +535,14 @@ class IncrementalSolver:
             self._undo(lowest - 1)
         units = len(self.units)
         add = self._add_codes
+        watch = self._watch
+        fresh = not self.trail
         for clause in clauses:
-            add([(l << 1) if l > 0 else ((-l) << 1) | 1 for l in clause])
+            codes = [(l << 1) if l > 0 else ((-l) << 1) | 1 for l in clause]
+            if fresh and len(codes) > 1 and len(set(map(abs, clause))) == len(codes):
+                watch(codes, 0)
+            else:
+                add(codes)
         if self.empty_clause or len(self.units) > units:
             self._undo(0)
 
@@ -549,8 +561,7 @@ class IncrementalSolver:
         permanent); empty clauses mark the instance UNSAT; unit clauses
         are queued for level-0 assignment at the next solve. ``lbd > 0``
         marks a learnt clause (a GC candidate unless glue or locked).
-        The attached clause is a fresh arena slice watched on its first
-        two codes.
+        The attached clause goes to :meth:`_watch`.
         """
         vt = self.vt
         vf = self.vf
@@ -576,17 +587,22 @@ class IncrementalSolver:
         if len(pruned) == 1:
             self.units.append(pruned[0])
             return None
+        return self._watch(pruned, lbd)
+
+    def _watch(self, codes: list[int], lbd: int) -> int:
+        """Store a clause of two or more settled codes as a fresh arena
+        slice watched on its first two codes; returns its cref."""
         arena = self.arena
         arena.append(lbd)
-        arena.append(len(pruned))
+        arena.append(len(codes))
         cref = len(arena)
-        arena.extend(pruned)
+        arena.extend(codes)
         self.cref_list.append(cref)
         if lbd > 0:
             self.num_learnts += 1
             self.clause_act[cref] = 0.0
-        self.watches[pruned[0]].append(cref)
-        self.watches[pruned[1]].append(cref)
+        self.watches[codes[0]].append(cref)
+        self.watches[codes[1]].append(cref)
         return cref
 
     # ------------------------------------------------------------------

@@ -19,10 +19,15 @@ The PR 3 fast path may change *how much* work grounding does, never
 * the state-encoding walk shared by the oracle and
   ``origin_assumptions`` must accept/decline in lockstep;
 * learnt-clause binary self-subsuming resolution must fire and stay
-  answer-preserving against the truth-table oracle.
+  answer-preserving against the truth-table oracle;
+* the encoding of the frozen benchmark corpora stays at most its pinned
+  size, over exactly the pinned binding enumeration.
 """
 
+import gzip
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -45,6 +50,8 @@ from repro.featuremodels import (
     paper_transformation,
 )
 from repro.metamodel.model import Model, ModelObject
+from repro.serve.requests import request_from_dict
+from repro.serve.worker import reset_worker_state, serve_request
 from repro.solver.brute import brute_solve
 from repro.solver.bounded import Grounder, GroundingContext, Scope
 from repro.solver.cnf import CNF
@@ -644,3 +651,70 @@ class TestBinaryMinimisation:
             assert result.satisfiable == brute_solve(cnf).satisfiable
             if result.assignment is not None:
                 assert check_assignment(cnf, result.assignment)
+
+
+_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
+
+class TestEncodingSize:
+    """Clause counts of the frozen benchmark corpora, served inline in
+    file order from cleared caches (one perfbench pass).
+
+    The hard-clause bounds are the counts of one clause per binding with
+    one-directional definitions; the two-way Tseitin encoding before it
+    emitted the counts in the comments. The binding counts are pinned
+    exactly: the pruning gate above reads the same counter, so the
+    encoder must not lower it through early exits.
+    """
+
+    @staticmethod
+    def _groundings(name, monkeypatch):
+        """``(request index, hard clauses, bindings)`` per grounding."""
+        document = json.loads(gzip.decompress((_CORPUS / f"{name}.json.gz").read_bytes()))
+        requests = [
+            request
+            for scenario in document.get("scenarios") or [document]
+            for request in scenario["requests"]
+        ]
+        records, index = [], [None]
+        ground = Grounder.ground
+
+        def counted(grounder):
+            clauses, bindings = len(grounder.cnf), Grounder.bindings_enumerated
+            result = ground(grounder)
+            records.append((
+                index[0],
+                len(grounder.cnf) - clauses,
+                Grounder.bindings_enumerated - bindings,
+            ))
+            return result
+
+        monkeypatch.setattr(Grounder, "ground", counted)
+        clear_shared_sessions()
+        reset_worker_state()
+        try:
+            if document.get("warmup"):
+                index[0] = "warmup"
+                serve_request(request_from_dict(document["warmup"]))
+            for index[0], request in enumerate(requests):
+                serve_request(request_from_dict(request))
+        finally:
+            clear_shared_sessions()
+            reset_worker_state()
+        return records
+
+    def test_paper_fm_question(self, monkeypatch):
+        (record,) = self._groundings("paper-fm", monkeypatch)
+        assert record[0] == "warmup"
+        assert record[1] <= 3505  # two-way Tseitin: 8,352
+        assert record[2] == 2135
+
+    def test_gen_pass_and_its_largest_shape(self, monkeypatch):
+        records = self._groundings("gen", monkeypatch)
+        assert len(records) == 92
+        assert sum(bindings for _, _, bindings in records) == 5376
+        assert sum(clauses for _, clauses, _ in records) <= 34259  # 61,354
+        (largest,) = [r for r in records if r[0] == 49]
+        assert largest[1] == max(clauses for _, clauses, _ in records)
+        assert largest[1] <= 1434  # two-way Tseitin: 8,418
+        assert largest[2] == 588

@@ -24,6 +24,7 @@ from repro.solver.bounded import (
     fresh_slots_for,
     fresh_string,
 )
+from repro.solver.cnf import CNF, VarPool
 from repro.solver.maxsat import solve_maxsat
 from repro.metamodel.types import BOOLEAN, INTEGER, STRING, EnumType
 
@@ -180,12 +181,13 @@ class TestFreshSlots:
         cf = configuration(["core", "log"], name="cf1")
         models = {"cf1": cf}
         scope = Scope(extra_objects=2)
-        gm = GroundModel("cf1", cf, True, scope, ValuePools(models, scope))
+        pools, var_pool = ValuePools(models, scope), VarPool(CNF())
+        gm = GroundModel("cf1", cf, True, scope, pools, var_pool)
         assert gm.universe == (
             "new_feature_1", "new_feature_2", "s_core", "s_log"
         )
         assert gm.class_of("new_feature_2") == "Feature"
-        frozen = GroundModel("cf1", cf, False, scope, ValuePools(models, scope))
+        frozen = GroundModel("cf1", cf, False, scope, pools, var_pool)
         assert frozen.universe == ("s_core", "s_log")
 
     def test_creatable_is_fresh_slots_capped_by_absent_ids(self):

@@ -314,6 +314,51 @@ class TestRootLevelRefutation:
         self._assert_latched(solver)
 
 
+class TestFreshLoad:
+    """A fresh solver attaches its clauses on a fast path (nothing is
+    assigned, so only duplicates and tautologies need settling); the
+    result must be what attaching them one at a time through
+    ``_add_codes`` builds."""
+
+    @staticmethod
+    def _random_clauses(seed: int) -> tuple[int, list[tuple[int, ...]]]:
+        rng = random.Random(seed)
+        num_vars = rng.randint(2, 8)
+
+        def lit():
+            return rng.choice((1, -1)) * rng.randint(1, num_vars)
+
+        clauses = [
+            tuple(lit() for _ in range(rng.randint(2, 5)))
+            for _ in range(rng.randint(5, 30))
+        ]
+        first = lit()
+        clauses += [
+            (first, first, lit()),  # a duplicate literal
+            (first, lit(), -first),  # a tautology
+            (lit(),),  # a unit
+            (first, first),  # a unit after dedup
+        ]
+        if seed % 3 == 0:
+            clauses.append(())  # the empty clause
+        rng.shuffle(clauses)
+        return num_vars, clauses
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_clause_by_clause_attach(self, seed):
+        num_vars, clauses = self._random_clauses(seed)
+        fresh = IncrementalSolver(CNF(num_vars, list(clauses)))
+        reference = IncrementalSolver()
+        reference.ensure_vars(num_vars)
+        for clause in clauses:
+            reference._add_codes(
+                [(l << 1) if l > 0 else ((-l) << 1) | 1 for l in clause]
+            )
+        for column in ("arena", "cref_list", "watches", "units", "empty_clause"):
+            assert getattr(fresh, column) == getattr(reference, column), column
+        assert fresh.solve().satisfiable == reference.solve().satisfiable
+
+
 def _one_reason_stream(seed: int, num_vars: int = 12):
     """Binary clauses in which every literal occurs at most once, plus a
     :func:`~tests.strategies.probe_stream` whose added clause and unit
