@@ -13,9 +13,10 @@
 #     rejects bad certificates, and TestCertifiedLoads certifies a
 #     clause load that keeps the assumption levels it does not touch.
 #     A solve keeps the assumption levels it shares with the previous
-#     one, answers like a fresh solver and takes at most 13,000
-#     propagations and 150 decisions on a paper feature-model toggle
-#     stream (tests/test_solver_incremental.py::TestAssumptionTrailReuse);
+#     one, assumes the literals that stay first in their old order,
+#     answers like a fresh solver under every order and takes at most
+#     13,000 propagations and 150 decisions on a paper feature-model
+#     toggle stream (tests/test_solver_incremental.py::TestAssumptionTrailReuse);
 #     learnt-clause GC under constant restarts keeps the optimum of a
 #     re-probed enforcement session (tests/test_solver_gc_restarts.py);
 #     and the increasing search's disjoint-core bound never exceeds the
@@ -67,8 +68,9 @@
 #     are SAT exactly when guard -> conclusion holds, and a second
 #     generation reuses the cached definitions
 #     (tests/test_solver_grounding_encoder.py); the frozen corpora
-#     encode in at most 3,505 hard clauses for the paper-fm question and
-#     1,434 for gen request 49, over exactly 5,376 bindings per gen pass
+#     encode in at most 2,425 hard clauses for the paper-fm question,
+#     16,759 per gen pass and 1,026 for gen request 49, over exactly
+#     2,135, 5,376 and 588 bindings
 #     (tests/test_grounding_fastpath.py::TestEncodingSize); a fresh
 #     solver's bulk load builds the arena, watch lists and pending units
 #     that attaching clause by clause builds
@@ -119,7 +121,8 @@
 # (outcome, distance) reference, computed by per-call SAT. One more
 # gen-cold run with the per-layer tracer on guards the names the
 # tracer patches: a refactor that renames one fails the stage instead
-# of silently breaking the per-layer numbers.
+# of silently breaking the per-layer numbers; a traced paper-fm run does
+# the same for the core-memory and OLL path, which gen-cold barely takes.
 # Docs can't rot silently: every example runs as a smoke stage, the
 # code blocks in README.md and docs/ are import-checked, and every
 # module under src/ that carries a doctest runs it.
@@ -148,6 +151,9 @@ timeout 300 python3 perfbench/run.py --workload gen-cold --seconds 2
 
 echo "== perfbench gen-cold with the per-layer tracer (hard 300 s timeout) =="
 timeout 300 python3 perfbench/run.py --workload gen-cold --seconds 2 --trace 1
+
+echo "== perfbench paper-fm with the per-layer tracer (hard 300 s timeout) =="
+timeout 300 python3 perfbench/run.py --workload paper-fm --seconds 2 --trace 1
 
 echo "== perfbench gen-batch answers vs frozen references (hard 300 s timeout) =="
 timeout 300 python3 perfbench/run.py --workload gen-batch --seconds 2

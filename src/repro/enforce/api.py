@@ -16,10 +16,11 @@ from repro.check.engine import CheckConfig, Checker, EXTENDED
 from repro.enforce.guided import enforce_guided
 from repro.enforce.metrics import TupleMetric
 from repro.metamodel.conformance import is_conformant
+from repro.metamodel.types import type_name, value_conforms
 from repro.enforce.satengine import enforce_sat
 from repro.enforce.search import enforce_search
 from repro.enforce.targets import TargetSelection
-from repro.errors import EnforcementError
+from repro.errors import EnforcementError, NonConformantTarget
 from repro.metamodel.model import Model
 from repro.qvtr.ast import Transformation
 from repro.solver.bounded import Scope
@@ -93,13 +94,15 @@ def enforce(
     and the *distance* (``metric``). ``engine``/``mode``/``scope`` select
     and bound the solving machinery; ``share=False`` makes the SAT
     engine ground this call standalone instead of riding the shared
-    retargetable grounding of its question shape (the re-grounding
+    grounding of its question shape (the re-grounding
     arm ``tests/test_enforce_session.py`` compares sessions against).
     Raises
     :class:`~repro.errors.NoRepairFound` when the chosen direction cannot
     restore consistency within bounds — the paper's closing caveat that
     *"not all update directions are able to restore the consistency of
-    the system"*.
+    the system"* — and :class:`~repro.errors.NonConformantTarget` for an
+    inconsistent tuple whose weighted target holds an ill-typed value
+    (:func:`refuse_nonconformant`).
 
     >>> from repro.featuremodels import (paper_transformation,
     ...     feature_model, configuration)
@@ -134,6 +137,7 @@ def enforce(
             engine="none",
             targets=frozenset(targets.params),
         )
+    refuse_nonconformant(original, targets, metric)
 
     if engine == SEARCH_ENGINE:
         repaired, cost, _stats = enforce_search(
@@ -168,6 +172,35 @@ def enforce(
         )
 
     return verify_repair(checker, engine, original, repaired, cost, targets, metric)
+
+
+def refuse_nonconformant(
+    original: Mapping[str, Model], targets: TargetSelection, metric: TupleMetric
+) -> None:
+    """Refuse (:class:`~repro.errors.NonConformantTarget`) an
+    inconsistent tuple whose weighted target holds a value outside its
+    attribute's type (``1`` for a Boolean): the SAT grounding counts an
+    edit across types once, the metric twice, so no engine runs. A
+    consistent tuple is left untouched first, conformant or not."""
+    for param in sorted(targets.params):
+        if metric.weight(param) == 0:
+            continue
+        model = original[param]
+        mm = model.metamodel
+        bad = [
+            f"{obj.oid}.{name}: value {value!r} does not conform to "
+            f"{type_name(attr.type)}"
+            for obj in model.objects
+            if mm.has_class(obj.cls)
+            for name, value in obj.attrs
+            if (attr := mm.all_attributes(obj.cls).get(name)) is not None
+            and not value_conforms(value, attr.type)
+        ]
+        if bad:
+            raise NonConformantTarget(
+                f"target {param!r} does not conform to its metamodel "
+                f"({'; '.join(bad)}); only a conformant target can be repaired"
+            )
 
 
 def verify_repair(

@@ -13,14 +13,15 @@ and the optimum is found either by
 Both return the same optimum; experiment E7 compares their runtime.
 
 Since the grounding fast path (PR 3), every entry point of this module
-rides **one shared retargetable grounding** per question shape:
+rides **one shared grounding** per question shape:
 :func:`enforce_sat`, :func:`enumerate_repairs` and
 :meth:`ConsistencyOracle.try_build` all resolve to the
 :func:`repro.enforce.session.shared_session` cache, so an edit/enforce
 loop that mixes verbs (repair, enumerate, screen candidates) grounds its
 transformation constraints exactly once and every solve profits from the
-same learnt-clause-laden incremental solver. The distance origin is
-injected per call as assumptions
+same learnt-clause-laden incremental solver. Each call's state is
+injected as its MaxSAT objective: its own atom literals, weighted per
+target, plus its creation budget as assumptions
 (:meth:`~repro.solver.bounded.GroundingResult.origin_assumptions`),
 symmetry breaking is an opt-in assumption, and enumeration blocking
 clauses are guarded by a per-enumeration selector so they never outlive
@@ -74,7 +75,6 @@ def _ground(
     metric: TupleMetric | None,
     scope: Scope,
     symmetry_breaking: bool = True,
-    retarget: bool = False,
     prune: bool = True,
     context: GroundingContext | None = None,
 ) -> Grounder:
@@ -88,8 +88,8 @@ def _ground(
     :class:`~repro.enforce.session.EnforcementSession` instead grounds
     onto a :class:`~repro.solver.bounded.GroundingContext` with
     *guarded* symmetry clauses — optimum solves assume them, oracle
-    queries do not — and sets ``retarget`` so the distance origin is
-    chosen per solve via assumptions (see
+    queries do not — and passes each state's own atom literals as the
+    objective of its solve (see
     :meth:`~repro.solver.bounded.GroundingResult.origin_assumptions`).
     """
     transformation = checker.transformation
@@ -108,7 +108,6 @@ def _ground(
         scope=scope,
         weights=weights,
         symmetry_breaking=symmetry_breaking,
-        retarget=retarget,
         prune=prune,
         context=context,
     )
@@ -129,10 +128,10 @@ def enforce_sat(
     Returns ``(repaired tuple, weighted distance)``; raises
     :class:`NoRepairFound` when no consistent tuple exists within the
     scope (or the distance cap). By default the call is served by the
-    shared retargetable grounding of its question shape
+    shared grounding of its question shape
     (:func:`repro.enforce.session.shared_session`): the constraints are
     encoded at most once per shape, the concrete tuple is injected as
-    origin assumptions, and the optimum search runs under assumptions
+    the objective of the solve, and the optimum search runs under assumptions
     on one persistent solver. ``share=False`` grounds
     per call (the baseline arm of the shared-grounding tests).
     """
@@ -174,15 +173,19 @@ def _solve_optimum(
     max_distance: int | None,
     scope: Scope | str,
     targets: TargetSelection,
+    objective: Mapping[Lit, int] | None = None,
 ) -> tuple[dict[str, Model], int]:
     """The one optimum -> decode step of every SAT-engine repair.
 
-    ``assumptions`` are the grounding's base assumptions plus the
-    distance-origin assumptions (both empty on a per-call grounding);
+    ``assumptions`` are the base assumptions plus the state's creation
+    budget and ``objective`` its soft literals (both empty per call);
     ``scope`` and ``targets`` only word the :class:`NoRepairFound`.
     """
     result = maxsat.solve_optimal(
-        mode=mode, max_cost=max_distance, assumptions=assumptions
+        mode=mode,
+        max_cost=max_distance,
+        assumptions=assumptions,
+        objective=objective,
     )
     if not result.satisfiable:
         raise NoRepairFound(
@@ -322,7 +325,7 @@ class ConsistencyOracle:
     ) -> "ConsistencyOracle | None":
         """An oracle for this enforcement run, or None outside the fragment.
 
-        By default the oracle rides the shared retargetable grounding of
+        By default the oracle rides the shared grounding of
         its question shape, so candidate screening (search/guided
         engines) and SAT enforcement accumulate learnt clauses on the
         same solver. ``share=False`` builds a standalone

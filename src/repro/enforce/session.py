@@ -10,15 +10,16 @@ persisting the transformation state across the model's evolution is where
 the order-of-magnitude wins live.
 
 :class:`EnforcementSession` is that persistence for the SAT engine. It
-grounds once — *retargetably*: the distance-to-original soft clauses run
-through origin variables selected by assumptions
-(:meth:`~repro.solver.bounded.GroundingResult.origin_assumptions`) — and
-keeps the :class:`~repro.solver.bounded.GroundingResult`, the
+grounds once and keeps the :class:`~repro.solver.bounded.GroundingResult`, the
 :class:`~repro.solver.maxsat.MaxSatSession` and a
 :class:`~repro.enforce.satengine.ConsistencyOracle` alive, all three
 sharing one incremental solver. Each :meth:`EnforcementSession.enforce`
 call then *re-validates* the cached grounding against the edited tuple
-and *patches* the query (new origin assumptions) instead of re-grounding;
+and *patches* the query instead of re-grounding: the edited state's own
+atom literals become the MaxSAT objective, one unit soft literal per
+distance atom
+(:meth:`~repro.solver.bounded.GroundingResult.origin_assumptions`), so
+the grounding holds no state-specific clause or variable;
 only edits that escape the grounding — a new attribute value outside
 the candidate pools, a drifted frozen model, an object id renaming
 cannot place — trigger a fresh grounding. Learnt clauses and heuristic
@@ -104,6 +105,7 @@ from repro.enforce.api import (
     SAT_ENGINE,
     Repair,
     adaptive_scope,
+    refuse_nonconformant,
     verify_repair,
 )
 from repro.enforce.metrics import TupleMetric
@@ -121,7 +123,6 @@ from repro.metamodel.conformance import is_conformant
 from repro.metamodel.model import Model, ModelObject
 from repro.metamodel.types import EnumType, PrimitiveType
 from repro.solver.bounded import GroundingContext, Scope, _same_value
-from repro.solver.cnf import Lit
 from repro.solver.maxsat import INCREASING
 
 
@@ -265,7 +266,7 @@ class EnforcementSession:
     >>> repair = session.enforce(dict(models,
     ...     cf1=configuration(["core", "net"], name="cf1")))
     >>> repair.distance, repair.models["cf1"].object_ids()
-    (4, ['s_core', 's_log', 's_net'])
+    (4, ['s_core', 's_net'])
     >>> session.groundings, session.reuses, session.renames
     (1, 2, 1)
     """
@@ -442,8 +443,10 @@ class EnforcementSession:
         """:meth:`enforce`, solved."""
         anchor = self._activate(original) or self._activate(original, True)
         fold = anchor is not None and self._hippocratic_fold(original)
-        if not fold and self.checker.is_consistent(original):
-            return self._untouched(original)
+        if not fold:
+            if self.checker.is_consistent(original):
+                return self._untouched(original)
+            refuse_nonconformant(original, self.targets, self.metric)
         repaired, cost = self._optimum(
             original, anchor, max_distance, symmetry=False
         )
@@ -492,8 +495,8 @@ class EnforcementSession:
         reusable for every later query.
         """
         original = self._bound(models)
-        assumptions = self._ensure(original)
-        if assumptions is None:
+        origin = self._ensure(original)
+        if origin is None:
             return enumerate_repairs(
                 self.checker,
                 original,
@@ -521,13 +524,15 @@ class EnforcementSession:
                     project.extend(var for _target, var in ref_pairs)
         project.sort()
         symmetry = self._symmetry_ok(original)
+        objective, budget = origin
         cost, assignments = active.maxsat.enumerate_optimal(
             project,
             mode=self.mode,
             limit=limit,
             assumptions=active.grounding.base_assumptions(symmetry=symmetry)
-            + assumptions,
+            + budget,
             retract=True,
+            objective=objective,
         )
         active.enum_clauses += len(assignments)
         return cost, _distinct_repairs(active.grounder, assignments)
@@ -566,36 +571,38 @@ class EnforcementSession:
             )
         return {param: models[param] for param in self._params}
 
-    def _ensure(self, original: Mapping[str, Model]) -> list[Lit] | None:
-        """Origin assumptions for ``original``, re-grounding if needed.
+    def _ensure(self, original: Mapping[str, Model]):
+        """``original``'s objective and creation budget
+        (:meth:`~repro.solver.bounded.GroundingResult.origin_assumptions`),
+        re-grounding if needed.
 
-        ``None`` means the tuple cannot anchor a retargetable grounding
-        at all — an undeclared feature, a dangling reference, a value
+        ``None`` means the tuple cannot anchor a shared grounding at
+        all — an undeclared feature, a dangling reference, a value
         outside its attribute's type domain on a weighted target — and
         the caller must serve the question standalone (the historical
-        per-call path repairs such tuples just fine; only the
-        origin-variable representation cannot express them). The
-        anchorability pre-check runs *before* re-grounding so
-        unanchorable tuples never pollute the shared context.
+        per-call path repairs such tuples just fine; only the atom
+        tables cannot express them). The anchorability pre-check runs
+        *before* re-grounding so unanchorable tuples never pollute the
+        shared context.
         """
         anchor = self._activate(original)
         return self._ground_fresh(original) if anchor is None else anchor[1]
 
-    def _ground_fresh(self, original: Mapping[str, Model]) -> list[Lit] | None:
+    def _ground_fresh(self, original: Mapping[str, Model]):
         """Ground a new generation for ``original`` (the active one does
-        not fit — callers already probed); ``None`` when the tuple is
-        unanchorable."""
+        not fit — callers already probed) and return :meth:`_ensure`'s
+        answer; ``None`` when the tuple is unanchorable."""
         if not self._anchorable(original):
             return None
         self._reground(original)
-        assumptions = self._active.grounding.origin_assumptions(
+        origin = self._active.grounding.origin_assumptions(
             original, self._scope_for(original).extra_objects
         )
-        if assumptions is None:
+        if origin is None:
             raise EnforcementError(
                 "model tuple cannot anchor its own grounding; this is a bug"
             )
-        return assumptions
+        return origin
 
     def _anchorable(self, original: Mapping[str, Model]) -> bool:
         """Whether every weighted target can anchor a fresh grounding of
@@ -636,18 +643,20 @@ class EnforcementSession:
     def _solve(
         self,
         original: Mapping[str, Model],
-        origin: list[Lit] | None,
+        origin,
         max_distance: int | None,
         symmetry: bool,
     ) -> tuple[dict[str, Model], int]:
         """The session's optimum -> decode step on the active generation.
 
-        ``symmetry`` assumes the symmetry chain where :meth:`_symmetry_ok`
-        allows it. The generation selector leads the assumptions: one
-        propagation pass activates the whole generation before the
-        origin literals pin the distance. An unanchorable tuple
-        (``origin`` is ``None``) takes the historical per-call path —
-        same guarantees, no shared-context pollution."""
+        ``origin`` is the state's objective and creation budget
+        (:meth:`_ensure`). ``symmetry`` assumes the symmetry chain where
+        :meth:`_symmetry_ok` allows it. The generation selector leads
+        the assumptions: one propagation pass activates the whole
+        generation before the budget and the state's soft literals are
+        assumed. An unanchorable tuple (``origin`` is ``None``) takes the
+        historical per-call path — same guarantees, no shared-context
+        pollution."""
         if origin is None:
             return enforce_sat(
                 self.checker,
@@ -661,18 +670,20 @@ class EnforcementSession:
             )
         active = self._active
         symmetry = symmetry and self._symmetry_ok(original)
+        objective, budget = origin
         return _solve_optimum(
             active.grounder,
             active.maxsat,
-            active.grounding.base_assumptions(symmetry=symmetry) + origin,
+            active.grounding.base_assumptions(symmetry=symmetry) + budget,
             self.mode,
             max_distance,
             self.scope if self.scope is not None else "adaptive scope",
             self.targets,
+            objective,
         )
 
     def _activate(self, original: Mapping[str, Model], rename: bool = False):
-        """``(state, origin assumptions, inverse renaming)`` when the
+        """``(state, objective and budget, inverse renaming)`` when the
         active generation can express ``original`` — its frozen models
         match, and the state anchors as is or, if ``rename``, renamed onto
         its universe (:meth:`_renaming`) — else ``None``."""
@@ -682,14 +693,14 @@ class EnforcementSession:
         renamed = self._renaming(active, original) if rename else (original, {})
         if renamed is None:
             return None
-        assumptions = active.grounding.origin_assumptions(
+        origin = active.grounding.origin_assumptions(
             renamed[0], self._scope_for(original).extra_objects
         )
-        if assumptions is None:
+        if origin is None:
             return None
         if not rename:
             self.reuses += 1  # a renamed state counts once certified
-        return renamed[0], assumptions, renamed[1]
+        return renamed[0], origin, renamed[1]
 
     def _renaming(self, generation: _Generation, original: Mapping[str, Model]):
         """``(original renamed, inverse maps per target)``: each target
@@ -742,11 +753,11 @@ class EnforcementSession:
         costing at most ``bound``, or a no-repair answer capped below
         it, is the per-call answer; any other re-grounds."""
         # No anchor: the edit escaped the active generation, if any.
-        state, assumptions, inverse = anchor or (
+        state, origin, inverse = anchor or (
             original, self._ground_fresh(original), {}
         )
         if not inverse:
-            return self._solve(state, assumptions, max_distance, symmetry)
+            return self._solve(state, origin, max_distance, symmetry)
         extra = self._scope_for(original).extra_objects
         creatable = self._active.grounding.creatable(state, extra).items()
         bound = min(
@@ -754,7 +765,7 @@ class EnforcementSession:
             default=math.inf,
         )
         try:
-            repaired, cost = self._solve(state, assumptions, max_distance, symmetry)
+            repaired, cost = self._solve(state, origin, max_distance, symmetry)
         except NoRepairFound:
             cap = math.inf if max_distance is None else max_distance
             if bound < math.inf and cap >= bound:
@@ -857,7 +868,6 @@ class EnforcementSession:
             self.metric,
             scope,
             symmetry_breaking=self._context is not None,
-            retarget=True,
             prune=self.prune,
             context=self._context,
         )
@@ -909,7 +919,7 @@ def shared_session(
     :func:`~repro.enforce.satengine.enumerate_repairs`,
     :meth:`~repro.enforce.satengine.ConsistencyOracle.try_build`, the
     Echo tool — resolves the same shape to the same session, and with it
-    to one shared retargetable grounding and one incremental solver.
+    to one shared grounding and one incremental solver.
     Transformation identity (not equality) keys the cache so tests and
     benchmarks that build a fresh transformation get a deterministic
     fresh session; the cached session keeps the transformation alive, so

@@ -112,6 +112,11 @@ class NoRepairFound(EnforcementError):
         self.explored_distance = explored_distance
 
 
+class NonConformantTarget(EnforcementError):
+    """Raised, on every engine alike, for an inconsistent tuple whose
+    weighted target holds a value outside its attribute's type."""
+
+
 class SearchBudgetExhausted(NoRepairFound):
     """The explicit-search engine ran out of *state budget* — distinct
     from proving no repair exists within the bounded space. Differential

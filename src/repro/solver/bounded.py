@@ -12,10 +12,13 @@ to maintain, it produces
   so that every satisfying assignment decodes to a *conformant* model;
 * **consistency constraints** — each directional check ``R_{S->T}``
   grounded over all symbolic bindings of its source patterns;
-* **distance soft clauses** — one per atom of the bounded universe,
-  preferring the original value, so the violated soft weight *is* the
-  graph-edit distance of :mod:`repro.metamodel.distance` (weighted per
-  model when a weight map is given).
+* **distance soft clauses** — one unit soft clause per atom of the
+  bounded universe, preferring the original value, so the violated soft
+  weight *is* the graph-edit distance of :mod:`repro.metamodel.distance`
+  (weighted per model when a weight map is given). A later state of the
+  same shape gets its own soft literals the same way, off the atom
+  tables (:meth:`GroundingResult.origin_assumptions`), so one grounding
+  serves every state its universe can express.
 
 Supported fragment: flat templates whose properties equate *attributes*
 to variables or literals, with no when/where clauses (see
@@ -65,9 +68,11 @@ seen. Soundness is split by clause kind:
   literal tuple in the context. Setting the aux false satisfies its
   definition under every atom assignment, so the definitions (like
   totalizer counters and their on-demand extensions,
-  value-implies-alive, reference-implies-alive, at-most bounds and the
-  retargetable ``diff <-> atom XOR origin`` wiring) are valid for every
-  generation and are emitted once, deduplicated;
+  value-implies-alive, reference-implies-alive and at-most bounds) are
+  valid for every generation and are emitted once, deduplicated;
+* **no distance clauses.** A state's distance is its own atom literals,
+  assumed per query as unit soft literals, so no state is baked into
+  the CNF and a new state adds no clause;
 * **generation-dependent assertions** (the per-binding clauses,
   mandatory-attribute completeness, reference lower bounds) quantify
   over the *current* universe/pools and are guarded by a per-generation
@@ -441,7 +446,7 @@ class AtomEntry:
 
 @dataclass(frozen=True)
 class StateTable:
-    """One parameter's atom (or origin) variables over its universe."""
+    """One parameter's atom variables over its universe."""
 
     param: str
     universe: frozenset[str]
@@ -449,7 +454,7 @@ class StateTable:
 
 
 def _build_state_tables(
-    grounding: "GroundingResult", params: Sequence[str], prefix: tuple
+    grounding: "GroundingResult", params: Sequence[str]
 ) -> dict[str, StateTable] | None:
     """Tabulate per-object variables for ``params``; None if any expected
     variable is missing from the grounding's pool."""
@@ -461,7 +466,7 @@ def _build_state_tables(
         entries: list[AtomEntry] = []
         for oid in gm.universe:
             cls = gm.class_of(oid)
-            name = prefix + ("obj", param, oid)
+            name = ("obj", param, oid)
             if not pool.has(name):
                 return None
             alive = pool.var(name)
@@ -469,13 +474,7 @@ def _build_state_tables(
             for attr_name, attr in sorted(mm.all_attributes(cls).items()):
                 pairs = []
                 for value in gm.pools.candidates(attr.type):
-                    vname = prefix + (
-                        "attr",
-                        param,
-                        oid,
-                        attr_name,
-                        _value_key(value),
-                    )
+                    vname = ("attr", param, oid, attr_name, _value_key(value))
                     if not pool.has(vname):
                         return None
                     pairs.append((value, pool.var(vname)))
@@ -484,7 +483,7 @@ def _build_state_tables(
             for ref_name, ref in sorted(mm.all_references(cls).items()):
                 pairs = []
                 for target in gm.objects_of(ref.target):
-                    rname = prefix + ("ref", param, oid, ref_name, target)
+                    rname = ("ref", param, oid, ref_name, target)
                     if not pool.has(rname):
                         return None
                     pairs.append((target, pool.var(rname)))
@@ -514,9 +513,10 @@ def encode_state(
     """Literals fixing every tabulated variable to ``state``'s atom values.
 
     The single state-encoding walk shared by
-    :meth:`GroundingResult.origin_assumptions` (over origin variables)
-    and :class:`repro.enforce.satengine.ConsistencyOracle` (over atom
-    variables), so their decline rules stay in lockstep by construction.
+    :meth:`GroundingResult.origin_assumptions` (the state's soft
+    literals) and :class:`repro.enforce.satengine.ConsistencyOracle` (the
+    candidate's hard assumptions), so their decline rules stay in
+    lockstep by construction.
     Returns ``None`` when ``state`` cannot be expressed over the tables:
     an object outside the bounded universe, a class mismatch, an
     undeclared feature, an attribute value outside the candidate pools,
@@ -565,13 +565,10 @@ def encode_state(
 class GroundingResult:
     """Everything a solver call needs, plus the decode hooks.
 
-    ``origins`` names the parameters whose distance soft clauses were
-    grounded *retargetably* (``Grounder(retarget=True)``): instead of
-    hard-wiring "prefer the original atom value", each distance atom got
-    an ``origin`` variable and a ``diff`` variable with ``diff <->
-    (atom XOR origin)``, and the soft clauses prefer ``-diff``. The
-    origin of the distance is then chosen per solve by assuming the
-    origin literals — :meth:`origin_assumptions` — which is what lets an
+    ``soft`` prefers the grounded state's own atom values. Any other
+    state the universe can express gets the same kind of objective per
+    solve — :meth:`origin_assumptions`: its atom literals as unit soft
+    literals, weighted per target by ``weights`` — which is what lets an
     enforcement session follow an *evolving* model tuple on one
     encoding and one learnt-clause-laden solver, instead of re-grounding
     after every edit.
@@ -587,7 +584,7 @@ class GroundingResult:
     pool: VarPool
     soft: tuple[SoftClause, ...]
     ground_models: Mapping[str, GroundModel]
-    origins: frozenset[str] = frozenset()
+    weights: Mapping[str, int] = field(default_factory=dict)
     selector: Lit | None = None
     symmetry: Lit | None = None
     _tables: dict = field(default_factory=dict, compare=False, repr=False)
@@ -623,46 +620,48 @@ class GroundingResult:
             symbolic = sorted(
                 param for param, gm in self.ground_models.items() if gm.symbolic
             )
-            self._tables["atom"] = _build_state_tables(self, symbolic, ())
+            self._tables["atom"] = _build_state_tables(self, symbolic)
         return self._tables["atom"]
-
-    def origin_tables(self) -> dict[str, StateTable] | None:
-        """Per-origin origin-variable tables (built once, then cached)."""
-        if "origin" not in self._tables:
-            self._tables["origin"] = _build_state_tables(
-                self, sorted(self.origins), ("origin",)
-            )
-        return self._tables["origin"]
 
     def origin_assumptions(
         self, state: Mapping[str, Model], extra_objects: int | None = None
-    ) -> list[Lit] | None:
-        """Assumption literals pinning the distance origin to ``state``.
+    ) -> tuple[dict[Lit, int], list[Lit]] | None:
+        """``(objective, budget)``: the distance from ``state``, and the
+        hard assumptions of its creation budget.
 
-        Only meaningful on retargetable groundings. Returns ``None``
-        when ``state`` cannot serve as an origin of this grounding (see
-        :func:`encode_state` for the decline rules, which are shared
-        with ``ConsistencyOracle`` by construction) — in which case the
-        caller must re-ground. The tables are precomputed once per
-        grounding, so per-solve retargeting is a table walk with no
-        pool lookups. The literals end with ``state``'s creation budget
-        (:meth:`_creation_budget`) under ``extra_objects``, the state's
-        own scope (default: this grounding's).
+        The objective maps each atom literal of ``state`` on a weighted
+        target (the literal true in ``state``) to its target's weight:
+        the unit soft clauses a grounding of ``state`` itself bakes in.
+        The budget (:meth:`_creation_budget`, under ``extra_objects``,
+        the state's own scope; default: this grounding's) holds the
+        absent ids assumed dead; their alive literals leave the
+        objective. ``None`` when ``state`` cannot be expressed over this
+        grounding (see :func:`encode_state` for the decline rules, which
+        are shared with ``ConsistencyOracle`` by construction) — the
+        caller must re-ground. The tables are built once per grounding,
+        so this is a table walk with no pool lookups.
         """
-        tables = self.origin_tables()
+        tables = self.atom_tables()
         if tables is None:
             return None
-        lits = encode_state(tables, sorted(self.origins), state)
-        if lits is not None:
-            lits.extend(self._creation_budget(state, extra_objects))
-        return lits
+        objective: dict[Lit, int] = {}
+        for param, weight in sorted(self.weights.items()):
+            if weight:
+                lits = encode_state(tables, (param,), state)
+                if lits is None:
+                    return None
+                objective.update(dict.fromkeys(lits, weight))
+        budget = self._creation_budget(state, extra_objects)
+        for lit in budget:
+            objective.pop(lit, None)
+        return objective, budget
 
     def _creation_budget(
         self, state: Mapping[str, Model], extra_objects: int | None
     ) -> list[Lit]:
         """Literals keeping ``state``'s repairs inside a per-call scope.
 
-        A retargetable grounding serves every state its universe
+        A session grounding serves every state its universe
         anchors, and the universe can hold more ids a state lacks than
         one class's fresh slots (objects the state dropped). A per-call
         grounding may create ``extra_objects`` objects per class, so at
@@ -745,7 +744,6 @@ class Grounder:
         scope: Scope = Scope(),
         weights: Mapping[str, int] | None = None,
         symmetry_breaking: bool = True,
-        retarget: bool = False,
         prune: bool = True,
         context: GroundingContext | None = None,
     ) -> None:
@@ -759,9 +757,7 @@ class Grounder:
         self.scope = scope
         self.weights = dict(weights or {})
         self.symmetry_breaking = symmetry_breaking
-        self.retarget = retarget
         self.prune = prune
-        self.origin_params: set[str] = set()
         self.pools = ValuePools(models, scope)
         self._context = context
         # Definitions are cached on the shared context, else privately.
@@ -832,7 +828,7 @@ class Grounder:
             self.var_pool,
             tuple(self.soft),
             dict(self.ground_models),
-            frozenset(self.origin_params),
+            {param: self.weights.get(param, 1) for param in self.targets},
             selector=self.selector,
             symmetry=self.symmetry_selector,
         )
@@ -919,8 +915,6 @@ class Grounder:
             raise SolverError(f"negative weight for {gm.param!r}")
         if weight == 0:
             return
-        if self.retarget:
-            self.origin_params.add(gm.param)
         mm = gm.metamodel
         for oid in gm.universe:
             cls = gm.class_of(oid)
@@ -943,35 +937,8 @@ class Grounder:
                     )
 
     def _prefer(self, lit: Lit, originally_true: bool, weight: int) -> None:
-        """One distance atom: prefer its original truth value.
-
-        Non-retargetable groundings bake the preference in as a unit
-        soft clause. Retargetable ones route it through an ``origin``
-        variable — ``diff <-> (atom XOR origin)``, soft clause
-        ``-diff`` — so the preferred value is picked per solve by
-        assuming the origin literal (``originally_true`` then only
-        matters through :meth:`GroundingResult.origin_assumptions`).
-        """
-        if not self.retarget:
-            self.soft.append(
-                SoftClause((lit if originally_true else -lit,), weight)
-            )
-            return
-        pool = self.var_pool
-        name = pool.name_of(lit)
-        assert name is not None, "distance atoms are pool variables"
-        wired = pool.has(("diff",) + name)
-        origin = pool.var(("origin",) + name)
-        diff = pool.var(("diff",) + name)
-        if not wired:
-            # Generation-independent, and emitted with its diff variable,
-            # so once per context without the dedup set.
-            add = self.cnf.add_clause
-            add((-diff, lit, origin))
-            add((-diff, -lit, -origin))
-            add((diff, -lit, origin))
-            add((diff, lit, -origin))
-        self.soft.append(SoftClause((-diff,), weight))
+        """One distance atom: a unit soft clause for its original value."""
+        self.soft.append(SoftClause((lit if originally_true else -lit,), weight))
 
     # ------------------------------------------------------------------
     # Consistency: ground one directional check

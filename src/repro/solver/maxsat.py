@@ -29,19 +29,20 @@ Each soft clause has a relaxation literal, true when the clause may be
 violated: a unit soft clause ``(l)`` is relaxed by ``-l`` itself, as in
 RC2, and only a longer one gets a fresh variable ``r`` and the clause
 ``(C | r)``. A literal relaxing several soft clauses carries their
-summed weight. The distance bounds of ``decreasing``,
-:meth:`MaxSatSession.at_most` and enumeration replicate relaxation
-literals by weight inside one totalizer over all of them. Because the
-totalizer is built on demand, a bound ``b`` only ever encodes the
-counter outputs ``o1..o(b+1)``, so a heavy weight costs leaves, not a
+summed weight. A query may pass its own unit soft literals
+(``objective``) instead of the construction-time soft clauses: an
+enforcement session asks for each new state's closest repair this way.
+The distance bounds of ``decreasing``, :meth:`MaxSatSession.at_most`
+and enumeration replicate the query's relaxation literals by weight
+inside one totalizer, built on demand: a bound ``b`` only ever encodes
+the outputs ``o1..o(b+1)``, so a heavy weight costs leaves, not a
 quadratic counter.
 
 All queries of one optimisation run — and of any follow-up model
-enumeration — go through a single :class:`MaxSatSession`: the soft-clause
-relaxation is set up once, and one
+enumeration — go through a single :class:`MaxSatSession`, and one
 :class:`~repro.solver.sat.IncrementalSolver` persists across every probe
 and blocking clause, carrying its learnt clauses and heuristic state
-from call to call. Every totalizer — the distance one and the OLL core
+from call to call. Every totalizer — the distance ones and the OLL core
 counters — is the iterative one of Martins, Joshi, Manquinho & Lynce,
 "Incremental Cardinality Constraints for MaxSAT" (CP 2014): a bound
 above every bound asked so far extends it in place, and the session
@@ -55,7 +56,7 @@ not touch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.errors import SolverError
 from repro.solver.card import Totalizer
@@ -94,20 +95,17 @@ class MaxSatResult:
 class MaxSatSession:
     """A persistent MaxSAT session over one hard CNF.
 
-    Picks the relaxation literals at construction (a unit soft clause's
-    negated literal; a fresh variable and one clause only for a longer
-    soft clause) and lays out the distance totalizer's tree without any
-    of its outputs, so a session over unit soft clauses allocates
+    Picks the relaxation literals of ``soft`` at construction (a unit
+    soft clause's negated literal; a fresh variable and one clause only
+    for a longer one), so a session over unit soft clauses allocates
     nothing beyond its hard CNF until a bound or a core counter is
-    needed; afterwards every query — optimum search, re-solves at a
-    fixed bound, enumeration with blocking clauses — is an
-    assumption-based call on the same incremental solver.
-    :meth:`at_most` builds only the counter outputs its bound reads,
-    extending the totalizer (and the solver) in place when a bound above
-    every earlier one is asked. The ``increasing`` search asks no bound:
-    it builds OLL core counters (:meth:`_relax`), kept per session under
-    their sorted input literals, so a later search meeting the same core
-    reuses its counter. The input ``hard`` CNF is never mutated.
+    needed; every query is an assumption-based call on the same
+    incremental solver. A query's ``objective`` (unit soft literal ->
+    weight) replaces ``soft`` for that query. :meth:`at_most` builds
+    only the counter outputs its bound reads; the ``increasing`` search
+    asks no bound and builds OLL core counters (:meth:`_relax`). Both
+    kinds are kept under their sorted input literals. The input ``hard``
+    CNF is never mutated.
 
     >>> session = MaxSatSession(CNF(3), [SoftClause((-v,)) for v in (1, 2, 3)])
     >>> session.at_most(session.total_weight)  # no cap: builds nothing
@@ -117,6 +115,8 @@ class MaxSatSession:
     (True, 1)
     >>> session.solve(session.at_most(1) + [1, 2]).satisfiable
     False
+    >>> session.solve_optimal(objective={1: 1, 2: 1}).cost  # prefer x1, x2
+    0
     """
 
     #: Process-wide count of OLL core counters built (see :meth:`_relax`);
@@ -130,11 +130,11 @@ class MaxSatSession:
     #: How many failed-assumption cores one session remembers.
     CORE_LIMIT = 64
 
-    def __init__(self, hard: CNF, soft: Sequence[SoftClause]) -> None:
+    def __init__(self, hard: CNF, soft: Sequence[SoftClause] = ()) -> None:
         self._working = hard.copy()
         originals = self._working.num_vars
         #: Relaxation literal (true: its soft clause may be violated) ->
-        #: the summed weight of the soft clauses it relaxes.
+        #: the summed weight of the ``soft`` clauses it relaxes.
         self._weights: dict[Lit, int] = {}
         for clause in soft:
             if clause.weight == 0:
@@ -150,16 +150,11 @@ class MaxSatSession:
                 relax = self._working.new_var()
                 self._working.add_clause(list(clause.literals) + [relax])
             self._weights[relax] = self._weights.get(relax, 0) + clause.weight
-        relax_weighted = [r for r, w in self._weights.items() for _ in range(w)]
-        self.total_weight = len(relax_weighted)
-        self._totalizer = (
-            Totalizer(self._working, relax_weighted) if relax_weighted else None
-        )
-        #: OLL core counters, by their sorted input literals.
+        self.total_weight = sum(self._weights.values())
+        #: Core counters and distance totalizers, by sorted input literals.
         self._counters: dict[tuple[Lit, ...], Totalizer] = {}
-        #: Failed-assumption cores of earlier core phases, oldest first:
-        #: each as the solver returned it -> its relaxation part.
-        self._cores: dict[tuple[Lit, ...], tuple[Lit, ...]] = {}
+        #: Failed-assumption cores of earlier core phases, oldest first.
+        self._cores: dict[tuple[Lit, ...], None] = {}
         self._solver = IncrementalSolver(self._working)
 
     @property
@@ -197,19 +192,22 @@ class MaxSatSession:
         self._solver.ensure_vars(var)
         return var
 
-    def at_most(self, bound: int) -> list[Lit]:
+    def at_most(self, bound: int, objective: Mapping[Lit, int] | None = None):
         """Assumption literals capping the violated weight at ``bound``.
 
-        Extends the totalizer to the ``bound + 1`` outputs the cap reads
-        and loads the extension's clauses into the solver; a cap of at
-        least :attr:`total_weight` needs no assumption and builds nothing.
+        Extends the objective's totalizer (:meth:`_distance`) to the
+        ``bound + 1`` outputs the cap reads and loads the new clauses; a
+        cap of at least the total weight builds nothing.
         """
         if not is_int(bound) or bound < 0:
             raise SolverError(f"cost bound must be an int >= 0, got {bound!r}")
-        if self._totalizer is None:
+        return self._at_most(bound, self._relaxations(objective))
+
+    def _at_most(self, bound: int, weights: Mapping[Lit, int]) -> list[Lit]:
+        if bound >= sum(weights.values()):
             return []
         loaded = len(self._working)
-        assumption = self._totalizer.at_most_assumption(bound)
+        assumption = self._distance(weights).at_most_assumption(bound)
         self._solver.load(self._working, loaded)
         return assumption
 
@@ -220,9 +218,21 @@ class MaxSatSession:
 
     def cost_of(self, result: SatResult) -> int:
         """The violated soft weight of a satisfiable ``result``."""
-        if self._totalizer is None:
-            return 0
-        return _cost(self._totalizer, result)
+        return _cost(self._weights, result)
+
+    def _relaxations(self, objective: Mapping[Lit, int] | None) -> dict[Lit, int]:
+        if objective is None:
+            return self._weights
+        return {-lit: weight for lit, weight in objective.items() if weight}
+
+    def _distance(self, weights: Mapping[Lit, int]) -> Totalizer:
+        """The totalizer over ``weights``' relaxation literals, each
+        replicated by its weight."""
+        key = tuple(sorted(r for r, w in weights.items() for _ in range(w)))
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = Totalizer(self._working, key)
+        return counter
 
     # ------------------------------------------------------------------
     # Optimisation
@@ -232,16 +242,16 @@ class MaxSatSession:
         mode: str = INCREASING,
         max_cost: int | None = None,
         assumptions: Sequence[Lit] = (),
+        objective: Mapping[Lit, int] | None = None,
     ) -> MaxSatResult:
         """Minimise the violated soft weight subject to the hard clauses.
 
         ``max_cost`` bounds the search (useful when the caller only cares
         about repairs up to some distance); when the optimum exceeds it
         the result is reported unsatisfiable. ``assumptions`` are base
-        assumptions added to every bound probe — enforcement sessions
-        retarget the distance origin this way without re-encoding. The
-        session stays reusable afterwards: bounds are explored via
-        assumptions, never asserted.
+        assumptions added to every probe, and ``objective`` (unit soft
+        literal -> weight) replaces the construction-time soft clauses.
+        Bounds are explored via assumptions, never asserted.
         """
         if mode not in (INCREASING, DECREASING):
             raise SolverError(f"unknown MaxSAT mode {mode!r}")
@@ -250,29 +260,27 @@ class MaxSatSession:
                 f"max_cost must be >= 0 (an int) or None, got {max_cost!r}"
             )
         base = list(assumptions)
-        if self.total_weight == 0:
+        weights = self._relaxations(objective)
+        total = sum(weights.values())
+        if total == 0:
             result = self.solve(base)
             return MaxSatResult(result.satisfiable, 0, result.assignment)
-        ceiling = (
-            self.total_weight
-            if max_cost is None
-            else min(max_cost, self.total_weight)
-        )
+        ceiling = total if max_cost is None else min(max_cost, total)
         if mode == INCREASING:
-            return self._increasing(ceiling, base)
-        return self._decreasing(ceiling, base)
+            return self._increasing(ceiling, base, weights)
+        return self._decreasing(ceiling, base, weights)
 
-    def _increasing(self, ceiling: int, base: list[Lit]) -> MaxSatResult:
+    def _increasing(self, ceiling: int, base: list[Lit], weights) -> MaxSatResult:
         cores: list[list[Lit]] = []
-        lower, result = self._disjoint_cores(ceiling, base, cores)
-        if result is not None and self.cost_of(result) > lower:
-            result = self._oll(ceiling, base, cores)
+        lower, result = self._disjoint_cores(ceiling, base, weights, cores)
+        if result is not None and _cost(weights, result) > lower:
+            result = self._oll(ceiling, base, weights, cores)
         if result is None:
             return MaxSatResult(False)
-        return MaxSatResult(True, self.cost_of(result), result.assignment)
+        return MaxSatResult(True, _cost(weights, result), result.assignment)
 
     def _disjoint_cores(
-        self, ceiling: int, base: list[Lit], cores: list[list[Lit]] | None = None
+        self, ceiling: int, base: list[Lit], weights, cores: list | None = None
     ) -> tuple[int, SatResult | None]:
         """A lower bound on the optimum, and the first satisfiable answer
         (``None`` if no model within ``ceiling`` exists). Each solve
@@ -292,59 +300,58 @@ class MaxSatSession:
         level-0 pruning keep the database equivalent; counters,
         extensions and blocking clauses only add to it), so such a core
         is still a failed-assumption core, exactly as if this search's
-        solver had just returned it. The smallest relaxation part goes
-        first, then the most recently found. A core is remembered as the
-        solver returns it, base literals included, when none of its
-        relaxation literals was freed before in its search."""
+        solver had just returned it. Its relaxation part is read under
+        this search's ``weights``; the smallest part goes first, then the
+        most recently found. A core is remembered as the solver returns
+        it, base literals included, when none of its relaxation literals
+        was freed before in its search."""
         lower = 0
         free: set[int] = set()
-        remembered = iter(self._remembered(base))
+        remembered = iter(self._remembered(base, weights))
         while True:
             core = next((part for part in remembered if free.isdisjoint(part)), None)
             if core is not None:
                 MaxSatSession.cores_reused += 1
             else:
                 result = self.solve(
-                    base + [-relax for relax in self._weights if relax not in free]
+                    base + [-relax for relax in weights if relax not in free]
                 )
                 if result.satisfiable:
                     return lower, result
-                core = self.relaxation_core(result)
+                core = [-lit for lit in result.core if -lit in weights]
                 if free.isdisjoint(core):
-                    self._remember(result.core, core)
+                    self._remember(result.core)
             if not core:
                 return lower, None
             if cores is not None:
                 cores.append([relax for relax in core if relax not in free])
-            lower += min(self._weights[relax] for relax in core)
+            lower += min(weights[relax] for relax in core)
             if lower > ceiling:
                 return lower, None
             free.update(core)
 
-    def _remember(self, core: tuple[Lit, ...], part: Sequence[Lit]) -> None:
-        """Record a failed-assumption ``core`` and its relaxation part,
-        as the most recent; the oldest beyond :attr:`CORE_LIMIT` go."""
+    def _remember(self, core: tuple[Lit, ...]) -> None:
+        """Record a failed-assumption ``core``; the oldest beyond
+        :attr:`CORE_LIMIT` go."""
         self._cores.pop(core, None)
-        self._cores[core] = tuple(part)
+        self._cores[core] = None
         if len(self._cores) > self.CORE_LIMIT:
             del self._cores[next(iter(self._cores))]
 
-    def _remembered(self, base: list[Lit]) -> list[tuple[Lit, ...]]:
-        """The relaxation parts of the remembered cores whose other
-        literals ``base`` assumes: smallest first, then most recent."""
+    def _remembered(self, base: list[Lit], weights) -> list[tuple[Lit, ...]]:
+        """The relaxation parts, under ``weights``, of the remembered
+        cores whose other literals ``base`` assumes: smallest first,
+        then most recent."""
         assumed = set(base)
-        weights = self._weights
-        usable = [
+        usable = sorted(
             (len(part), -index, part)
-            for index, (core, part) in enumerate(self._cores.items())
+            for index, core in enumerate(self._cores)
             if all(lit in assumed or -lit in weights for lit in core)
-        ]
-        usable.sort()
+            for part in [tuple(-lit for lit in core if -lit in weights)]
+        )
         return [part for _size, _index, part in usable]
 
-    def _oll(
-        self, ceiling: int, base: list[Lit], cores: list[list[Lit]]
-    ) -> SatResult | None:
+    def _oll(self, ceiling: int, base: list[Lit], weights, cores) -> SatResult | None:
         """The optimum's first model, continuing from the disjoint
         ``cores`` (``None`` if the optimum exceeds ``ceiling``).
 
@@ -356,7 +363,7 @@ class MaxSatSession:
         weight; so the first satisfiable answer violates nothing of
         positive weight, and its cost is the lower bound: the optimum.
         """
-        weights = dict(self._weights)
+        weights = dict(weights)
         outputs: dict[Lit, tuple[Totalizer, int]] = {}
         lower = sum(self._relax(core, weights, outputs) for core in cores)
         while lower <= ceiling:
@@ -410,15 +417,15 @@ class MaxSatSession:
         self._solver.load(self._working, loaded)
         return least
 
-    def _decreasing(self, ceiling: int, base: list[Lit]) -> MaxSatResult:
+    def _decreasing(self, ceiling: int, base: list[Lit], weights) -> MaxSatResult:
         best: SatResult | None = None
         best_cost = ceiling + 1
         bound = ceiling
         while True:
-            result = self.solve(base + self.at_most(bound))
+            result = self.solve(base + self._at_most(bound, weights))
             if not result.satisfiable:
                 break
-            cost = self.cost_of(result)
+            cost = _cost(weights, result)
             best = result
             best_cost = cost
             if cost == 0:
@@ -435,10 +442,12 @@ class MaxSatSession:
         limit: int = 64,
         assumptions: Sequence[Lit] = (),
         retract: bool = False,
+        objective: Mapping[Lit, int] | None = None,
     ) -> tuple[int, list[dict[int, bool]]]:
         """All optimum-cost assignments, distinct on the ``project`` variables.
 
-        Finds the optimum under the base ``assumptions``, then re-solves
+        Finds the optimum of ``objective`` (default: the construction-time
+        soft clauses) under the base ``assumptions``, then re-solves
         under the optimal bound, blocking each found projection, until
         UNSAT or ``limit`` solutions; raises :class:`SolverError` when
         the hard clauses are unsatisfiable. Only the projection is
@@ -450,12 +459,12 @@ class MaxSatSession:
         """
         if not is_int(limit) or limit < 0:
             raise SolverError(f"limit must be an int >= 0, got {limit!r}")
-        first = self.solve_optimal(mode=mode, assumptions=assumptions)
+        first = self.solve_optimal(mode, None, assumptions, objective)
         if not first.satisfiable:
             raise SolverError("enumerate_optimal needs satisfiable hard clauses")
         project = [abs(v) for v in project]
         guard = [self.new_var()] if retract else []
-        query = list(assumptions) + self.at_most(first.cost) + guard
+        query = list(assumptions) + self.at_most(first.cost, objective) + guard
         solutions: list[dict[int, bool]] = []
         while len(solutions) < limit:
             result = self.solve(query)
@@ -489,12 +498,14 @@ def solve_maxsat(
     )
 
 
-def _cost(totalizer: Totalizer, result: SatResult) -> int:
-    assert result.assignment is not None
+def _cost(weights: Mapping[Lit, int], result: SatResult) -> int:
+    """The summed weight of the relaxation literals true in ``result``."""
+    assignment = result.assignment
+    assert assignment is not None
     return sum(
-        1
-        for lit in totalizer.literals
-        if (result.assignment[abs(lit)] if lit > 0 else not result.assignment[abs(lit)])
+        weight
+        for relax, weight in weights.items()
+        if assignment[abs(relax)] == (relax > 0)
     )
 
 

@@ -102,6 +102,10 @@ sequences, not to level 0, and propagates just the new tail. MaxSAT
 bound probes differ from one another only in their last assumption, so
 their long shared prefix is propagated once (the assumption-reuse idea
 of Hickey & Bacchus, "Speeding Up Assumption-Based SAT", SAT 2019).
+The solver orders them itself (any order is sound): the previous
+call's literals that stay come first, in their old order, so a literal
+that flips moves behind the stable ones and its later flips keep every
+level in front of it. A caller's order that keeps every level is kept.
 A clause added between calls (:meth:`~IncrementalSolver.add_clause` or
 the bulk loader :meth:`~IncrementalSolver.load`) keeps those levels
 too, up to the lowest one at which a literal of the new clauses is
@@ -946,6 +950,17 @@ class IncrementalSolver:
         keep = 0
         while keep < limit and codes[keep] == previous[keep]:
             keep += 1
+        if keep < limit:
+            # The caller's order drops a kept level: stable literals first.
+            rest = dict.fromkeys(codes)
+            codes = (
+                *(code for code in previous if rest.pop(code, 0) is None),
+                *rest,
+            )
+            limit = min(limit, len(codes))
+            keep = 0
+            while keep < limit and codes[keep] == previous[keep]:
+                keep += 1
         self._undo(keep)
         if not self._settle_root_level():
             return SatResult(False, core=())

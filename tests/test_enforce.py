@@ -217,11 +217,6 @@ class TestEnginesAgree:
         )
         assert repair.distance == 4
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 2: the engines disagree on a non-conformant target",
-    )
     def test_one_answer_for_a_non_conformant_target(self):
         """ROADMAP item 2, pinned until it is fixed: the only target
         holds an int on a Boolean attribute (``mandatory: 1``). Today

@@ -16,6 +16,8 @@ The PR 3 fast path may change *how much* work grounding does, never
 * ``enforce_sat``/``enumerate_repairs``/``ConsistencyOracle.try_build``
   must ride one shared grounding per question shape (grounding count
   asserted);
+* a session grounding wires no origin variables: a state's objective
+  is the per-call grounding's unit soft clauses;
 * the state-encoding walk shared by the oracle and
   ``origin_assumptions`` must accept/decline in lockstep;
 * learnt-clause binary self-subsuming resolution must fire and stay
@@ -42,6 +44,7 @@ from repro.enforce import (
     enforce_sat,
     enumerate_repairs,
 )
+from repro.enforce.metrics import TupleMetric
 from repro.enforce.satengine import ConsistencyOracle
 from repro.errors import NoRepairFound
 from repro.featuremodels import (
@@ -325,6 +328,41 @@ class TestSharedGrounding:
         assert cost == enum_cost == repair.distance
         assert repairs
 
+    def test_session_objective_is_the_per_call_soft_clauses(self):
+        """A session grounding has no origin or diff variable, and its
+        state's objective is, atom by atom and weight by weight, the
+        unit soft clauses a per-call grounding of that state bakes in."""
+        transformation, models, targets = self._question()
+        session = EnforcementSession(
+            transformation, targets, metric=TupleMetric({"cf1": 2}), scope=_SCOPE
+        )
+        session.enforce(models)
+        grounding = session._active.grounding
+        assert not [
+            name
+            for name in grounding.pool.names()
+            if isinstance(name, tuple) and name[0] in ("origin", "diff")
+        ]
+        objective, budget = grounding.origin_assumptions(models)
+        assert budget == []
+        per_call = Grounder(
+            transformation,
+            models,
+            frozenset(targets.params),
+            _directions(transformation),
+            scope=_SCOPE,
+            weights={"cf1": 2},
+        ).ground()
+
+        def named(pool, weighted):
+            return sorted(
+                (pool.name_of(lit), lit > 0, weight) for lit, weight in weighted
+            )
+
+        soft = [(clause.literals[0], clause.weight) for clause in per_call.soft]
+        assert {weight for _lit, weight in soft} == {1, 2}
+        assert named(grounding.pool, objective.items()) == named(per_call.pool, soft)
+
     def test_share_false_grounds_per_call(self):
         transformation, models, targets = self._question()
         checker = Checker(transformation)
@@ -456,7 +494,6 @@ class TestOscillatingFrozenDrift:
                 frozenset({"cf2"}),
                 directions,
                 scope=_SCOPE,
-                retarget=True,
                 context=context,
             )
             before = len(grounder.cnf)
@@ -661,8 +698,10 @@ class TestEncodingSize:
     file order from cleared caches (one perfbench pass).
 
     The hard-clause bounds are the counts of one clause per binding with
-    one-directional definitions; the two-way Tseitin encoding before it
-    emitted the counts in the comments. The binding counts are pinned
+    one-directional definitions and no distance wiring; the comments give
+    the counts with the four ``diff <-> atom XOR origin`` clauses per
+    distance atom a session grounding used to emit, and those of the
+    two-way Tseitin encoding before that. The binding counts are pinned
     exactly: the pruning gate above reads the same counter, so the
     encoder must not lower it through early exits.
     """
@@ -706,15 +745,15 @@ class TestEncodingSize:
     def test_paper_fm_question(self, monkeypatch):
         (record,) = self._groundings("paper-fm", monkeypatch)
         assert record[0] == "warmup"
-        assert record[1] <= 3505  # two-way Tseitin: 8,352
+        assert record[1] <= 2425  # origin wiring: 3,505; Tseitin: 8,352
         assert record[2] == 2135
 
     def test_gen_pass_and_its_largest_shape(self, monkeypatch):
         records = self._groundings("gen", monkeypatch)
         assert len(records) == 92
         assert sum(bindings for _, _, bindings in records) == 5376
-        assert sum(clauses for _, clauses, _ in records) <= 34259  # 61,354
+        assert sum(clauses for _, clauses, _ in records) <= 16759  # 34,259; 61,354
         (largest,) = [r for r in records if r[0] == 49]
         assert largest[1] == max(clauses for _, clauses, _ in records)
-        assert largest[1] <= 1434  # two-way Tseitin: 8,418
+        assert largest[1] <= 1026  # origin wiring: 1,434; Tseitin: 8,418
         assert largest[2] == 588

@@ -330,7 +330,8 @@ class TestOnDemandSession:
             assert not result.satisfiable
             return
         assert result.satisfiable and result.cost == expected
-        assert len(session._totalizer.outputs) <= max(expected + 1, 1)
+        distance = session._distance(session._weights)
+        assert len(distance.outputs) <= max(expected + 1, 1)
 
     @given(instance=maxsat_instances())
     @settings(max_examples=60, deadline=None)
@@ -381,9 +382,9 @@ class TestOnDemandSession:
     def test_cap_above_the_current_output_count(self):
         session = counting_session(5)
         session.at_most(0)
-        assert len(session._totalizer.outputs) == 1
+        assert len(session._distance(session._weights).outputs) == 1
         cap = session.at_most(2)
-        assert len(session._totalizer.outputs) == 3
+        assert len(session._distance(session._weights).outputs) == 3
         assert not session.solve(cap + [1, 2, 3]).satisfiable
         assert session.solve(cap + [1, 2, -3]).satisfiable
         assert not session.solve(session.at_most(0) + [4]).satisfiable
@@ -393,7 +394,7 @@ class TestOnDemandSession:
         clauses, variables = len(session._working), session._working.num_vars
         assert session.at_most(session.total_weight) == []
         assert session.at_most(session.total_weight + 3) == []
-        assert session._totalizer.outputs == []
+        assert session._counters == {}
         assert len(session._working) == clauses
         assert session._working.num_vars == variables
 
@@ -432,7 +433,7 @@ class TestOnDemandTotalizerGate:
         built = len(session._working)
         result = session.solve_optimal(max_cost=cap)
         assert result.satisfiable and result.cost == 2
-        totalizer = session._totalizer
+        totalizer = session._distance(session._weights)
         assert len(totalizer.outputs) <= cap + 1
         on_demand = len(session._working) - built
         totalizer.at_least_assumption(session.total_weight)
@@ -460,7 +461,7 @@ class TestOnDemandTotalizerGate:
         sat = run_engine("sat-unshared", scenario)
         assert (sat.outcome, sat.distance) == (brute.outcome, brute.distance)
         assert sessions and all(s.total_weight > 25 for s in sessions)
-        assert all(len(s._totalizer.outputs) <= 3 for s in sessions)
+        assert all(len(s._distance(s._weights).outputs) <= 3 for s in sessions)
 
 
 class TestDisjointCores:
@@ -472,7 +473,7 @@ class TestDisjointCores:
         hard, soft = instance
         expected = brute_optimum(hard, soft)
         session = MaxSatSession(hard, soft)
-        lower, result = session._disjoint_cores(session.total_weight, [])
+        lower, result = session._disjoint_cores(session.total_weight, [], session._weights)
         if expected is None:
             assert result is None
             assert not session.solve_optimal().satisfiable
@@ -493,7 +494,7 @@ class TestDisjointCores:
         hard = CNF(2)
         hard.add_clause([-1, -2])
         session = MaxSatSession(hard, [SoftClause((1,), 3), SoftClause((2,), 2)])
-        lower, result = session._disjoint_cores(session.total_weight, [])
+        lower, result = session._disjoint_cores(session.total_weight, [], session._weights)
         assert lower == 2 and session.cost_of(result) == 2
         assert session.solve_optimal().cost == 2
 
@@ -522,23 +523,26 @@ class TestDisjointCores:
 
     def test_paper_toggle_stream_count_gate(self, monkeypatch):
         """The paper feature-model toggle stream (four features, 48
-        requests) on one session. Measured 51 solves, 15 conflicts, no
-        ``at_most`` call and 12 core counters since the session answers
-        a repeated state from memory (23 of the 48) and frees the cores
-        earlier searches found without a solve: the reused cores change
-        the disjoint set the OLL completion starts from, so it relaxes
-        other cores. 156 solves, 19 conflicts and 8 counters since the
+        requests) on one session. Measured 50 solves, 11 conflicts, no
+        ``at_most`` call and 12 core counters since each state's own atom
+        literals are its objective (no origin variables) and the solver
+        keeps its assumption order stable; 51 solves, 15 conflicts and
+        12 counters since the session answers a repeated state from
+        memory (23 of the 48) and frees the cores earlier searches found
+        without a solve: the reused cores change the disjoint set the
+        OLL completion starts from, so it relaxes other cores. 156
+        solves, 19 conflicts and 8 counters since the
         core-guided completion; 157, 42 and 8 with the ``at_most`` sweep
         after the core phase; 191, 163 and 147 with the linear sweep
         alone and the oracle pre-check."""
         asks = []
-        at_most = MaxSatSession.at_most
+        at_most = MaxSatSession._at_most
 
-        def counting(self, bound):
+        def counting(self, bound, weights):
             asks.append(bound)
-            return at_most(self, bound)
+            return at_most(self, bound, weights)
 
-        monkeypatch.setattr(MaxSatSession, "at_most", counting)
+        monkeypatch.setattr(MaxSatSession, "_at_most", counting)
         session = EnforcementSession(
             paper_transformation(k=2), TargetSelection(["cf1", "cf2"])
         )
@@ -551,10 +555,10 @@ class TestDisjointCores:
         assert work.solves <= 55
         assert work.conflicts <= 20
         assert asks == []
-        # One distance totalizer (laid out, never extended) and the core
-        # counters, each core's built once across the 48 searches.
+        # The core counters, each core's built once across the 48
+        # searches, and no distance totalizer.
         assert MaxSatSession.counters_built - counters == 12
-        assert Totalizer.built - totalizers == 1 + 12
+        assert Totalizer.built - totalizers == 12
 
 
 @st.composite
@@ -596,7 +600,7 @@ class TestRelaxationLiterals:
             pinned.add_clause([lit])
         expected = brute_optimum(pinned, soft)
         session = MaxSatSession(hard, soft)
-        lower, first = session._disjoint_cores(session.total_weight, base)
+        lower, first = session._disjoint_cores(session.total_weight, base, session._weights)
         if expected is None:
             assert first is None
         else:
@@ -626,7 +630,7 @@ class TestRelaxationLiterals:
         first ``at_most``; one relaxation variable per soft clause
         would add n of each. The optimum search asks no bound: its two
         disjoint cores, ``x1 | x2`` and ``x3 | -x3``, each get a core
-        counter of two outputs, and the distance totalizer builds none."""
+        counter of two outputs, and no distance totalizer is built."""
         hard = CNF(4)
         hard.add_clause([1, 2])
         soft = [SoftClause((-v,)) for v in (1, 2, 3, 4)]
@@ -637,7 +641,6 @@ class TestRelaxationLiterals:
         assert session.total_weight == 9
         result = session.solve_optimal()
         assert result.cost == verify_soft_cost(soft, result.assignment) == 2
-        assert session._totalizer.outputs == []
         assert sorted(session._counters) == [(-3, 3), (1, 2)]
         assert [c.outputs for c in session._counters.values()] == [[5, 6], [7, 8]]
         assert (session._working.num_vars, len(session._working)) == (8, 13)
@@ -771,15 +774,15 @@ class BoundRecorder(MaxSatSession):
     disjoint = 0
     oll = ()
 
-    def _disjoint_cores(self, ceiling, base, cores=None):
+    def _disjoint_cores(self, *args):
         self.oll = []
-        lower, result = super()._disjoint_cores(ceiling, base, cores)
+        lower, result = super()._disjoint_cores(*args)
         self.disjoint = lower
         return lower, result
 
-    def _oll(self, ceiling, base, cores):
+    def _oll(self, *args):
         self.running = 0
-        return super()._oll(ceiling, base, cores)
+        return super()._oll(*args)
 
     def _relax(self, core, weights, outputs):
         least = super()._relax(core, weights, outputs)

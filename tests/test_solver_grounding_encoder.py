@@ -41,8 +41,8 @@ def _paper_models():
 
 
 def _grounder(context):
-    """A retargetable grounder of the paper tuple onto ``context``,
-    with cf2 the target."""
+    """A grounder of the paper tuple onto ``context``, with cf2 the
+    target."""
     transformation = paper_transformation(2)
     return Grounder(
         transformation,
@@ -50,7 +50,6 @@ def _grounder(context):
         frozenset({"cf2"}),
         _directions(transformation),
         scope=Scope(extra_objects=1),
-        retarget=True,
         context=context,
     )
 
@@ -140,10 +139,11 @@ class TestSharedContext:
         assert added and all(guards & set(clause) for clause in added)
 
         def optimum(result):
-            session = MaxSatSession(result.cnf, list(result.soft))
-            origin = result.origin_assumptions(_paper_models())
+            session = MaxSatSession(result.cnf)
+            objective, budget = result.origin_assumptions(_paper_models())
             return session.solve_optimal(
-                assumptions=result.base_assumptions() + origin
+                assumptions=result.base_assumptions() + budget,
+                objective=objective,
             ).cost
 
         # cf2 gains a log object: its alive and name atoms.
