@@ -15,8 +15,7 @@ from collections.abc import Mapping
 from repro.check.engine import CheckConfig, Checker, EXTENDED
 from repro.enforce.guided import enforce_guided
 from repro.enforce.metrics import TupleMetric
-from repro.metamodel.conformance import is_conformant
-from repro.metamodel.types import type_name, value_conforms
+from repro.metamodel.conformance import ill_typed, is_conformant
 from repro.enforce.satengine import enforce_sat
 from repro.enforce.search import enforce_search
 from repro.enforce.targets import TargetSelection
@@ -179,27 +178,17 @@ def refuse_nonconformant(
 ) -> None:
     """Refuse (:class:`~repro.errors.NonConformantTarget`) an
     inconsistent tuple whose weighted target holds a value outside its
-    attribute's type (``1`` for a Boolean): the SAT grounding counts an
-    edit across types once, the metric twice, so no engine runs. A
-    consistent tuple is left untouched first, conformant or not."""
+    attribute's type (:func:`~repro.metamodel.conformance.ill_typed`):
+    the SAT grounding counts an edit across types once, the metric
+    twice, so no engine runs. A consistent tuple is left untouched
+    first, conformant or not."""
     for param in sorted(targets.params):
-        if metric.weight(param) == 0:
-            continue
-        model = original[param]
-        mm = model.metamodel
-        bad = [
-            f"{obj.oid}.{name}: value {value!r} does not conform to "
-            f"{type_name(attr.type)}"
-            for obj in model.objects
-            if mm.has_class(obj.cls)
-            for name, value in obj.attrs
-            if (attr := mm.all_attributes(obj.cls).get(name)) is not None
-            and not value_conforms(value, attr.type)
-        ]
+        bad = ill_typed(original[param]) if metric.weight(param) else []
         if bad:
             raise NonConformantTarget(
                 f"target {param!r} does not conform to its metamodel "
-                f"({'; '.join(bad)}); only a conformant target can be repaired"
+                f"({'; '.join(map(str, bad))}); only a conformant target "
+                "can be repaired"
             )
 
 

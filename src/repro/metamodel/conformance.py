@@ -7,11 +7,12 @@ constraint, tests use the diagnostics to pinpoint regressions.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.errors import ConformanceError
 from repro.metamodel.meta import UNBOUNDED
-from repro.metamodel.model import Model
+from repro.metamodel.model import Model, ModelObject
 from repro.metamodel.types import type_name, value_conforms
 
 
@@ -48,18 +49,10 @@ def check_conformance(model: Model) -> list[Diagnostic]:
             )
         declared_attrs = mm.all_attributes(obj.cls)
         declared_refs = mm.all_references(obj.cls)
-        for name, value in obj.attrs:
-            attr = declared_attrs.get(name)
-            if attr is None:
+        for name, _value in obj.attrs:
+            if name not in declared_attrs:
                 diagnostics.append(Diagnostic(obj.oid, name, "undeclared attribute"))
-            elif not value_conforms(value, attr.type):
-                diagnostics.append(
-                    Diagnostic(
-                        obj.oid,
-                        name,
-                        f"value {value!r} does not conform to {type_name(attr.type)}",
-                    )
-                )
+        diagnostics.extend(_ill_typed(obj, declared_attrs))
         for name, attr in declared_attrs.items():
             if not attr.optional and not obj.has_attr(name):
                 diagnostics.append(Diagnostic(obj.oid, name, "mandatory attribute unset"))
@@ -94,6 +87,29 @@ def check_conformance(model: Model) -> list[Diagnostic]:
                     Diagnostic(obj.oid, name, f"{count} targets, upper bound is {ref.upper}")
                 )
     return diagnostics
+
+
+def ill_typed(model: Model) -> list[Diagnostic]:
+    """The declared attribute values of ``model`` outside their type
+    (``1`` for a Boolean): the value faults of :func:`check_conformance`."""
+    mm = model.metamodel
+    return [
+        diagnostic
+        for obj in model.objects
+        if mm.has_class(obj.cls)
+        for diagnostic in _ill_typed(obj, mm.all_attributes(obj.cls))
+    ]
+
+
+def _ill_typed(obj: ModelObject, declared_attrs: Mapping) -> Iterator[Diagnostic]:
+    for name, value in obj.attrs:
+        attr = declared_attrs.get(name)
+        if attr is not None and not value_conforms(value, attr.type):
+            yield Diagnostic(
+                obj.oid,
+                name,
+                f"value {value!r} does not conform to {type_name(attr.type)}",
+            )
 
 
 def is_conformant(model: Model) -> bool:

@@ -33,10 +33,14 @@ summed weight. A query may pass its own unit soft literals
 (``objective``) instead of the construction-time soft clauses: an
 enforcement session asks for each new state's closest repair this way.
 The distance bounds of ``decreasing``, :meth:`MaxSatSession.at_most`
-and enumeration replicate the query's relaxation literals by weight
-inside one totalizer, built on demand: a bound ``b`` only ever encodes
-the outputs ``o1..o(b+1)``, so a heavy weight costs leaves, not a
-quadratic counter.
+and enumeration replicate the relaxation literals by weight inside one
+totalizer, built on demand: a bound ``b`` only ever encodes the outputs
+``o1..o(b+1)``, so a heavy weight costs leaves, not a quadratic
+counter. A query objective's relaxation literals enter that totalizer
+steered, through a diff variable ``d <-> (v XOR o)`` per variable
+whose origin ``o`` the query assumes (:meth:`MaxSatSession._steer`), so
+every state of a session shares one totalizer instead of adding its
+own. The ``increasing`` search asks no bound and steers nothing.
 
 All queries of one optimisation run — and of any follow-up model
 enumeration — go through a single :class:`MaxSatSession`, and one
@@ -102,10 +106,11 @@ class MaxSatSession:
     needed; every query is an assumption-based call on the same
     incremental solver. A query's ``objective`` (unit soft literal ->
     weight) replaces ``soft`` for that query. :meth:`at_most` builds
-    only the counter outputs its bound reads; the ``increasing`` search
-    asks no bound and builds OLL core counters (:meth:`_relax`). Both
-    kinds are kept under their sorted input literals. The input ``hard``
-    CNF is never mutated.
+    only the counter outputs its bound reads, over steered inputs for an
+    objective (:meth:`_steer`); the ``increasing`` search asks no bound
+    and builds OLL core counters (:meth:`_relax`). Both kinds are kept
+    under their sorted input literals. The input ``hard`` CNF is never
+    mutated.
 
     >>> session = MaxSatSession(CNF(3), [SoftClause((-v,)) for v in (1, 2, 3)])
     >>> session.at_most(session.total_weight)  # no cap: builds nothing
@@ -153,6 +158,9 @@ class MaxSatSession:
         self.total_weight = sum(self._weights.values())
         #: Core counters and distance totalizers, by sorted input literals.
         self._counters: dict[tuple[Lit, ...], Totalizer] = {}
+        #: Variable -> (origin, diff, first weight): the steered inputs of
+        #: query objectives' distance totalizers (:meth:`_steer`).
+        self._diffs: dict[int, tuple[int, int, int]] = {}
         #: Failed-assumption cores of earlier core phases, oldest first.
         self._cores: dict[tuple[Lit, ...], None] = {}
         self._solver = IncrementalSolver(self._working)
@@ -192,33 +200,71 @@ class MaxSatSession:
         self._solver.ensure_vars(var)
         return var
 
-    def at_most(self, bound: int, objective: Mapping[Lit, int] | None = None):
+    def at_most(
+        self,
+        bound: int,
+        objective: Mapping[Lit, int] | None = None,
+        assumptions: Sequence[Lit] = (),
+    ) -> list[Lit]:
         """Assumption literals capping the violated weight at ``bound``.
 
         Extends the objective's totalizer (:meth:`_distance`) to the
         ``bound + 1`` outputs the cap reads and loads the new clauses; a
-        cap of at least the total weight builds nothing.
+        cap of at least the total weight builds nothing. ``assumptions``
+        are the base assumptions every solve under the cap makes too.
         """
         if not is_int(bound) or bound < 0:
             raise SolverError(f"cost bound must be an int >= 0, got {bound!r}")
-        return self._at_most(bound, self._relaxations(objective))
+        return self._at_most(bound, self._relaxations(objective), assumptions)
 
-    def _at_most(self, bound: int, weights: Mapping[Lit, int]) -> list[Lit]:
+    def _at_most(
+        self, bound: int, weights: Mapping[Lit, int], base: Sequence[Lit]
+    ) -> list[Lit]:
         if bound >= sum(weights.values()):
             return []
         loaded = len(self._working)
+        steer: list[Lit] = []
+        if weights is not self._weights:
+            weights, steer = self._steer(weights, base)
         assumption = self._distance(weights).at_most_assumption(bound)
         self._solver.load(self._working, loaded)
-        return assumption
+        return steer + assumption
 
-    def relaxation_core(self, result: SatResult) -> list[Lit]:
-        """The relaxation literals assumed false in the UNSAT
-        ``result``'s core (none: the other assumptions alone fail)."""
-        return [-lit for lit in result.core if -lit in self._weights]
+    def _steer(
+        self, weights: Mapping[Lit, int], base: Sequence[Lit]
+    ) -> tuple[dict[Lit, int], list[Lit]]:
+        """A query objective's relaxation literals as steered totalizer
+        inputs, and the assumptions steering them.
 
-    def cost_of(self, result: SatResult) -> int:
-        """The violated soft weight of a satisfiable ``result``."""
-        return _cost(self._weights, result)
+        Each variable ``v`` gets, once per session, an origin ``o`` and a
+        diff ``d`` with ``d <-> (v XOR o)``: assuming ``-o`` makes ``d``
+        the relaxation literal ``v``, assuming ``o`` makes it ``-v``. A
+        variable steered before that ``base`` assumes instead (a state's
+        creation budget) is steered to its assumed value, so its diff is
+        false. The inputs then depend on neither the polarities a state
+        picks nor its budget, and one totalizer, extended in place,
+        serves every state, as long as the weights stay put."""
+        diffs: dict[Lit, int] = {}
+        steer: list[Lit] = []
+        pinned = [lit for lit in base if abs(lit) in self._diffs]
+        for relax, weight in (*weights.items(), *((-lit, 0) for lit in pinned)):
+            var = abs(relax)
+            if var not in self._diffs:
+                origin, diff = self._working.new_var(), self._working.new_var()
+                for clause in (
+                    (-diff, var, origin), (-diff, -var, -origin),
+                    (diff, -var, origin), (diff, var, -origin),
+                ):
+                    self._working.add_clause(clause)
+                self._diffs[var] = (origin, diff, weight)
+            origin, diff, first = self._diffs[var]
+            if diff in diffs:
+                if weight:
+                    raise SolverError(f"objective holds both polarities of {var}")
+                continue  # assumed and in the objective: counted once
+            diffs[diff] = weight or first
+            steer.append(-origin if relax > 0 else origin)
+        return diffs, steer
 
     def _relaxations(self, objective: Mapping[Lit, int] | None) -> dict[Lit, int]:
         if objective is None:
@@ -422,7 +468,7 @@ class MaxSatSession:
         best_cost = ceiling + 1
         bound = ceiling
         while True:
-            result = self.solve(base + self._at_most(bound, weights))
+            result = self.solve(base + self._at_most(bound, weights, base))
             if not result.satisfiable:
                 break
             cost = _cost(weights, result)
@@ -464,7 +510,11 @@ class MaxSatSession:
             raise SolverError("enumerate_optimal needs satisfiable hard clauses")
         project = [abs(v) for v in project]
         guard = [self.new_var()] if retract else []
-        query = list(assumptions) + self.at_most(first.cost, objective) + guard
+        query = (
+            list(assumptions)
+            + self.at_most(first.cost, objective, assumptions)
+            + guard
+        )
         solutions: list[dict[int, bool]] = []
         while len(solutions) < limit:
             result = self.solve(query)

@@ -105,7 +105,10 @@ of Hickey & Bacchus, "Speeding Up Assumption-Based SAT", SAT 2019).
 The solver orders them itself (any order is sound): the previous
 call's literals that stay come first, in their old order, so a literal
 that flips moves behind the stable ones and its later flips keep every
-level in front of it. A caller's order that keeps every level is kept.
+level in front of it. A caller's order that keeps every level is kept,
+and so is one that drops the previous call's leading literal (a new
+generation selector of :mod:`repro.enforce.session`), which shares no
+level with it.
 A clause added between calls (:meth:`~IncrementalSolver.add_clause` or
 the bulk loader :meth:`~IncrementalSolver.load`) keeps those levels
 too, up to the lowest one at which a literal of the new clauses is
@@ -950,8 +953,10 @@ class IncrementalSolver:
         keep = 0
         while keep < limit and codes[keep] == previous[keep]:
             keep += 1
-        if keep < limit:
+        if keep < limit and previous[0] in codes:
             # The caller's order drops a kept level: stable literals first.
+            # (When the previous call's leading literal is gone, e.g. a new
+            # generation selector, nothing is kept and the order stands.)
             rest = dict.fromkeys(codes)
             codes = (
                 *(code for code in previous if rest.pop(code, 0) is None),

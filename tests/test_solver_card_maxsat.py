@@ -463,6 +463,30 @@ class TestOnDemandTotalizerGate:
         assert sessions and all(s.total_weight > 25 for s in sessions)
         assert all(len(s._distance(s._weights).outputs) <= 3 for s in sessions)
 
+    def test_decreasing_stream_shares_one_distance_totalizer(self):
+        """In ``decreasing`` mode every state asks distance bounds over
+        its own objective. The totalizer reads steered inputs, so the 60
+        states of a toggle stream (their budgets differ) share one, and
+        the MaxSAT database stops growing at its first state's size
+        (measured 9,154 clauses; one totalizer per state grew it to
+        91,537). Each distance is the per-call one."""
+        transformation = paper_transformation(k=2)
+        targets = TargetSelection(["cf1", "cf2"])
+        session = EnforcementSession(transformation, targets, mode=DECREASING)
+        stream = toggle_stream(features=6, requests=60)
+        references = [
+            enforce(transformation, models, targets, mode=DECREASING, share=False)
+            for models in stream
+        ]
+        totalizers = Totalizer.built
+        sizes = []
+        for models, reference in zip(stream, references):
+            assert session.enforce(models).distance == reference.distance
+            sizes.append(len(session._active.maxsat._working))
+        assert session.groundings == 1
+        assert Totalizer.built - totalizers == 1
+        assert max(sizes) == sizes[0]
+
 
 class TestDisjointCores:
     """The core phase of the increasing search (``_disjoint_cores``)."""
@@ -479,7 +503,8 @@ class TestDisjointCores:
             assert not session.solve_optimal().satisfiable
             return
         assert lower <= expected
-        assert result.satisfiable and session.cost_of(result) >= expected
+        assert result.satisfiable
+        assert verify_soft_cost(soft, result.assignment) >= expected
         optimum = session.solve_optimal()
         assert optimum.satisfiable and optimum.cost == expected
         assert verify_soft_cost(soft, optimum.assignment) == expected
@@ -493,9 +518,10 @@ class TestDisjointCores:
         both: the one core costs its lighter member."""
         hard = CNF(2)
         hard.add_clause([-1, -2])
-        session = MaxSatSession(hard, [SoftClause((1,), 3), SoftClause((2,), 2)])
+        soft = [SoftClause((1,), 3), SoftClause((2,), 2)]
+        session = MaxSatSession(hard, soft)
         lower, result = session._disjoint_cores(session.total_weight, [], session._weights)
-        assert lower == 2 and session.cost_of(result) == 2
+        assert lower == 2 and verify_soft_cost(soft, result.assignment) == 2
         assert session.solve_optimal().cost == 2
 
     def test_no_repair_in_scope_answers_after_one_solve(self):
@@ -538,9 +564,9 @@ class TestDisjointCores:
         asks = []
         at_most = MaxSatSession._at_most
 
-        def counting(self, bound, weights):
+        def counting(self, bound, *args):
             asks.append(bound)
-            return at_most(self, bound, weights)
+            return at_most(self, bound, *args)
 
         monkeypatch.setattr(MaxSatSession, "_at_most", counting)
         session = EnforcementSession(
@@ -604,7 +630,7 @@ class TestRelaxationLiterals:
         if expected is None:
             assert first is None
         else:
-            assert lower <= expected <= session.cost_of(first)
+            assert lower <= expected <= verify_soft_cost(soft, first.assignment)
         for mode in (INCREASING, DECREASING):
             result = session.solve_optimal(mode, assumptions=base)
             assert result.satisfiable == (expected is not None)

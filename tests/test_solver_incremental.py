@@ -503,7 +503,9 @@ class TestAssumptionTrailReuse:
     def test_an_order_that_keeps_every_level_is_kept(self):
         """The fast path: a caller's order extending, repeating or
         shortening the previous one is stored as given; an order that
-        drops a kept level is reordered, stable literals first."""
+        drops a kept level is reordered, stable literals first; an order
+        without the previous leading literal keeps no level and is
+        stored as given."""
         solver = IncrementalSolver(CNF(5))
 
         def codes(lits):
@@ -514,6 +516,8 @@ class TestAssumptionTrailReuse:
             assert solver._assumption_codes == codes(assumptions)
         solver.solve([5, 2, 1])
         assert solver._assumption_codes == codes([1, 2, 5])
+        solver.solve([3, 5, 2])
+        assert solver._assumption_codes == codes([3, 5, 2])
 
     def test_paper_toggle_stream_propagation_gate(self):
         """The count gate: the paper feature-model toggle stream (four
