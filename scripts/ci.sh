@@ -16,7 +16,8 @@
 #     one, assumes the literals that stay first in their old order,
 #     answers like a fresh solver under every order and takes at most
 #     13,000 propagations and 150 decisions on a paper feature-model
-#     toggle stream (tests/test_solver_incremental.py::TestAssumptionTrailReuse);
+#     toggle stream
+#     (tests/test_solver_incremental.py::TestAssumptionTrailReuse);
 #     learnt-clause GC under constant restarts keeps the optimum of a
 #     re-probed enforcement session (tests/test_solver_gc_restarts.py);
 #     and the increasing search's disjoint-core bound never exceeds the

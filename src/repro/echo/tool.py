@@ -202,7 +202,7 @@ class Echo:
         :func:`~repro.enforce.session.shared_session` grounding cache —
         the same sessions serve ``enforce_sat``/``enumerate_repairs``
         and oracle construction, so mixing API entry points over one
-        registry shares one retargetable grounding. The façade
+        registry shares one grounding. The façade
         additionally tracks its sessions per (transformation, binding,
         targets, semantics) for inspection and invalidation; a call with
         different metric/scope/mode settings resolves to (and records) a

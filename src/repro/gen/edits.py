@@ -280,8 +280,8 @@ def in_universe_stream(
     its predecessor, applied to one of the ``params`` models. Object
     sets and the tuple-wide active value domain are invariant along the
     stream, so every tuple grounds to the *same* bounded universe: a
-    retargetable grounding anchored at any tuple of the stream serves
-    all the others by origin assumptions alone, and a fresh per-call
+    session grounding anchored at any tuple of the stream serves
+    all the others by their own objectives alone, and a fresh per-call
     grounding of any tuple answers exactly the same bounded question.
     This is the shard access pattern of the batch service
     (:mod:`repro.serve`) — one grounding per question shape serves the

@@ -10,7 +10,7 @@ and the optimal weighted distance:
 * ``search`` — the same engine with the incremental
   :class:`~repro.enforce.satengine.ConsistencyOracle` goal test.
 * ``sat`` — the full :func:`repro.enforce.enforce` SAT path riding the
-  shared retargetable grounding (``share=True``).
+  one shared grounding (``share=True``).
 * ``sat-unshared`` — per-call grounding (``share=False``).
 * ``sat-noprune`` — an :class:`~repro.enforce.session.EnforcementSession`
   with binding-space pruning and translation caching both disabled (the

@@ -7,12 +7,11 @@ constraint, tests use the diagnostics to pinpoint regressions.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.errors import ConformanceError
 from repro.metamodel.meta import UNBOUNDED
-from repro.metamodel.model import Model, ModelObject
+from repro.metamodel.model import Model
 from repro.metamodel.types import type_name, value_conforms
 
 
@@ -52,7 +51,6 @@ def check_conformance(model: Model) -> list[Diagnostic]:
         for name, _value in obj.attrs:
             if name not in declared_attrs:
                 diagnostics.append(Diagnostic(obj.oid, name, "undeclared attribute"))
-        diagnostics.extend(_ill_typed(obj, declared_attrs))
         for name, attr in declared_attrs.items():
             if not attr.optional and not obj.has_attr(name):
                 diagnostics.append(Diagnostic(obj.oid, name, "mandatory attribute unset"))
@@ -86,7 +84,7 @@ def check_conformance(model: Model) -> list[Diagnostic]:
                 diagnostics.append(
                     Diagnostic(obj.oid, name, f"{count} targets, upper bound is {ref.upper}")
                 )
-    return diagnostics
+    return diagnostics + ill_typed(model)
 
 
 def ill_typed(model: Model) -> list[Diagnostic]:
@@ -94,22 +92,17 @@ def ill_typed(model: Model) -> list[Diagnostic]:
     (``1`` for a Boolean): the value faults of :func:`check_conformance`."""
     mm = model.metamodel
     return [
-        diagnostic
+        Diagnostic(
+            obj.oid, name, f"value {value!r} does not conform to {type_name(attr.type)}"
+        )
         for obj in model.objects
         if mm.has_class(obj.cls)
-        for diagnostic in _ill_typed(obj, mm.all_attributes(obj.cls))
+        for declared in [mm.all_attributes(obj.cls)]
+        for name, value in obj.attrs
+        if name in declared
+        for attr in [declared[name]]
+        if not value_conforms(value, attr.type)
     ]
-
-
-def _ill_typed(obj: ModelObject, declared_attrs: Mapping) -> Iterator[Diagnostic]:
-    for name, value in obj.attrs:
-        attr = declared_attrs.get(name)
-        if attr is not None and not value_conforms(value, attr.type):
-            yield Diagnostic(
-                obj.oid,
-                name,
-                f"value {value!r} does not conform to {type_name(attr.type)}",
-            )
 
 
 def is_conformant(model: Model) -> bool:

@@ -169,7 +169,7 @@ def shape_key(request: EnforceRequest) -> tuple:
     Field for field the :func:`~repro.enforce.session.shared_session`
     cache key, with canonical transformation text in place of object
     identity: requests mapping to one shape resolve (per worker) to one
-    shared session and therefore one retargetable grounding.
+    shared session and therefore one shared grounding.
     """
     return _shape(
         request.transformation, request.targets, request.semantics,

@@ -11,7 +11,7 @@ keeps two warm layers:
   makes the process-wide :func:`~repro.enforce.session.shared_session`
   LRU (keyed by transformation identity) hit across shards and batches;
 * through that LRU, one warm :class:`~repro.enforce.session.EnforcementSession`
-  per shape — the retargetable grounding, MaxSAT session and incremental
+  per shape — the shared grounding, MaxSAT session and incremental
   solver that amortise across every request of the shard exactly like a
   long-lived interactive session does across edits.
 

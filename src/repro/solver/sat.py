@@ -105,10 +105,11 @@ of Hickey & Bacchus, "Speeding Up Assumption-Based SAT", SAT 2019).
 The solver orders them itself (any order is sound): the previous
 call's literals that stay come first, in their old order, so a literal
 that flips moves behind the stable ones and its later flips keep every
-level in front of it. A caller's order that keeps every level is kept,
-and so is one that drops the previous call's leading literal (a new
-generation selector of :mod:`repro.enforce.session`), which shares no
-level with it.
+level in front of it. The caller's order stands when it already keeps
+every level it can (the fast path), and when the first literal it drops
+from the previous order is no longer assumed at all, flipped or not (a
+relaxation literal a core freed, the old generation selector after
+:mod:`repro.enforce.session` re-grounds): no order keeps more then.
 A clause added between calls (:meth:`~IncrementalSolver.add_clause` or
 the bulk loader :meth:`~IncrementalSolver.load`) keeps those levels
 too, up to the lowest one at which a literal of the new clauses is
@@ -953,10 +954,14 @@ class IncrementalSolver:
         keep = 0
         while keep < limit and codes[keep] == previous[keep]:
             keep += 1
-        if keep < limit and previous[0] in codes:
-            # The caller's order drops a kept level: stable literals first.
-            # (When the previous call's leading literal is gone, e.g. a new
-            # generation selector, nothing is kept and the order stands.)
+        if keep < limit and (
+            previous[keep] in codes or previous[keep] ^ 1 in codes
+        ):
+            # The first literal the caller's order drops moved or flipped:
+            # stable literals first. A moved one keeps its level now; a
+            # flipped one moves behind the stable ones, so its next flip
+            # keeps them. A literal merely gone (a freed relaxation
+            # literal, an old generation selector) leaves the order as is.
             rest = dict.fromkeys(codes)
             codes = (
                 *(code for code in previous if rest.pop(code, 0) is None),

@@ -571,7 +571,7 @@ class TestSymmetrySoundnessOnSharedGroundings:
 class TestUnanchorableTuples:
     def test_undeclared_feature_falls_back_to_standalone(self):
         """A tuple whose target carries an undeclared attribute cannot
-        anchor a retargetable grounding; the shared entry points must
+        anchor a shared grounding; the shared entry points must
         serve it standalone (and never pollute the shared context),
         matching the historical per-call behaviour — in particular the
         search engine's oracle still works, declining the problematic

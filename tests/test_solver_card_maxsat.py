@@ -549,7 +549,7 @@ class TestDisjointCores:
 
     def test_paper_toggle_stream_count_gate(self, monkeypatch):
         """The paper feature-model toggle stream (four features, 48
-        requests) on one session. Measured 50 solves, 11 conflicts, no
+        requests) on one session. Measured 51 solves, 11 conflicts, no
         ``at_most`` call and 12 core counters since each state's own atom
         literals are its objective (no origin variables) and the solver
         keeps its assumption order stable; 51 solves, 15 conflicts and
